@@ -54,6 +54,7 @@ from .transfer_oracle import (
 from .waveguide_solver import (
     RegionCoefficients,
     SectorSolution,
+    amplitudes,
     scattering_matrices,
     solve_doublet,
     solve_quartet,
@@ -101,6 +102,7 @@ __all__ = [
     "two_impurity_chain",
     "RegionCoefficients",
     "SectorSolution",
+    "amplitudes",
     "scattering_matrices",
     "solve_doublet",
     "solve_quartet",

@@ -38,7 +38,9 @@ class ScatteredState:
     def __post_init__(self):
         if abs(self.transmittivity + self.reflectivity - 1.0) > _BALANCE_TOL:
             raise NumericError(
-                f"T + R = {self.transmittivity + self.reflectivity!r} != 1"
+                f"T + R = {self.transmittivity + self.reflectivity!r} differs from 1 "
+                f"by more than {_BALANCE_TOL!r} at u = {self.params.u!r}, "
+                f"theta = {self.params.theta!r}"
             )
 
     def polarized(self, outcome: str) -> float:

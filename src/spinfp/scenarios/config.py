@@ -82,15 +82,6 @@ class SweepConfig:
     phi_values: tuple[float, ...]
     echo: tuple[tuple[str, str], ...]        # resolved settings for the header
 
-    def __post_init__(self):
-        points = len(self.u_values) * max(
-            1, len(self.theta_values), len(self.vartheta_values) * len(self.phi_values)
-        )
-        if points == 0:
-            raise ConfigError("empty parameter grid")
-        if points > GRID_CAP:
-            raise ConfigError(f"grid of {points} points exceeds cap {GRID_CAP}")
-
 
 def _parse_float(raw: str, key: str) -> float:
     try:
@@ -188,50 +179,61 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    theta_values: tuple[float, ...] = ()
-    vartheta_values: tuple[float, ...] = ()
-    phi_values: tuple[float, ...] = ()
-    fixed_theta: float | None = None
-
-    if kind == "theta":
-        steps = _parse_int(resolved.get("theta_steps", "2001"), "theta_steps")
-        if steps > GRID_CAP:
-            raise ConfigError("theta_steps exceeds the sanity cap")
-        theta_values = theta_grid(
-            _parse_float(resolved.get("theta_min", "0"), "theta_min"),
-            _parse_float(resolved.get("theta_max", repr(_TWO_PI)), "theta_max"),
-            steps,
+    # u_list comes from the config itself or, for theta and family sweeps,
+    # from the preset; a coupling sweep otherwise spans u_min..u_max
+    u_range_keys = sorted({"u_min", "u_max", "u_steps"} & settings.keys())
+    if "u_list" in settings and u_range_keys:
+        raise ConfigError(
+            f"u_list conflicts with {', '.join(u_range_keys)}; set one or the other"
         )
-        u_values = _parse_u_list(resolved.get("u_list", "1,2,10"))
-    elif kind == "family":
+    u_values: tuple[float, ...] | None = None
+    if kind != "coupling" or "u_list" in settings:
+        u_default = "10" if kind == "family" else "1,2,10"
+        u_values = _parse_u_list(resolved.get("u_list", u_default))
+        u_count = len(u_values)
+    else:
+        u_lo = _parse_float(resolved.get("u_min", "0.01"), "u_min")
+        u_hi = _parse_float(resolved.get("u_max", "10"), "u_max")
+        u_count = _parse_int(resolved.get("u_steps", "1000"), "u_steps")
+        if not 0 <= u_lo < u_hi:
+            raise ConfigError("need 0 <= u_min < u_max")
+
+    fixed_theta: float | None = None
+    if kind != "theta":
         fixed_theta = _parse_float(resolved.get("theta", repr(math.pi)), "theta")
         if fixed_theta <= 0:
             raise ConfigError("theta must be > 0")
-        vsteps = _parse_int(resolved.get("vartheta_steps", "161"), "vartheta_steps")
-        psteps = _parse_int(resolved.get("phi_steps", "41"), "phi_steps")
-        vartheta_values = _closed_grid(_TWO_PI, vsteps)
-        phi_values = _closed_grid(math.pi, psteps)
-        u_values = _parse_u_list(resolved.get("u_list", "10"))
+    if kind == "theta":
+        theta_min = _parse_float(resolved.get("theta_min", "0"), "theta_min")
+        theta_max = _parse_float(resolved.get("theta_max", repr(_TWO_PI)), "theta_max")
+        theta_steps = _parse_int(resolved.get("theta_steps", "2001"), "theta_steps")
+        per_u = theta_steps
+    elif kind == "family":
         family = resolved["impurity_state"].split()[0]
         if family not in ("family2", "uu_dd"):
             raise ConfigError(
                 f"family sweeps need impurity_state family2 or uu_dd, got {family!r}"
             )
-    else:  # coupling sweep
-        fixed_theta = _parse_float(resolved.get("theta", repr(math.pi)), "theta")
-        if fixed_theta <= 0:
-            raise ConfigError("theta must be > 0")
-        if "u_list" in resolved:
-            u_values = _parse_u_list(resolved["u_list"])
-        else:
-            lo = _parse_float(resolved.get("u_min", "0.01"), "u_min")
-            hi = _parse_float(resolved.get("u_max", "10"), "u_max")
-            steps = _parse_int(resolved.get("u_steps", "1000"), "u_steps")
-            if not 0 <= lo < hi:
-                raise ConfigError("need 0 <= u_min < u_max")
-            if steps > GRID_CAP:
-                raise ConfigError("u_steps exceeds the sanity cap")
-            u_values = tuple(float(x) for x in np.linspace(lo, hi, steps))
+        vsteps = _parse_int(resolved.get("vartheta_steps", "161"), "vartheta_steps")
+        psteps = _parse_int(resolved.get("phi_steps", "41"), "phi_steps")
+        per_u = vsteps * psteps
+    else:
+        per_u = 1
+
+    points = u_count * per_u  # checked before any grid is allocated
+    if points > GRID_CAP:
+        raise ConfigError(f"grid of {points} points exceeds cap {GRID_CAP}")
+
+    theta_values: tuple[float, ...] = ()
+    vartheta_values: tuple[float, ...] = ()
+    phi_values: tuple[float, ...] = ()
+    if kind == "theta":
+        theta_values = theta_grid(theta_min, theta_max, theta_steps)
+    elif kind == "family":
+        vartheta_values = _closed_grid(_TWO_PI, vsteps)
+        phi_values = _closed_grid(math.pi, psteps)
+    if u_values is None:
+        u_values = tuple(float(x) for x in np.linspace(u_lo, u_hi, u_count))
 
     echo_keys = sorted(set(resolved) | {"scenario"})
     echo = tuple(

@@ -14,7 +14,6 @@ amplitudes ``<alpha>,<beta>`` parsed by Python's complex(), e.g. ``0.6,0.8j``.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -25,20 +24,28 @@ from ..spin_algebra import SpinVector, compose_state
 _KET_INDEX = {"uu": 0, "ud": 1, "du": 2, "dd": 3}
 
 
-def one_up_family(mix: float, phase: float) -> np.ndarray:
-    """Pair states with a single impurity excitation shared between sites."""
-    out = np.zeros(4, dtype=complex)
-    out[1] = math.cos(mix)
-    out[2] = cmath.exp(1j * phase) * math.sin(mix)
+def _family(mix, phase, first: int, second: int) -> np.ndarray:
+    """cos(mix)|first> + e^{i phase} sin(mix)|second>; the ket index is the last axis."""
+    mix, phase = np.broadcast_arrays(
+        np.asarray(mix, dtype=float), np.asarray(phase, dtype=float)
+    )
+    out = np.zeros(mix.shape + (4,), dtype=complex)
+    out[..., first] = np.cos(mix)
+    out[..., second] = np.exp(1j * phase) * np.sin(mix)
     return out
 
 
-def aligned_family(mix: float, phase: float) -> np.ndarray:
-    """Pair states with both impurity spins aligned."""
-    out = np.zeros(4, dtype=complex)
-    out[0] = math.cos(mix)
-    out[3] = cmath.exp(1j * phase) * math.sin(mix)
-    return out
+def one_up_family(mix, phase) -> np.ndarray:
+    """Pair states with a single impurity excitation shared between sites.
+
+    ``mix`` and ``phase`` may be arrays; they broadcast to the leading axes.
+    """
+    return _family(mix, phase, 1, 2)
+
+
+def aligned_family(mix, phase) -> np.ndarray:
+    """Pair states with both impurity spins aligned (arrays as in one_up_family)."""
+    return _family(mix, phase, 0, 3)
 
 
 def bell_pair(sign: int) -> np.ndarray:

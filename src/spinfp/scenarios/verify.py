@@ -27,9 +27,10 @@ from ..spin_algebra import (
     spin_operators,
 )
 from ..transfer_oracle import oracle_scattering, two_impurity_chain
-from ..waveguide_solver import doublet_matrices, scattering_matrices, solve_quartet
+from ..waveguide_solver import amplitudes
 from .config import build_config
-from .sweeps import run_sweep
+from .states import incident_state
+from .sweeps import observable_table, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 _SEED = 20240817
@@ -52,6 +53,11 @@ def _random_params(rng, n, u_hi=20.0):
         yield DimensionlessParams(rng.uniform(1e-6, u_hi), rng.uniform(1e-6, 2 * math.pi))
 
 
+def _kernel(params: list[DimensionlessParams]) -> tuple[np.ndarray, np.ndarray]:
+    """One batched kernel call over the drawn points."""
+    return amplitudes([p.u for p in params], [p.theta for p in params])
+
+
 def _random_state(rng) -> SpinVector:
     raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     return SpinVector(raw / np.linalg.norm(raw))
@@ -64,19 +70,16 @@ def _coupled_sandwich(matrix: np.ndarray) -> np.ndarray:
 
 def criterion_triple_agreement() -> CriterionResult:
     rng = np.random.default_rng(_SEED)
+    params = list(_random_params(rng, 1000))
+    doublet = np.ix_((4, 6), (4, 6))  # the m = +1/2 doublet block, channels s_e2 = 0, 1
     worst_closed = 0.0
     worst_oracle = 0.0
-    for p in _random_params(rng, 1000):
-        tq_closed = t_quartet(p)
-        t2_closed = t_doublet(p)
-        quartet = solve_quartet(p).channels[1]
-        t2_solver, _ = doublet_matrices(p)
+    for p, t_solver, r_solver in zip(params, *_kernel(params)):
         worst_closed = max(
             worst_closed,
-            abs(tq_closed - quartet.t),
-            float(np.max(np.abs(t2_closed - t2_solver))),
+            abs(t_quartet(p) - t_solver[0, 0]),
+            float(np.max(np.abs(t_doublet(p) - t_solver[doublet]))),
         )
-        t_solver, r_solver = scattering_matrices(p)
         full = oracle_scattering(two_impurity_chain(p))
         worst_oracle = max(
             worst_oracle,
@@ -93,10 +96,16 @@ def criterion_triple_agreement() -> CriterionResult:
 
 def criterion_flux_conservation() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
-    worst = 0.0
-    for p in _random_params(rng, 1000):
-        state = scatter(_random_state(rng), p)
-        worst = max(worst, abs(state.transmittivity + state.reflectivity - 1.0))
+    params, states = [], []
+    for p in _random_params(rng, 1000):  # draw order: point, then its state
+        params.append(p)
+        states.append(_random_state(rng).amplitudes)
+    t, r = _kernel(params)
+    coeffs = np.asarray(states) @ coupled_basis().matrix.conj()  # rows B^dagger chi
+    gamma = np.matmul(t, coeffs[..., None])
+    rho = np.matmul(r, coeffs[..., None])
+    flux = np.sum(np.abs(gamma) ** 2 + np.abs(rho) ** 2, axis=(1, 2))
+    worst = float(np.max(np.abs(flux - 1.0)))
     return CriterionResult(
         2, "unitarity / flux conservation", worst < 1e-10,
         f"max |T + R - 1| = {worst:.3e} over 1000 random states (limit 1e-10)",
@@ -229,13 +238,11 @@ def criterion_recoupling_values() -> CriterionResult:
 
 def criterion_entanglement_generation() -> CriterionResult:
     chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, pair down-down
-    best_u = 0.0
-    best_t = -1.0
-    for u in np.linspace(0.01, 10.0, 1000):
-        t_down = scatter(chi, DimensionlessParams(float(u), math.pi)).transmitted_down
-        if t_down > best_t:
-            best_t = t_down
-            best_u = float(u)
+    u = np.linspace(0.01, 10.0, 1000)
+    t_down = _scan(chi, u, np.full(len(u), math.pi))[:, 2]  # columns T, T_up, T_down, ...
+    best = int(np.argmax(t_down))  # the first of equal maxima
+    best_t = float(t_down[best])
+    best_u = float(u[best])
     state = scatter(chi, DimensionlessParams(best_u, math.pi))
     res = postselect(state, "down")
     triplet = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -268,13 +275,16 @@ def _nearest_multiple_distance(value: float, period: float) -> float:
     return abs(value - period * round(value / period))
 
 
-def _curve(impurity_spec: str, thetas, u: float) -> np.ndarray:
-    from .states import incident_state
+def _scan(chi: SpinVector, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Sweep columns T, T_up, T_down, ... of one incident state, one kernel call."""
+    t, r = amplitudes(u, theta)
+    return observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], u, theta)
 
-    chi = incident_state("u", impurity_spec)
-    return np.array(
-        [scatter(chi, DimensionlessParams(u, t)).transmittivity for t in thetas]
-    )
+
+def _curve(impurity_spec: str, thetas, u: float) -> np.ndarray:
+    """T over the phases ``thetas`` at coupling u, electron up."""
+    theta = np.asarray(thetas, dtype=float)
+    return _scan(incident_state("u", impurity_spec), np.full(len(theta), u), theta)[:, 0]
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinfp.closed_form import DimensionlessParams, t_doublet, t_quartet
-from spinfp.errors import DomainError
+from spinfp.errors import DomainError, NumericError
 from spinfp.observables import (
     concurrence,
     fixed_point_subspace,
@@ -63,6 +64,13 @@ class TestScatter:
             assert state.transmittivity + state.reflectivity == pytest.approx(
                 1.0, abs=1e-10
             )
+
+    def test_balance_failure_is_located(self):
+        state = scatter(compose_state([1, 0], [0, 1, 0, 0]), DimensionlessParams(2.0, 1.5))
+        with pytest.raises(NumericError) as info:
+            dataclasses.replace(state, reflectivity=state.reflectivity + 1e-6)
+        message = str(info.value)
+        assert "u = 2.0, theta = 1.5" in message and "1e-10" in message
 
     def test_transmitted_coefficients_follow_channel_amplitudes(self):
         # per-channel composition: gamma = t^(in; s) <in; s, m | chi>

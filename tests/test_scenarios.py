@@ -19,7 +19,15 @@ from spinfp.scenarios.states import (
     incident_state,
     one_up_family,
 )
-from spinfp.scenarios.sweeps import render_csv, run_sweep, write_csv
+from spinfp.scenarios import config as config_mod
+from spinfp.scenarios import sweeps
+from spinfp.scenarios.sweeps import (
+    SweepResult,
+    format_float,
+    render_csv,
+    run_sweep,
+    write_csv,
+)
 from spinfp.scenarios.units import (
     PhysicalParams,
     convert_units,
@@ -170,6 +178,32 @@ class TestConfig:
         assert cfg.u_values[0] == pytest.approx(0.01)
         assert cfg.u_values[-1] == pytest.approx(10.0)
 
+    def test_coupling_range_under_custom_preset(self):
+        # the custom preset's u_list must not shadow the config's u range
+        cfg = build_config(
+            {"sweep": "coupling", "u_min": "0.5", "u_max": "2", "u_steps": "50",
+             "impurity_state": "dd"}
+        )
+        rows = np.asarray(run_sweep(cfg).rows)
+        assert len(rows) == 50
+        np.testing.assert_array_equal(rows[:, 1], np.linspace(0.5, 2.0, 50))
+
+    def test_coupling_u_list_from_config(self):
+        assert build_config({"scenario": "fig7", "u_list": "1,3"}).u_values == (1.0, 3.0)
+        with pytest.raises(ConfigError, match="u_list conflicts with u_steps"):
+            build_config({"scenario": "fig7", "u_list": "1,3", "u_steps": "5"})
+
+    def test_grid_cap_checked_before_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid allocated before the cap check")
+
+        monkeypatch.setattr(config_mod, "_closed_grid", refuse)
+        monkeypatch.setattr(config_mod, "theta_grid", refuse)
+        with pytest.raises(ConfigError, match="exceeds cap"):
+            build_config({"scenario": "fig4", "vartheta_steps": "100000", "phi_steps": "101"})
+        with pytest.raises(ConfigError, match="exceeds cap"):
+            build_config({"scenario": "fig2a", "theta_steps": str(4 * 10**6)})
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
@@ -223,6 +257,33 @@ class TestSweeps:
         cfg = build_config({"scenario": "fig2a", "theta_steps": "15", "u_list": "2"})
         assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"scenario": "fig2a", "theta_steps": "40", "u_list": "1,2"},
+            {"scenario": "fig7", "u_steps": "45"},
+            {"scenario": "fig4", "vartheta_steps": "9", "phi_steps": "5", "u_list": "2,10"},
+        ],
+    )
+    def test_output_independent_of_chunk_size(self, monkeypatch, settings):
+        cfg = build_config(settings)
+        reference = render_csv(run_sweep(cfg))
+        for chunk in (1, 7):
+            monkeypatch.setattr(sweeps, "CHUNK", chunk)
+            assert render_csv(run_sweep(cfg)) == reference
+
+    def test_render_matches_format_float(self):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1.0 / 3.0,
+                   -1e300, math.inf, -math.inf, math.nan]
+        drawn = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
+        values = special + drawn.tolist()
+        rows = tuple(tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3))
+        result = SweepResult(header=("# scenario = x",), columns=("a", "b", "c"), rows=rows)
+        expected = ["# scenario = x", "a,b,c"]
+        expected += [",".join(format_float(v) for v in row) for row in rows]
+        assert render_csv(result) == "\n".join(expected) + "\n"
+
     def test_csv_format(self, tmp_path):
         cfg = build_config(
             {
@@ -262,6 +323,18 @@ class TestCli:
 
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
+
+    def test_numeric_failure_is_located(self, tmp_path, capsys):
+        cfg_file = tmp_path / "strong.cfg"
+        cfg_file.write_text(
+            "scenario = fig7\nu_min = 1e4\nu_max = 1.00001e4\nu_steps = 3\n"
+            f"output = {tmp_path / 'strong.csv'}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
+        message = capsys.readouterr().err
+        assert "u = 10000.0" in message and f"theta = {math.pi!r}" in message
+        assert "doublet" in message and "1e-09" in message
+        assert "np.float64" not in message
 
     def test_convert_command(self, capsys):
         code = cli.main(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spinfp.closed_form import DimensionlessParams, t_doublet, t_quartet
-from spinfp.spin_algebra import COUPLED_LABELS
+from spinfp.errors import DomainError, NumericError
+from spinfp.spin_algebra import COUPLED_LABELS, coupled_basis
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
     _doublet_system,
+    amplitudes,
     doublet_matrices,
     doublet_site_matrices,
     quartet_site_strengths,
@@ -100,8 +102,8 @@ class TestDoubletSolve:
         w1, w2 = doublet_site_matrices()
         w1_cut = np.array(w1)
         w1_cut[0, 1] = w1_cut[1, 0] = 0.0
-        matrix, rhs = _doublet_system(p.theta, p.g, 1, w1_cut, w2)
-        x = np.linalg.solve(matrix, rhs)
+        matrix, rhs = _doublet_system(np.array([p.theta]), np.array([p.g]), w1_cut, w2)
+        x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         assert abs(x[3]) < 1e-14   # t of channel 0 under incident channel 1
         assert abs(x[7]) > 0.1
 
@@ -111,11 +113,9 @@ class TestDoubletSolve:
         w1_bad = np.array(w1)
         w1_bad[0, 1] *= 1.01
         w1_bad[1, 0] *= 1.01
-        matrix, rhs = _doublet_system(p.theta, p.g, 1, w1_bad, w2)
-        x = np.linalg.solve(matrix, rhs)
+        matrix, rhs = _doublet_system(np.array([p.theta]), np.array([p.g]), w1_bad, w2)
+        x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         oracle = oracle_scattering(two_impurity_chain(p))
-        from spinfp.spin_algebra import coupled_basis
-
         b = coupled_basis().matrix
         t_oracle = b.conj().T @ oracle.transmission @ b
         # coupled labels 4 and 6 share m = +1/2; incident channel s_e2 = 1
@@ -155,3 +155,71 @@ class TestScatteringMatrices:
         for u in (0.5, 7.0, 40.0):
             t, _ = scattering_matrices(DimensionlessParams(u, math.pi))
             assert np.count_nonzero(np.abs(np.linalg.eigvals(t) - 1) < 1e-8) >= 2
+
+
+def kernel_draws(n=500):
+    """Seeded points with u in [1e-6, 20] and theta in (0, 4 pi], plus exact n pi."""
+    rng = np.random.default_rng(26)
+    u = rng.uniform(1e-6, 20.0, n)
+    theta = 4 * math.pi - rng.uniform(0.0, 4 * math.pi, n)  # (0, 4 pi]
+    resonant = np.arange(1, 5) * math.pi
+    return np.concatenate([u, [0.5, 3.0, 20.0, 1e-6]]), np.concatenate([theta, resonant])
+
+
+class TestAmplitudes:
+    def test_matches_closed_form_and_oracle(self):
+        u, theta = kernel_draws()
+        t, r = amplitudes(u, theta)
+        b = coupled_basis().matrix
+        doublet = np.ix_((4, 6), (4, 6))
+        worst_closed = worst_oracle = 0.0
+        for i in range(len(u)):
+            p = DimensionlessParams(u[i], theta[i])
+            worst_closed = max(
+                worst_closed,
+                abs(t[i, 0, 0] - t_quartet(p)),
+                np.max(np.abs(t[i][doublet] - t_doublet(p))),
+            )
+            full = oracle_scattering(two_impurity_chain(p))
+            worst_oracle = max(
+                worst_oracle,
+                np.max(np.abs(b.conj().T @ full.transmission @ b - t[i])),
+                np.max(np.abs(b.conj().T @ full.reflection @ b - r[i])),
+            )
+        assert worst_closed < 1e-13
+        # the transfer-matrix products lose accuracy roughly as u^2: about
+        # 1.4e-13 at u = 20, against 5e-14 for the closed form
+        assert worst_oracle < 1e-12
+
+    def test_single_point_matches_batch(self):
+        u, theta = kernel_draws(60)
+        t, r = amplitudes(u, theta)
+        for i in range(len(u)):
+            t1, r1 = scattering_matrices(DimensionlessParams(u[i], theta[i]))
+            assert np.max(np.abs(t1 - t[i])) <= 1e-15
+            assert np.max(np.abs(r1 - r[i])) <= 1e-15
+
+    def test_flux_defect(self):
+        u, theta = kernel_draws()
+        t, r = amplitudes(u, theta)
+        dagger = np.conj(np.swapaxes(t, 1, 2)), np.conj(np.swapaxes(r, 1, 2))
+        defect = dagger[0] @ t + dagger[1] @ r - np.eye(8)
+        assert np.max(np.linalg.norm(defect, axis=(1, 2))) <= 1e-10
+
+    def test_shape_and_domain_validation(self):
+        assert amplitudes([], [])[0].shape == (0, 8, 8)
+        with pytest.raises(ValueError):
+            amplitudes([1.0, 2.0], [1.0])
+        with pytest.raises(DomainError):
+            amplitudes([-1.0], [1.0])
+        with pytest.raises(DomainError):
+            amplitudes([1.0], [0.0])
+
+    def test_flux_failure_names_point_sector_and_bound(self):
+        # strong coupling at a resonance breaks the doublet flux check
+        with pytest.raises(NumericError) as info:
+            amplitudes([1e4], [math.pi])
+        message = str(info.value)
+        assert "doublet sector (incident channel" in message
+        assert "u = 10000.0" in message and f"theta = {math.pi!r}" in message
+        assert "1e-09" in message and "np.float64" not in message
