@@ -33,7 +33,6 @@ from .spin_algebra import (
     CoupledLabel,
     SpinOperatorSet,
     SpinVector,
-    clebsch_gordan,
     compose_state,
     coupled_basis,
     coupled_to_product,
@@ -85,7 +84,6 @@ __all__ = [
     "CoupledLabel",
     "SpinOperatorSet",
     "SpinVector",
-    "clebsch_gordan",
     "compose_state",
     "coupled_basis",
     "coupled_to_product",

@@ -46,6 +46,14 @@ _FAMILY_DEFAULTS = {
     "electron_spin": "u", "sweep": "family", "impurity_state": "family2",
 }
 
+# keys each sweep kind reads besides the u grid; the header echoes no others
+_COMMON_KEYS = {"scenario", "sweep", "electron_spin", "impurity_state", "output"}
+_GRID_KEYS = {
+    "theta": {"theta_min", "theta_max", "theta_steps"},
+    "family": {"theta", "vartheta_steps", "phi_steps"},
+    "coupling": {"theta"},
+}
+
 SCENARIO_PRESETS: dict[str, dict[str, str]] = {
     "fig2a": {**_THETA_DEFAULTS, "impurity_state": "ud"},
     "fig2b": {**_THETA_DEFAULTS, "impurity_state": "du"},
@@ -187,7 +195,8 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
             f"u_list conflicts with {', '.join(u_range_keys)}; set one or the other"
         )
     u_values: tuple[float, ...] | None = None
-    if kind != "coupling" or "u_list" in settings:
+    u_listed = kind != "coupling" or "u_list" in settings
+    if u_listed:
         u_default = "10" if kind == "family" else "1,2,10"
         u_values = _parse_u_list(resolved.get("u_list", u_default))
         u_count = len(u_values)
@@ -235,7 +244,9 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     if u_values is None:
         u_values = tuple(float(x) for x in np.linspace(u_lo, u_hi, u_count))
 
-    echo_keys = sorted(set(resolved) | {"scenario"})
+    read = _COMMON_KEYS | _GRID_KEYS[kind]
+    read |= {"u_list"} if u_listed else {"u_min", "u_max", "u_steps"}
+    echo_keys = sorted((set(resolved) | {"scenario"}) & read)
     echo = tuple(
         (k, resolved[k] if k != "scenario" else scenario) for k in echo_keys
     )

@@ -16,14 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants
-
 from ..closed_form import DimensionlessParams
 from ..errors import DomainError
 
-_EV = constants.elementary_charge  # J
-_MEV = 1e-3 * _EV
-_EV_ANGSTROM = _EV * 1e-10         # J * m
+# CODATA 2022 values; e and h are exact by the definition of the SI.
+ELEMENTARY_CHARGE = 1.602176634e-19      # C
+PLANCK = 6.62607015e-34                  # J s
+HBAR = PLANCK / (2 * math.pi)            # J s
+ELECTRON_MASS = 9.1093837139e-31         # kg
+
+_MEV = 1e-3 * ELEMENTARY_CHARGE          # J
+_EV_ANGSTROM = ELEMENTARY_CHARGE * 1e-10  # J * m
 _NM = 1e-9
 
 
@@ -49,16 +52,16 @@ def wave_number(effective_mass: float, energy_mev: float) -> float:
     """Electron wave number in 1/m."""
     if effective_mass <= 0 or energy_mev <= 0:
         raise DomainError("mass and energy must be positive")
-    m = effective_mass * constants.m_e
+    m = effective_mass * ELECTRON_MASS
     e = energy_mev * _MEV
-    return math.sqrt(2.0 * m * e) / constants.hbar
+    return math.sqrt(2.0 * m * e) / HBAR
 
 
 def density_of_states(effective_mass: float, energy_mev: float) -> float:
     """1D density of states per unit length, in 1/(J*m)."""
-    m = effective_mass * constants.m_e
+    m = effective_mass * ELECTRON_MASS
     e = energy_mev * _MEV
-    return math.sqrt(2.0 * m / e) / (math.pi * constants.hbar)
+    return math.sqrt(2.0 * m / e) / (math.pi * HBAR)
 
 
 def convert_units(phys: PhysicalParams) -> DimensionlessParams:

@@ -14,20 +14,21 @@ Besides the operator set, this module builds the coupled basis
 |s_e2; s, m> of simultaneous eigenvectors of the electron+impurity-2 pair
 spin squared, the total spin squared and its z component.  The basis is
 constructed by simultaneous diagonalization plus ladder operators, not from
-coefficient tables, so the Clebsch-Gordan/6j routines have an independent
-in-repo cross-check.
+coefficient tables.  The 6j symbols behind the recoupling matrix elements
+come from Racah's closed formula instead, so the two routes are independent:
+verify criterion 6 checks the 6j matrix elements against operator sandwiches
+in the diagonalized basis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from sympy import Rational
-from sympy.physics.wigner import clebsch_gordan as _sympy_cg
-from sympy.physics.wigner import wigner_6j as _sympy_6j
 
 from .errors import DomainError
 
@@ -329,39 +330,55 @@ def coupled_to_product(coeffs) -> SpinVector:
     return SpinVector(amps, normalized=normalized)
 
 
-def _as_rational(value, name: str) -> Rational:
+def _doubled(value, name: str) -> int:
+    """2j as an integer, for a j that must be an integer or a half-integer."""
     doubled = 2 * float(value)
-    if abs(doubled - round(doubled)) > 1e-9:
+    if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
         raise DomainError(f"{name} must be integer or half-integer, got {value}")
-    return Rational(int(round(doubled)), 2)
+    return int(round(doubled))
 
 
-def clebsch_gordan(j1, m1, j2, m2, j_total, m_total) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j_total m_total>.
-
-    Condon-Shortley phase convention.  Returns 0 for violated selection
-    rules (m_total != m1 + m2, triangle condition, |m| > j); raises
-    DomainError for non-half-integer or negative j inputs.
-    """
-    js = [_as_rational(j, n) for j, n in ((j1, "j1"), (j2, "j2"), (j_total, "j_total"))]
-    ms = [_as_rational(m, n) for m, n in ((m1, "m1"), (m2, "m2"), (m_total, "m_total"))]
-    if any(j < 0 for j in js):
-        raise DomainError("angular momenta must be nonnegative")
-    for j, m in zip(js, ms):
-        if abs(m) > j or (j - m) % 1 != 0:
-            return 0.0
-    return float(_sympy_cg(js[0], js[1], js[2], ms[0], ms[1], ms[2]))
+def _signed_sqrt(x: Fraction) -> float:
+    """sign(x) sqrt(|x|), exact when |x| is a perfect square, else correctly
+    rounded from an integer square root with 128 guard bits."""
+    num, den = abs(x.numerator), x.denominator
+    root_num, root_den = math.isqrt(num), math.isqrt(den)
+    if root_num * root_num != num or root_den * root_den != den:
+        root_num, root_den = math.isqrt((num << 256) // den), 1 << 128
+    return math.copysign(root_num / root_den, x)
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}; 0 if any triad is invalid."""
-    js = [_as_rational(j, f"j{i+1}") for i, j in enumerate((j1, j2, j3, j4, j5, j6))]
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6}; 0 if any triad is invalid.
+
+    Racah's closed formula (Phys. Rev. 62, 438 (1942)) over exact rationals,
+    in doubled angular momenta so every quantity is an integer.
+    """
+    js = [_doubled(j, f"j{i + 1}") for i, j in enumerate((j1, j2, j3, j4, j5, j6))]
     if any(j < 0 for j in js):
         raise DomainError("angular momenta must be nonnegative")
-    try:
-        return float(_sympy_6j(*js))
-    except ValueError:
+    a, b, c, d, e, f = js
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    if any(x > y + z or y > z + x or z > x + y or (x + y + z) % 2 for x, y, z in triads):
         return 0.0
+    fact = math.factorial
+    delta = math.prod(
+        Fraction(
+            fact((x + y - z) // 2) * fact((y + z - x) // 2) * fact((z + x - y) // 2),
+            fact((x + y + z) // 2 + 1),
+        )
+        for x, y, z in triads
+    )
+    lows = [(x + y + z) // 2 for x, y, z in triads]
+    highs = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
+    total = sum(
+        Fraction(
+            (-1) ** t * fact(t + 1),
+            math.prod(fact(t - lo) for lo in lows) * math.prod(fact(hi - t) for hi in highs),
+        )
+        for t in range(max(lows), min(highs) + 1)
+    )
+    return _signed_sqrt(total * abs(total) * delta)
 
 
 def coupling_scheme_overlap(s_e2: int, s_e1: int, s: float = 0.5) -> float:

@@ -213,7 +213,7 @@ class TestConcurrence:
 
 class TestFixedPointSubspace:
     def test_resonant_dimension_and_span(self):
-        from scipy.linalg import subspace_angles
+        subspace_angles = pytest.importorskip("scipy.linalg").subspace_angles
 
         dim, vecs = fixed_point_subspace(DimensionlessParams(7.0, math.pi))
         assert dim == 2

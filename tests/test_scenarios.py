@@ -28,6 +28,7 @@ from spinfp.scenarios.sweeps import (
     run_sweep,
     write_csv,
 )
+from spinfp.scenarios import units
 from spinfp.scenarios.units import (
     PhysicalParams,
     convert_units,
@@ -52,6 +53,13 @@ class TestUnits:
         # and theta rebuilt from that spacing is pi again
         params = convert_units(PhysicalParams(0.067, 2.0, 1.0, x0))
         assert params.theta == pytest.approx(math.pi, rel=1e-12)
+
+    def test_constants_match_scipy(self):
+        constants = pytest.importorskip("scipy.constants")
+        assert units.ELEMENTARY_CHARGE == constants.elementary_charge
+        assert units.PLANCK == constants.h
+        assert units.HBAR == constants.hbar
+        assert units.ELECTRON_MASS == constants.m_e
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -187,6 +195,35 @@ class TestConfig:
         rows = np.asarray(run_sweep(cfg).rows)
         assert len(rows) == 50
         np.testing.assert_array_equal(rows[:, 1], np.linspace(0.5, 2.0, 50))
+
+    def test_coupling_header_echoes_only_coupling_keys(self):
+        # the custom preset's u_list and theta_* keys are not read by this grid
+        cfg = build_config(
+            {"sweep": "coupling", "u_min": "0.5", "u_max": "2", "u_steps": "50",
+             "impurity_state": "dd"}
+        )
+        assert [key for key, _ in cfg.echo] == [
+            "electron_spin", "impurity_state", "output", "scenario", "sweep",
+            "u_max", "u_min", "u_steps",
+        ]
+
+    def test_family_header_echoes_only_family_keys(self):
+        cfg = build_config(
+            {"sweep": "family", "impurity_state": "family2", "u_list": "3",
+             "phi_steps": "5"}
+        )
+        assert [key for key, _ in cfg.echo] == [
+            "electron_spin", "impurity_state", "output", "phi_steps", "scenario",
+            "sweep", "u_list",
+        ]
+
+    @pytest.mark.parametrize(
+        "scenario", [name for name in config_mod.SCENARIO_PRESETS if name != "custom"]
+    )
+    def test_figure_header_echoes_whole_preset(self, scenario):
+        cfg = build_config({"scenario": scenario})
+        expected = sorted({*config_mod.SCENARIO_PRESETS[scenario], "output", "scenario"})
+        assert [key for key, _ in cfg.echo] == expected
 
     def test_coupling_u_list_from_config(self):
         assert build_config({"scenario": "fig7", "u_list": "1,3"}).u_values == (1.0, 3.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from spinfp.errors import DomainError
 from spinfp.spin_algebra import (
     COUPLED_LABELS,
     SpinVector,
-    clebsch_gordan,
     compose_state,
     coupled_basis,
     coupled_to_product,
@@ -88,34 +88,39 @@ class TestOperators:
         assert np.max(np.abs(comm)) < 1e-12
 
 
-class TestClebschGordan:
-    def test_singlet_coefficient(self):
-        assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0, 0) == pytest.approx(1 / SQ2, abs=1e-15)
-
-    def test_stretched(self):
-        assert clebsch_gordan(0.5, 0.5, 0.5, 0.5, 1, 1) == pytest.approx(1.0, abs=1e-15)
-
-    def test_recoupling_value(self):
-        # the coefficient that rebuilds the electron-up impurity-singlet state
-        assert clebsch_gordan(1, 1, 0.5, -0.5, 0.5, 0.5) == pytest.approx(
-            math.sqrt(2 / 3), abs=1e-15
-        )
-
-    def test_selection_rules_return_zero(self):
-        assert clebsch_gordan(0.5, 0.5, 0.5, 0.5, 0, 0) == 0.0  # M != m1 + m2
-        assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 2, 0) == 0.0  # triangle violated
-        assert clebsch_gordan(0.5, 0.0, 0.5, 0.0, 0, 0) == 0.0  # invalid projection
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            clebsch_gordan(0.3, 0.3, 0.5, -0.5, 0, 0)
-        with pytest.raises(DomainError):
-            clebsch_gordan(-0.5, 0.5, 0.5, -0.5, 0, 0)
-
+class TestWigner6j:
     def test_wigner_6j_triangle(self):
         assert wigner_6j(0.5, 0.5, 5, 0.5, 0.5, 0) == 0.0
         with pytest.raises(DomainError):
             wigner_6j(0.5, 0.5, 1, 0.5, 0.5, 0.4)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_invalid_j_rejected(self, bad):
+        with pytest.raises(DomainError):
+            wigner_6j(bad, 0.5, 1, 0.5, 0.5, 0)
+
+    def test_spin_half_values(self):
+        # {1/2 1/2 s_e1; 1/2 1/2 s_e2}, the four symbols behind the recoupling
+        assert wigner_6j(0.5, 0.5, 0, 0.5, 0.5, 0) == -0.5
+        assert wigner_6j(0.5, 0.5, 1, 0.5, 0.5, 1) == 1 / 6
+        assert wigner_6j(0.5, 0.5, 0, 0.5, 0.5, 1) == 0.5
+        assert wigner_6j(0.5, 0.5, 1, 0.5, 0.5, 0) == 0.5
+
+    def test_matches_sympy_exact_values(self):
+        # every 6-tuple with all j in {0, 1/2, 1, 3/2, 2}: the Racah value must
+        # be sympy's exact symbol rounded once to the nearest double.  sympy's
+        # own float() rounds twice and is one ulp off for 36 of these tuples,
+        # e.g. {0 1 1; 1 2 2} = sqrt(15)/15.
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.wigner import wigner_6j as sympy_6j
+
+        for doubled in itertools.product(range(5), repeat=6):
+            try:
+                exact = sympy_6j(*(sympy.Rational(k, 2) for k in doubled))
+            except ValueError:  # sympy rejects a triad with a half-integer sum
+                exact = sympy.S.Zero
+            expected = float(sympy.N(exact, 40))
+            assert wigner_6j(*(k / 2 for k in doubled)) == expected, doubled
 
 
 class TestCoupledBasis:
@@ -203,6 +208,12 @@ class TestBasisChange:
 
 
 class TestRecoupling:
+    def test_matrix_bytes_unchanged(self):
+        # the values the sympy-based 6j gave, bit for bit
+        assert recoupling_matrix_elements().tobytes().hex() == (
+            "fffffffffffff73faa4c58e87ab6eb3faa4c58e87ab6eb3f000000000000e03f"
+        )
+
     def test_matrix_values(self):
         expected = np.array([[1.5, SQ3 / 2], [SQ3 / 2, 0.5]])
         np.testing.assert_allclose(recoupling_matrix_elements(), expected, atol=1e-12)
