@@ -8,9 +8,7 @@ an independent transfer-matrix oracle.
 """
 
 from .closed_form import (
-    ChannelAmplitudes,
     DimensionlessParams,
-    channel_amplitudes,
     det_t_minus_identity,
     t_doublet,
     t_quartet,
@@ -22,7 +20,6 @@ from .observables import (
     SymmetryReport,
     concurrence,
     fixed_point_subspace,
-    polarized_transmittivity,
     postselect,
     scatter,
     symmetry_report,
@@ -35,9 +32,7 @@ from .spin_algebra import (
     SpinVector,
     compose_state,
     coupled_basis,
-    coupled_to_product,
     product_ket,
-    product_to_coupled,
     recoupling_matrix_elements,
     spin_operators,
     wigner_6j,
@@ -50,21 +45,12 @@ from .transfer_oracle import (
     oracle_transmittivity,
     two_impurity_chain,
 )
-from .waveguide_solver import (
-    RegionCoefficients,
-    SectorSolution,
-    amplitudes,
-    scattering_matrices,
-    solve_doublet,
-    solve_quartet,
-)
+from .waveguide_solver import amplitudes
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelAmplitudes",
     "DimensionlessParams",
-    "channel_amplitudes",
     "det_t_minus_identity",
     "t_doublet",
     "t_quartet",
@@ -75,7 +61,6 @@ __all__ = [
     "SymmetryReport",
     "concurrence",
     "fixed_point_subspace",
-    "polarized_transmittivity",
     "postselect",
     "scatter",
     "symmetry_report",
@@ -86,9 +71,7 @@ __all__ = [
     "SpinVector",
     "compose_state",
     "coupled_basis",
-    "coupled_to_product",
     "product_ket",
-    "product_to_coupled",
     "recoupling_matrix_elements",
     "spin_operators",
     "wigner_6j",
@@ -98,11 +81,6 @@ __all__ = [
     "oracle_scattering",
     "oracle_transmittivity",
     "two_impurity_chain",
-    "RegionCoefficients",
-    "SectorSolution",
     "amplitudes",
-    "scattering_matrices",
-    "solve_doublet",
-    "solve_quartet",
     "__version__",
 ]

@@ -8,9 +8,12 @@ g = pi * u = 2 m* J / (hbar^2 k), which makes the quartet-sector amplitude
 coincide with the textbook Fabry-Perot composition of two static delta
 barriers of strength J/4.
 
-These closed forms are never trusted alone: the waveguide_solver module
-re-derives the same amplitudes from the boundary-value problem and the test
-suite keeps the two (plus the transfer-matrix oracle) in 1e-10 agreement.
+These closed forms are one of three independent derivations and are never
+trusted alone: the waveguide_solver kernel re-derives the same amplitudes
+from the boundary-value problem, the transfer_oracle from transfer-matrix
+products, and verify and the test suite keep all three in 1e-10 agreement.
+Production sweeps read the solver kernel; the closed forms serve as
+evidence and for det(t - I).
 """
 
 from __future__ import annotations
@@ -103,49 +106,3 @@ def det_t_minus_identity(p: DimensionlessParams) -> complex:
     that does not depend on the coupling.
     """
     return complex(np.linalg.det(t_doublet(p) - np.eye(2)))
-
-
-@dataclass(frozen=True)
-class ChannelAmplitudes:
-    """Transmission and reflection amplitudes of every spin channel.
-
-    ``t_doublet``/``r_doublet`` are indexed (outgoing s_e2, incident s_e2).
-    Reflections come from the boundary-value solver; together with the
-    closed-form transmissions they must form a subunitary scattering map.
-    """
-
-    t_quartet: complex
-    t_doublet: np.ndarray
-    r_quartet: complex
-    r_doublet: np.ndarray
-
-    def __post_init__(self):
-        t2 = np.asarray(self.t_doublet, dtype=complex)
-        r2 = np.asarray(self.r_doublet, dtype=complex)
-        if t2.shape != (2, 2) or r2.shape != (2, 2):
-            raise DomainError("doublet blocks must be 2x2")
-        object.__setattr__(self, "t_doublet", t2)
-        object.__setattr__(self, "r_doublet", r2)
-        if self.max_singular_value() > 1.0 + 1e-12:
-            raise DomainError("channel amplitudes exceed unitarity bound")
-
-    def max_singular_value(self) -> float:
-        """Largest singular value over the per-sector (t; r) stacks."""
-        quartet = math.hypot(abs(self.t_quartet), abs(self.r_quartet))
-        stacked = np.vstack([self.t_doublet, self.r_doublet])
-        doublet = float(np.linalg.svd(stacked, compute_uv=False)[0])
-        return max(quartet, doublet)
-
-
-def channel_amplitudes(p: DimensionlessParams) -> ChannelAmplitudes:
-    """Closed-form transmissions plus solver reflections for parameters p."""
-    from . import waveguide_solver  # deferred to keep module imports acyclic
-
-    quartet = waveguide_solver.solve_quartet(p)
-    _, r2 = waveguide_solver.doublet_matrices(p)
-    return ChannelAmplitudes(
-        t_quartet=t_quartet(p),
-        t_doublet=t_doublet(p),
-        r_quartet=quartet.channels[1].b_left,
-        r_doublet=r2,
-    )

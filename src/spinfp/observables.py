@@ -15,7 +15,7 @@ from .closed_form import DimensionlessParams
 from .errors import DomainError, NumericError
 from .spin_algebra import SpinVector, coupled_basis, spin_operators
 from .transfer_oracle import oracle_scattering, two_impurity_chain
-from .waveguide_solver import scattering_matrices
+from .waveguide_solver import amplitudes
 
 _BALANCE_TOL = 1e-10
 _ELECTRON_SLICES = {"up": slice(0, 4), "down": slice(4, 8)}
@@ -43,18 +43,16 @@ class ScatteredState:
                 f"theta = {self.params.theta!r}"
             )
 
-    def polarized(self, outcome: str) -> float:
-        """Transmission probability with the electron projected on up/down."""
-        amps = self.transmitted_product[_electron_slice(outcome)]
+    @property
+    def transmitted_up(self) -> float:
+        """Transmission probability with the outgoing electron spin up."""
+        amps = self.transmitted_product[_ELECTRON_SLICES["up"]]
         return float(np.real(np.vdot(amps, amps)))
 
     @property
-    def transmitted_up(self) -> float:
-        return self.polarized("up")
-
-    @property
     def transmitted_down(self) -> float:
-        return self.polarized("down")
+        amps = self.transmitted_product[_ELECTRON_SLICES["down"]]
+        return float(np.real(np.vdot(amps, amps)))
 
 
 def _electron_slice(outcome: str) -> slice:
@@ -72,9 +70,9 @@ def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
         raise DomainError("incident state must be normalized")
     basis = coupled_basis()
     coeffs = basis.to_coupled(chi)
-    t_mat, r_mat = scattering_matrices(p)
-    gamma = t_mat @ coeffs
-    rho = r_mat @ coeffs
+    t_mat, r_mat = amplitudes([p.u], [p.theta])
+    gamma = t_mat[0] @ coeffs
+    rho = r_mat[0] @ coeffs
     transmittivity = float(np.real(np.vdot(gamma, gamma)))
     reflectivity = float(np.real(np.vdot(rho, rho)))
     return ScatteredState(
@@ -87,11 +85,6 @@ def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
         transmittivity=transmittivity,
         reflectivity=reflectivity,
     )
-
-
-def polarized_transmittivity(chi: SpinVector, outcome: str, p: DimensionlessParams) -> float:
-    """T_up or T_down: transmission with the outgoing electron spin filtered."""
-    return scatter(chi, p).polarized(outcome)
 
 
 @dataclass(frozen=True)
@@ -165,19 +158,18 @@ def concurrence(state: np.ndarray) -> float:
     raise DomainError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
 
 
-def fixed_point_subspace(
-    p: DimensionlessParams, tol: float = FIXED_POINT_TOL
-) -> tuple[int, np.ndarray]:
+def fixed_point_subspace(p: DimensionlessParams) -> tuple[int, np.ndarray]:
     """Eigenvalue-1 subspace of the product-basis transmission matrix.
 
-    Detected through singular values of (T - I) below ``tol``.  Returns the
-    dimension and an 8 x dim array of orthonormal spanning vectors.
+    Detected through singular values of (T - I) below ``FIXED_POINT_TOL``.
+    Returns the dimension and an 8 x dim array of orthonormal spanning
+    vectors.
     """
     basis = coupled_basis()
-    t_mat, _ = scattering_matrices(p)
-    t_prod = basis.matrix @ t_mat @ basis.matrix.conj().T
+    t_mat, _ = amplitudes([p.u], [p.theta])
+    t_prod = basis.matrix @ t_mat[0] @ basis.matrix.conj().T
     _, svals, vh = np.linalg.svd(t_prod - np.eye(8))
-    hits = svals < tol
+    hits = svals < FIXED_POINT_TOL
     vectors = vh.conj().T[:, hits]
     return int(np.count_nonzero(hits)), vectors
 

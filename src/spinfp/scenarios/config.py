@@ -12,7 +12,8 @@ plus the optional extras used by fixed-phase scenarios:
   phi_steps, u_min, u_max, u_steps, sweep (theta | family | coupling)
 
 Every scenario ships with complete defaults, so a config may be as short as
-``scenario = fig3b``; explicit keys override the preset.
+``scenario = fig3b``; explicit keys override the preset, and a grid key that
+neither sets takes its sweep kind's default.  A key may appear only once.
 """
 
 from __future__ import annotations
@@ -37,36 +38,37 @@ _KNOWN_KEYS = {
     "sweep",
 }
 
-_THETA_DEFAULTS = {
-    "theta_min": "0", "theta_max": repr(_TWO_PI), "theta_steps": "2001",
-    "u_list": "1,2,10", "electron_spin": "u", "sweep": "theta",
+# per sweep kind, the grid keys it reads and their defaults; the header
+# echoes these and _COMMON_KEYS, no others
+_GRID_DEFAULTS = {
+    "theta": {"theta_min": "0", "theta_max": repr(_TWO_PI), "theta_steps": "2001",
+              "u_list": "1,2,10"},
+    "family": {"theta": repr(math.pi), "vartheta_steps": "161", "phi_steps": "41",
+               "u_list": "10"},
+    "coupling": {"theta": repr(math.pi), "u_min": "0.01", "u_max": "10",
+                 "u_steps": "1000"},
 }
-_FAMILY_DEFAULTS = {
-    "theta": repr(math.pi), "vartheta_steps": "161", "phi_steps": "41",
-    "electron_spin": "u", "sweep": "family", "impurity_state": "family2",
-}
-
-# keys each sweep kind reads besides the u grid; the header echoes no others
 _COMMON_KEYS = {"scenario", "sweep", "electron_spin", "impurity_state", "output"}
-_GRID_KEYS = {
-    "theta": {"theta_min", "theta_max", "theta_steps"},
-    "family": {"theta", "vartheta_steps", "phi_steps"},
-    "coupling": {"theta"},
+_U_RANGE_KEYS = {"u_min", "u_max", "u_steps"}
+
+_THETA_PRESET = {**_GRID_DEFAULTS["theta"], "electron_spin": "u", "sweep": "theta"}
+_FAMILY_PRESET = {
+    **_GRID_DEFAULTS["family"], "electron_spin": "u", "sweep": "family",
+    "impurity_state": "family2",
 }
 
 SCENARIO_PRESETS: dict[str, dict[str, str]] = {
-    "fig2a": {**_THETA_DEFAULTS, "impurity_state": "ud"},
-    "fig2b": {**_THETA_DEFAULTS, "impurity_state": "du"},
-    "fig3a": {**_THETA_DEFAULTS, "impurity_state": "psi+"},
-    "fig3b": {**_THETA_DEFAULTS, "impurity_state": "psi-"},
-    "fig4": {**_FAMILY_DEFAULTS, "u_list": "10"},
-    "fig5": {**_FAMILY_DEFAULTS, "u_list": "2"},
-    "fig6": {**_THETA_DEFAULTS,
+    "fig2a": {**_THETA_PRESET, "impurity_state": "ud"},
+    "fig2b": {**_THETA_PRESET, "impurity_state": "du"},
+    "fig3a": {**_THETA_PRESET, "impurity_state": "psi+"},
+    "fig3b": {**_THETA_PRESET, "impurity_state": "psi-"},
+    "fig4": {**_FAMILY_PRESET, "u_list": "10"},
+    "fig5": {**_FAMILY_PRESET, "u_list": "2"},
+    "fig6": {**_THETA_PRESET,
              "impurity_state": f"uu_dd theta={math.pi / 4!r} phi=0.0"},
-    "fig7": {"sweep": "coupling", "theta": repr(math.pi), "u_min": "0.01",
-             "u_max": "10", "u_steps": "1000", "electron_spin": "u",
+    "fig7": {**_GRID_DEFAULTS["coupling"], "sweep": "coupling", "electron_spin": "u",
              "impurity_state": "dd"},
-    "custom": dict(_THETA_DEFAULTS),
+    "custom": dict(_THETA_PRESET),
 }
 
 
@@ -141,8 +143,9 @@ def _closed_grid(upper: float, steps: int) -> tuple[float, ...]:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a mapping."""
+    """Parse ``key = value`` lines into a mapping; a repeated key is an error."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -153,6 +156,12 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip().lower()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r}, first set on line "
+                f"{first_line[key]}"
+            )
+        first_line[key] = lineno
         mapping[key] = value.strip()
     return mapping
 
@@ -168,9 +177,10 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     resolved.update({k: v for k, v in settings.items() if k != "scenario"})
     resolved.setdefault("output", f"{scenario}.csv")
 
-    kind = resolved.get("sweep", "theta")
-    if kind not in ("theta", "family", "coupling"):
+    kind = resolved["sweep"]  # every preset sets it
+    if kind not in _GRID_DEFAULTS:
         raise ConfigError(f"sweep must be theta, family or coupling, got {kind!r}")
+    resolved = {**_GRID_DEFAULTS[kind], **resolved}
 
     electron = resolved.get("electron_spin")
     impurity = resolved.get("impurity_state")
@@ -187,35 +197,36 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    # u_list comes from the config itself or, for theta and family sweeps,
-    # from the preset; a coupling sweep otherwise spans u_min..u_max
-    u_range_keys = sorted({"u_min", "u_max", "u_steps"} & settings.keys())
+    # theta and family sweeps read u_list; a coupling sweep spans
+    # u_min..u_max unless the config itself sets u_list
+    u_range_keys = sorted(_U_RANGE_KEYS & settings.keys())
     if "u_list" in settings and u_range_keys:
         raise ConfigError(
             f"u_list conflicts with {', '.join(u_range_keys)}; set one or the other"
         )
+    grid_keys = _GRID_DEFAULTS[kind].keys()
+    if "u_list" in settings:
+        grid_keys = (grid_keys - _U_RANGE_KEYS) | {"u_list"}
     u_values: tuple[float, ...] | None = None
-    u_listed = kind != "coupling" or "u_list" in settings
-    if u_listed:
-        u_default = "10" if kind == "family" else "1,2,10"
-        u_values = _parse_u_list(resolved.get("u_list", u_default))
+    if "u_list" in grid_keys:
+        u_values = _parse_u_list(resolved["u_list"])
         u_count = len(u_values)
     else:
-        u_lo = _parse_float(resolved.get("u_min", "0.01"), "u_min")
-        u_hi = _parse_float(resolved.get("u_max", "10"), "u_max")
-        u_count = _parse_int(resolved.get("u_steps", "1000"), "u_steps")
+        u_lo = _parse_float(resolved["u_min"], "u_min")
+        u_hi = _parse_float(resolved["u_max"], "u_max")
+        u_count = _parse_int(resolved["u_steps"], "u_steps")
         if not 0 <= u_lo < u_hi:
             raise ConfigError("need 0 <= u_min < u_max")
 
     fixed_theta: float | None = None
     if kind != "theta":
-        fixed_theta = _parse_float(resolved.get("theta", repr(math.pi)), "theta")
+        fixed_theta = _parse_float(resolved["theta"], "theta")
         if fixed_theta <= 0:
             raise ConfigError("theta must be > 0")
     if kind == "theta":
-        theta_min = _parse_float(resolved.get("theta_min", "0"), "theta_min")
-        theta_max = _parse_float(resolved.get("theta_max", repr(_TWO_PI)), "theta_max")
-        theta_steps = _parse_int(resolved.get("theta_steps", "2001"), "theta_steps")
+        theta_min = _parse_float(resolved["theta_min"], "theta_min")
+        theta_max = _parse_float(resolved["theta_max"], "theta_max")
+        theta_steps = _parse_int(resolved["theta_steps"], "theta_steps")
         per_u = theta_steps
     elif kind == "family":
         family = resolved["impurity_state"].split()[0]
@@ -223,8 +234,8 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
             raise ConfigError(
                 f"family sweeps need impurity_state family2 or uu_dd, got {family!r}"
             )
-        vsteps = _parse_int(resolved.get("vartheta_steps", "161"), "vartheta_steps")
-        psteps = _parse_int(resolved.get("phi_steps", "41"), "phi_steps")
+        vsteps = _parse_int(resolved["vartheta_steps"], "vartheta_steps")
+        psteps = _parse_int(resolved["phi_steps"], "phi_steps")
         per_u = vsteps * psteps
     else:
         per_u = 1
@@ -244,11 +255,9 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     if u_values is None:
         u_values = tuple(float(x) for x in np.linspace(u_lo, u_hi, u_count))
 
-    read = _COMMON_KEYS | _GRID_KEYS[kind]
-    read |= {"u_list"} if u_listed else {"u_min", "u_max", "u_steps"}
-    echo_keys = sorted((set(resolved) | {"scenario"}) & read)
     echo = tuple(
-        (k, resolved[k] if k != "scenario" else scenario) for k in echo_keys
+        (k, resolved[k] if k != "scenario" else scenario)
+        for k in sorted(_COMMON_KEYS | grid_keys)
     )
     return SweepConfig(
         scenario=scenario,

@@ -107,7 +107,12 @@ def electron_state(spec: str) -> np.ndarray:
             amps = np.array([complex(parts[0]), complex(parts[1])])
         except ValueError as exc:
             raise DomainError(f"bad electron amplitudes {spec!r}") from exc
-        nrm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            nrm = np.linalg.norm(amps)
+        if not (np.all(np.isfinite(amps)) and np.isfinite(nrm)):
+            raise DomainError(
+                f"electron amplitudes and their norm must be finite, got {spec!r}"
+            )
         if nrm < 1e-12:
             raise DomainError("electron state has zero norm")
         return amps / nrm

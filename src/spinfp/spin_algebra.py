@@ -85,17 +85,6 @@ class SpinOperatorSet:
     electron_imp1_sq: np.ndarray    # (sigma + S_1)^2
     electron_imp2_sq: np.ndarray    # (sigma + S_2)^2
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "electron_dot_imp1": self.electron_dot_imp1,
-            "electron_dot_imp2": self.electron_dot_imp2,
-            "total_spin_sq": self.total_spin_sq,
-            "total_sz": self.total_sz,
-            "pair_spin_sq": self.pair_spin_sq,
-            "electron_imp1_sq": self.electron_imp1_sq,
-            "electron_imp2_sq": self.electron_imp2_sq,
-        }
-
 
 @functools.lru_cache(maxsize=1)
 def spin_operators() -> SpinOperatorSet:
@@ -116,7 +105,7 @@ def spin_operators() -> SpinOperatorSet:
         electron_imp1_sq=_readonly(_sq(e1)),
         electron_imp2_sq=_readonly(_sq(e2)),
     )
-    for name, mat in ops.as_dict().items():
+    for name, mat in vars(ops).items():
         if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
             raise AssertionError(f"operator {name} is not Hermitian")
     return ops
@@ -153,9 +142,6 @@ class SpinVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "SpinVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 _SPIN_CHARS = {"u": 0, "d": 1, "0": 0, "1": 1}
@@ -314,20 +300,6 @@ def _validate_coupled(matrix: np.ndarray, ops: SpinOperatorSet) -> None:
     combo_dn = 0.5 * matrix[:, 5] + (np.sqrt(3) / 2) * matrix[:, 7]
     if np.linalg.norm(combo_dn - singlet_dn) > NORM_TOL:
         raise AssertionError("electron-down impurity-singlet identity violated")
-
-
-def product_to_coupled(v: SpinVector) -> np.ndarray:
-    """Coefficients <s_e2; s, m | v>, ordered as COUPLED_LABELS."""
-    if not np.all(np.isfinite(np.asarray(v.amplitudes))):
-        raise DomainError("non-finite amplitudes")
-    return coupled_basis().to_coupled(v)
-
-
-def coupled_to_product(coeffs) -> SpinVector:
-    """Inverse basis change; round-trips with product_to_coupled."""
-    amps = coupled_basis().to_product(coeffs)
-    normalized = abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL
-    return SpinVector(amps, normalized=normalized)
 
 
 def _doubled(value, name: str) -> int:

@@ -7,28 +7,30 @@ state is expanded in plane waves over the three regions x < 0, 0 < x < x0
 and x > x0; continuity plus the derivative-jump conditions at the two sites
 give a small dense linear system.
 
-The site potentials are not pre-simplified: they are assembled from the
-electron+impurity-1 pair-spin matrix elements (recoupling_matrix_elements),
-so the derivation remains visible and can be perturbed by tests.
+Both sectors are the same cavity: the total-spin-3/2 (quartet) sector is a
+one-channel Fabry-Perot with two static J/4 barriers, and the total-spin-1/2
+(doublet) sector is its two-channel version, whose first site mixes the
+electron+impurity-2 pair-spin channels.  One assembly, ``_system``, writes
+the matching conditions for n channels given the n x n site-strength
+matrices.  The site potentials are not pre-simplified: the doublet ones are
+assembled from the electron+impurity-1 pair-spin matrix elements
+(recoupling_matrix_elements), so the derivation remains visible and can be
+perturbed by tests.
 
 All points go through one batched kernel, ``amplitudes``: per sector it
 assembles a stack of systems, one per (u, theta) point, and runs one stacked
-solve.  The doublet matrix does not depend on the incident channel, so both
-channels are two right-hand sides of one factorisation.  The residual and
-flux checks run on every point and channel.  The per-point functions
-(``solve_quartet``, ``solve_doublet``, ``doublet_matrices``,
-``scattering_matrices``) read a stack of one point.
+solve.  The system matrix does not depend on the incident channel, so the n
+channels are n right-hand sides of one factorisation.  The residual and flux
+checks run on every point and channel.
 """
 
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import DimensionlessParams
 from .errors import DomainError, NumericError
 from .spin_algebra import recoupling_matrix_elements
 
@@ -42,33 +44,6 @@ _QUARTET_PAIR_SQ = 2.0
 # doublet blocks of the coupled basis: labels 4, 6 share m = +1/2 and labels
 # 5, 7 share m = -1/2; position c in a pair is the s_e2 = c channel
 _DOUBLET_BLOCKS = (np.ix_((4, 6), (4, 6)), np.ix_((5, 7), (5, 7)))
-
-
-@dataclass(frozen=True)
-class RegionCoefficients:
-    """Plane-wave coefficients of one spin channel across the three regions."""
-
-    a_left: complex   # incident amplitude, e^{+ikx} for x < 0
-    b_left: complex   # reflected amplitude, e^{-ikx} for x < 0
-    a_mid: complex
-    b_mid: complex
-    t: complex        # transmitted amplitude, e^{+ikx} for x > x0
-
-
-@dataclass(frozen=True)
-class SectorSolution:
-    """Solved boundary-value problem for one sector and incident channel."""
-
-    sector: str
-    incident: int
-    channels: dict[int, RegionCoefficients]
-    residual: float
-
-    def transmissions(self) -> dict[int, complex]:
-        return {ch: rc.t for ch, rc in self.channels.items()}
-
-    def reflections(self) -> dict[int, complex]:
-        return {ch: rc.b_left for ch, rc in self.channels.items()}
 
 
 def quartet_site_strengths() -> tuple[float, float]:
@@ -91,58 +66,31 @@ def doublet_site_matrices() -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
-def _quartet_system(k: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked single-channel systems of the total-spin-3/2 sector, one per point.
-
-    Unknowns [B_I, A_II, B_II, t] with unit incident amplitude; matching
-    conditions are continuity at both sites plus the derivative jump
-    Delta phi' = g k w phi with w the site strength in units of J.  Returns
-    matrices (N, 4, 4) and right-hand sides (N, 4, 1).
-    """
-    w1, w2 = quartet_site_strengths()
-    c1 = g * k * w1
-    c2 = g * k * w2
-    ep = np.exp(1j * k)   # e^{+i k x0} with x0 = 1
-    em = np.exp(-1j * k)
-    ik = 1j * k
-
-    matrix = np.zeros((len(k), 4, 4), dtype=complex)
-    matrix[:, 0, :3] = (1.0, -1.0, -1.0)
-    matrix[:, 1, 1] = ep
-    matrix[:, 1, 2] = em
-    matrix[:, 1, 3] = -ep
-    matrix[:, 2, 0] = ik - c1
-    matrix[:, 2, 1] = ik
-    matrix[:, 2, 2] = -ik
-    matrix[:, 3, 1] = -ik * ep
-    matrix[:, 3, 2] = ik * em
-    matrix[:, 3, 3] = (ik - c2) * ep
-    rhs = np.zeros((len(k), 4, 1), dtype=complex)
-    rhs[:, 0, 0] = -1.0
-    rhs[:, 2, 0] = ik + c1
-    return matrix, rhs
-
-
-def _doublet_system(
+def _system(
     k: np.ndarray,
     g: np.ndarray,
     site1: np.ndarray,
     site2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked two-channel systems of the total-spin-1/2 sector, one per point.
+    """Stacked n-channel systems of one sector, one per point.
 
-    Unknown ordering: [B_I, A_II, B_II, t] for channel 0 then channel 1.
-    Returns matrices (N, 8, 8) and right-hand sides (N, 8, 2); column i of
-    the right-hand side carries the unit incoming wave in channel i.
+    ``site1`` and ``site2`` are the n x n delta-strength matrices (units of
+    J) at x = 0 and x = x0.  Unknown ordering: [B_I, A_II, B_II, t] for
+    channel 0, then channel 1, and so on.  Matching conditions are
+    continuity at both sites plus the derivative jump
+    Delta phi' = g k w phi.  Returns matrices (N, 4n, 4n) and right-hand
+    sides (N, 4n, n); column i of the right-hand side carries the unit
+    incoming wave in channel i.
     """
-    ep = np.exp(1j * k)
+    n = len(site1)
+    ep = np.exp(1j * k)   # e^{+i k x0} with x0 = 1
     em = np.exp(-1j * k)
     ik = 1j * k
-    gk = g * k
+    gk = (g * k)[:, None]  # one column, broadcast over the n channels
 
-    matrix = np.zeros((len(k), 8, 8), dtype=complex)
-    rhs = np.zeros((len(k), 8, 2), dtype=complex)
-    for c in (0, 1):
+    matrix = np.zeros((len(k), 4 * n, 4 * n), dtype=complex)
+    rhs = np.zeros((len(k), 4 * n, n), dtype=complex)
+    for c in range(n):
         row = 4 * c  # also the column of B_I in channel c; slots follow in order
         # continuity at x = 0
         matrix[:, row, row:row + 3] = (1.0, -1.0, -1.0)
@@ -156,15 +104,14 @@ def _doublet_system(
         matrix[:, row + 2, row + 1] = ik
         matrix[:, row + 2, row + 2] = -ik
         rhs[:, row + 2, c] = ik
-        for d in (0, 1):
-            matrix[:, row + 2, 4 * d] -= gk * site1[c, d]
-            rhs[:, row + 2, d] += gk * site1[c, d]
+        jump = gk * site1[c]
+        matrix[:, row + 2, 0::4] -= jump  # the B_I column of every channel
+        rhs[:, row + 2] += jump
         # derivative jump at x = x0
         matrix[:, row + 3, row + 1] = -ik * ep
         matrix[:, row + 3, row + 2] = ik * em
         matrix[:, row + 3, row + 3] = ik * ep
-        for d in (0, 1):
-            matrix[:, row + 3, 4 * d + 3] -= gk * site2[c, d] * ep
+        matrix[:, row + 3, 3::4] -= gk * site2[c] * ep[:, None]  # every t column
     return matrix, rhs
 
 
@@ -185,11 +132,11 @@ def _points(u, theta) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(
     matrix: np.ndarray, rhs: np.ndarray, u: np.ndarray, theta: np.ndarray, sector: str
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One stacked solve; residual and flux are checked on every point and column.
 
-    Returns the solutions (N, n, channels) and the absolute residuals
-    (N, channels).  A failure names the first offending point.
+    Returns the solutions (N, 4n, n).  A failure names the first offending
+    point.
     """
 
     def where(i, c=None) -> str:
@@ -226,17 +173,7 @@ def _solve(
             f"flux not conserved in the {where(i, c)}: sum |t|^2 + |r|^2 = "
             f"{float(flux[i, c])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"
         )
-    return x, residual
-
-
-def _quartet(u: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    matrix, rhs = _quartet_system(theta, np.pi * u)
-    return _solve(matrix, rhs, u, theta, "quartet")
-
-
-def _doublet(u: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    matrix, rhs = _doublet_system(theta, np.pi * u, *doublet_site_matrices())
-    return _solve(matrix, rhs, u, theta, "doublet")
+    return x
 
 
 def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +186,11 @@ def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
     sectors.
     """
     u, theta = _points(u, theta)
-    quartet, _ = _quartet(u, theta)
-    doublet, _ = _doublet(u, theta)
+    g = np.pi * u
+    w1, w2 = quartet_site_strengths()  # the quartet is the n = 1 cavity
+    quartet_system = _system(theta, g, np.array([[w1]]), np.array([[w2]]))
+    quartet = _solve(*quartet_system, u, theta, "quartet")
+    doublet = _solve(*_system(theta, g, *doublet_site_matrices()), u, theta, "doublet")
 
     t = np.zeros((len(u), 8, 8), dtype=complex)
     r = np.zeros((len(u), 8, 8), dtype=complex)
@@ -261,52 +201,3 @@ def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
         t[:, rows, cols] = doublet[:, 3::4]
         r[:, rows, cols] = doublet[:, 0::4]
     return t, r
-
-
-def _one(p: DimensionlessParams) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.u]), np.array([p.theta])
-
-
-def solve_quartet(p: DimensionlessParams) -> SectorSolution:
-    """Solve the single-channel cavity of the total-spin-3/2 sector."""
-    x, residual = _quartet(*_one(p))
-    coeffs = RegionCoefficients(1.0, *x[0, :, 0])
-    return SectorSolution(
-        "quartet", incident=1, channels={1: coeffs}, residual=float(residual[0, 0])
-    )
-
-
-def solve_doublet(p: DimensionlessParams, incident: int) -> SectorSolution:
-    """Solve the coupled two-channel cavity of the total-spin-1/2 sector.
-
-    ``incident`` selects which electron+impurity-2 pair-spin channel (0 or 1)
-    carries the unit incoming wave.
-    """
-    if incident not in (0, 1):
-        raise ValueError(f"incident channel must be 0 or 1, got {incident}")
-    x, residual = _doublet(*_one(p))
-    channels = {
-        c: RegionCoefficients(
-            1.0 if c == incident else 0.0, *x[0, 4 * c:4 * c + 4, incident]
-        )
-        for c in (0, 1)
-    }
-    return SectorSolution(
-        "doublet", incident=incident, channels=channels,
-        residual=float(residual[0, incident]),
-    )
-
-
-def doublet_matrices(p: DimensionlessParams) -> tuple[np.ndarray, np.ndarray]:
-    """(t, r) 2x2 matrices of the doublet sector, indexed (out, in)."""
-    x, _ = _doublet(*_one(p))
-    return x[0, 3::4], x[0, 0::4]
-
-
-def scattering_matrices(p: DimensionlessParams) -> tuple[np.ndarray, np.ndarray]:
-    """8x8 transmission and reflection matrices in the coupled basis.
-
-    The single-point reading of ``amplitudes``; see there for the layout.
-    """
-    t, r = amplitudes(*_one(p))
-    return t[0], r[0]

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from spinfp.closed_form import (
-    ChannelAmplitudes,
     DimensionlessParams,
-    channel_amplitudes,
     det_t_minus_identity,
     t_doublet,
     t_quartet,
 )
 from spinfp.errors import DomainError
-from spinfp.waveguide_solver import doublet_matrices, solve_quartet
+from spinfp.waveguide_solver import amplitudes
+
+DOUBLET = np.ix_((4, 6), (4, 6))  # the m = +1/2 block of the kernel's matrices
 
 
 def reference_determinant(p):
@@ -95,9 +95,9 @@ class TestDoublet:
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = DimensionlessParams(rng.uniform(1e-6, 20), rng.uniform(1e-6, 2 * math.pi))
-            solver_t, _ = doublet_matrices(p)
-            np.testing.assert_allclose(t_doublet(p), solver_t, atol=1e-10)
-            assert abs(t_quartet(p) - solve_quartet(p).channels[1].t) < 1e-10
+            solver_t = amplitudes([p.u], [p.theta])[0][0]
+            np.testing.assert_allclose(t_doublet(p), solver_t[DOUBLET], atol=1e-10)
+            assert abs(t_quartet(p) - solver_t[0, 0]) < 1e-10
 
 
 class TestDeterminant:
@@ -119,19 +119,16 @@ class TestDeterminant:
 
 class TestChannelAmplitudes:
     def test_assembled_amplitudes_subunitary(self):
+        # closed-form t together with the kernel's r
         rng = np.random.default_rng(9)
         for _ in range(25):
             p = DimensionlessParams(rng.uniform(0, 20), rng.uniform(0.01, 6))
-            ca = channel_amplitudes(p)
-            assert abs(ca.t_quartet) <= 1 + 1e-12
-            assert ca.max_singular_value() <= 1 + 1e-12
+            r = amplitudes([p.u], [p.theta])[1][0]
+            tq = t_quartet(p)
+            quartet = math.hypot(abs(tq), abs(r[0, 0]))
+            stacked = np.vstack([t_doublet(p), r[DOUBLET]])
+            largest = max(quartet, float(np.linalg.svd(stacked, compute_uv=False)[0]))
+            assert abs(tq) <= 1 + 1e-12
+            assert largest <= 1 + 1e-12
             # flux conservation makes every singular value exactly one
-            assert ca.max_singular_value() == pytest.approx(1.0, abs=1e-10)
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            ChannelAmplitudes(1.0, np.eye(3), 0.0, np.zeros((2, 2)))
-
-    def test_unitarity_bound_enforced(self):
-        with pytest.raises(DomainError):
-            ChannelAmplitudes(1.2, np.eye(2), 0.0, np.zeros((2, 2)))
+            assert largest == pytest.approx(1.0, abs=1e-10)

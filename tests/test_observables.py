@@ -9,7 +9,6 @@ from spinfp.errors import DomainError, NumericError
 from spinfp.observables import (
     concurrence,
     fixed_point_subspace,
-    polarized_transmittivity,
     postselect,
     scatter,
     symmetry_report,
@@ -19,7 +18,6 @@ from spinfp.spin_algebra import (
     compose_state,
     coupled_basis,
     product_ket,
-    product_to_coupled,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -76,8 +74,8 @@ class TestScatter:
         # per-channel composition: gamma = t^(in; s) <in; s, m | chi>
         p = DimensionlessParams(3.0, 2.0)
         chi = random_state(np.random.default_rng(42))
-        coeffs = product_to_coupled(chi)
         basis = coupled_basis()
+        coeffs = basis.to_coupled(chi)
         t2 = t_doublet(p)
         tq = t_quartet(p)
         state = scatter(chi, p)
@@ -101,8 +99,9 @@ class TestPolarized:
     def test_zero_coupling_keeps_electron_spin(self):
         chi = compose_state([1, 0], [0, 0, 1, 0])
         p = DimensionlessParams(0.0, 1.0)
-        assert polarized_transmittivity(chi, "up", p) == pytest.approx(1.0)
-        assert polarized_transmittivity(chi, "down", p) == pytest.approx(0.0)
+        state = scatter(chi, p)
+        assert state.transmitted_up == pytest.approx(1.0)
+        assert state.transmitted_down == pytest.approx(0.0)
 
     def test_up_down_split_total(self):
         rng = np.random.default_rng(43)
@@ -116,7 +115,7 @@ class TestPolarized:
 
     def test_spin_flip_probability_exceeds_20_percent(self):
         chi = compose_state([1, 0], [0, 0, 0, 1])
-        t_down = polarized_transmittivity(chi, "down", DimensionlessParams(1.0, math.pi))
+        t_down = scatter(chi, DimensionlessParams(1.0, math.pi)).transmitted_down
         assert t_down > 0.2
 
     def test_spin_flip_probability_closed_form(self):
@@ -125,7 +124,7 @@ class TestPolarized:
         for u in (0.3, 0.9, 2.0, 5.0):
             g = math.pi * u
             expected = 8 * g * g / ((16 + g * g) * (4 + g * g))
-            t_down = polarized_transmittivity(chi, "down", DimensionlessParams(u, math.pi))
+            t_down = scatter(chi, DimensionlessParams(u, math.pi)).transmitted_down
             assert t_down == pytest.approx(expected, abs=1e-12)
 
     def test_filtered_below_total_for_triplet(self):
@@ -137,7 +136,7 @@ class TestPolarized:
     def test_outcome_validation(self):
         chi = product_ket("uuu")
         with pytest.raises(DomainError):
-            polarized_transmittivity(chi, "sideways", DimensionlessParams(1, 1))
+            postselect(scatter(chi, DimensionlessParams(1, 1)), "sideways")
 
 
 class TestPostselect:

@@ -132,6 +132,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("scenario fig3b\n")
 
+    def test_duplicate_key(self):
+        text = "scenario = fig3b\nu_steps = 5\n# again\nu_steps = 7\n"
+        with pytest.raises(ConfigError, match="line 4: duplicate key 'u_steps', "
+                                              "first set on line 2"):
+            parse_config_text(text)
+
     def test_preset_defaults(self):
         cfg = build_config({"scenario": "fig3b"})
         assert cfg.kind == "theta"
@@ -197,15 +203,17 @@ class TestConfig:
         np.testing.assert_array_equal(rows[:, 1], np.linspace(0.5, 2.0, 50))
 
     def test_coupling_header_echoes_only_coupling_keys(self):
-        # the custom preset's u_list and theta_* keys are not read by this grid
+        # the custom preset's u_list and theta_* keys are not read by this grid;
+        # theta is, at its default
         cfg = build_config(
             {"sweep": "coupling", "u_min": "0.5", "u_max": "2", "u_steps": "50",
              "impurity_state": "dd"}
         )
         assert [key for key, _ in cfg.echo] == [
             "electron_spin", "impurity_state", "output", "scenario", "sweep",
-            "u_max", "u_min", "u_steps",
+            "theta", "u_max", "u_min", "u_steps",
         ]
+        assert dict(cfg.echo)["theta"] == repr(math.pi)
 
     def test_family_header_echoes_only_family_keys(self):
         cfg = build_config(
@@ -214,8 +222,22 @@ class TestConfig:
         )
         assert [key for key, _ in cfg.echo] == [
             "electron_spin", "impurity_state", "output", "phi_steps", "scenario",
-            "sweep", "u_list",
+            "sweep", "theta", "u_list", "vartheta_steps",
         ]
+        assert dict(cfg.echo)["vartheta_steps"] == "161"
+
+    def test_header_echoes_the_grid_that_runs(self):
+        # a coupling sweep with its own u_list reads neither the u range nor
+        # the preset's theta_* keys; a theta sweep under a family preset
+        # echoes the theta grid it runs at its defaults
+        cfg = build_config({"scenario": "custom", "sweep": "coupling", "u_list": "1,2",
+                            "impurity_state": "dd"})
+        assert {"theta", "u_list"} <= dict(cfg.echo).keys()
+        assert not {"u_min", "u_max", "u_steps", "theta_steps"} & dict(cfg.echo).keys()
+        cfg = build_config({"scenario": "fig4", "sweep": "theta", "impurity_state": "ud"})
+        echo = dict(cfg.echo)
+        assert (echo["theta_min"], echo["theta_steps"], echo["u_list"]) == ("0", "2001", "10")
+        assert len(cfg.theta_values) == 2001 and cfg.u_values == (10.0,)
 
     @pytest.mark.parametrize(
         "scenario", [name for name in config_mod.SCENARIO_PRESETS if name != "custom"]
@@ -360,6 +382,22 @@ class TestCli:
 
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
+
+    @pytest.mark.parametrize("electron", ["nan,1", "inf,1", "1e200,1e200"])
+    @pytest.mark.parametrize("kind", ["family", "theta"])
+    def test_non_finite_electron_rejected_at_parse_time(
+        self, tmp_path, capsys, kind, electron
+    ):
+        impurity = "family2" if kind == "family" else "ud"
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(
+            f"sweep = {kind}\nimpurity_state = {impurity}\nelectron_spin = {electron}\n"
+            f"u_list = 1\noutput = {out_file}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_numeric_failure_is_located(self, tmp_path, capsys):
         cfg_file = tmp_path / "strong.cfg"

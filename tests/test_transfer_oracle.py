@@ -20,7 +20,7 @@ from spinfp.transfer_oracle import (
     oracle_transmittivity,
     two_impurity_chain,
 )
-from spinfp.waveguide_solver import scattering_matrices
+from spinfp.waveguide_solver import amplitudes
 
 
 def random_chain(rng, n_sites):
@@ -94,12 +94,12 @@ class TestOracleScattering:
         for _ in range(50):
             p = DimensionlessParams(rng.uniform(1e-6, 20), rng.uniform(1e-6, 2 * math.pi))
             fsm = oracle_scattering(two_impurity_chain(p))
-            t_solver, r_solver = scattering_matrices(p)
+            t_solver, r_solver = amplitudes([p.u], [p.theta])
             np.testing.assert_allclose(
-                b.conj().T @ fsm.transmission @ b, t_solver, atol=1e-10
+                b.conj().T @ fsm.transmission @ b, t_solver[0], atol=1e-10
             )
             np.testing.assert_allclose(
-                b.conj().T @ fsm.reflection @ b, r_solver, atol=1e-10
+                b.conj().T @ fsm.reflection @ b, r_solver[0], atol=1e-10
             )
 
     def test_reciprocity(self):

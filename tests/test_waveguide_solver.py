@@ -8,21 +8,25 @@ from spinfp.errors import DomainError, NumericError
 from spinfp.spin_algebra import COUPLED_LABELS, coupled_basis
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
-    _doublet_system,
+    _solve,
+    _system,
     amplitudes,
-    doublet_matrices,
     doublet_site_matrices,
     quartet_site_strengths,
-    scattering_matrices,
-    solve_doublet,
-    solve_quartet,
 )
 
 SQ3 = math.sqrt(3.0)
+DOUBLET = np.ix_((4, 6), (4, 6))  # the m = +1/2 block, indexed (out s_e2, in s_e2)
 
 
 def random_params(rng, u_hi=20.0):
     return DimensionlessParams(rng.uniform(1e-6, u_hi), rng.uniform(1e-6, 2 * math.pi))
+
+
+def point(p):
+    """The kernel's (t, r) 8x8 matrices at one point."""
+    t, r = amplitudes([p.u], [p.theta])
+    return t[0], r[0]
 
 
 class TestSiteMatrices:
@@ -39,41 +43,42 @@ class TestSiteMatrices:
 
 class TestQuartetSolve:
     def test_free_propagation(self):
-        sol = solve_quartet(DimensionlessParams(0.0, 1.0))
-        assert sol.channels[1].t == pytest.approx(1.0)
-        assert sol.channels[1].b_left == pytest.approx(0.0)
+        t, r = point(DimensionlessParams(0.0, 1.0))
+        assert t[0, 0] == pytest.approx(1.0)
+        assert r[0, 0] == pytest.approx(0.0)
 
     def test_flux_conservation(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            sol = solve_quartet(random_params(rng))
-            c = sol.channels[1]
-            assert abs(c.t) ** 2 + abs(c.b_left) ** 2 == pytest.approx(1.0, abs=1e-12)
+            t, r = point(random_params(rng))
+            assert abs(t[0, 0]) ** 2 + abs(r[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
             p = random_params(rng)
-            assert abs(solve_quartet(p).channels[1].t - t_quartet(p)) < 1e-10
+            assert abs(point(p)[0][0, 0] - t_quartet(p)) < 1e-10
 
     def test_residual_recorded(self):
-        sol = solve_quartet(DimensionlessParams(10.0, 2.0))
-        assert sol.residual < 1e-10
+        u, theta = np.array([10.0]), np.array([2.0])
+        w1, w2 = quartet_site_strengths()
+        matrix, rhs = _system(theta, np.pi * u, np.array([[w1]]), np.array([[w2]]))
+        x = _solve(matrix, rhs, u, theta, "quartet")
+        assert np.linalg.norm(matrix @ x - rhs) < 1e-10
 
 
 class TestDoubletSolve:
     def test_free_propagation_keeps_channel(self):
-        sol = solve_doublet(DimensionlessParams(0.0, 1.0), incident=1)
-        assert sol.channels[1].t == pytest.approx(1.0)
-        assert sol.channels[0].t == pytest.approx(0.0)
+        t, _ = point(DimensionlessParams(0.0, 1.0))
+        assert t[DOUBLET][1, 1] == pytest.approx(1.0)
+        assert t[DOUBLET][0, 1] == pytest.approx(0.0)
 
     def test_flux_conservation(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            sol = solve_doublet(random_params(rng), incident=int(rng.integers(0, 2)))
-            flux = sum(
-                abs(c.t) ** 2 + abs(c.b_left) ** 2 for c in sol.channels.values()
-            )
+            t, r = point(random_params(rng))
+            inc = int(rng.integers(0, 2))
+            flux = np.sum(np.abs(t[DOUBLET][:, inc]) ** 2 + np.abs(r[DOUBLET][:, inc]) ** 2)
             assert flux == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form_columns(self):
@@ -81,20 +86,16 @@ class TestDoubletSolve:
         for _ in range(50):
             p = random_params(rng)
             expected = t_doublet(p)
+            t = point(p)[0][DOUBLET]
             for inc in (0, 1):
-                sol = solve_doublet(p, incident=inc)
-                assert abs(sol.channels[0].t - expected[0, inc]) < 1e-10
-                assert abs(sol.channels[1].t - expected[1, inc]) < 1e-10
+                assert abs(t[0, inc] - expected[0, inc]) < 1e-10
+                assert abs(t[1, inc] - expected[1, inc]) < 1e-10
 
     def test_transparency_relation_on_resonance(self):
         # the (1, sqrt(3))/2 direction is transmitted with eigenvalue one
         v = np.array([0.5, SQ3 / 2])
-        t, _ = doublet_matrices(DimensionlessParams(4.0, math.pi))
+        t = point(DimensionlessParams(4.0, math.pi))[0][DOUBLET]
         np.testing.assert_allclose(t @ v, v, atol=1e-12)
-
-    def test_incident_validation(self):
-        with pytest.raises(ValueError):
-            solve_doublet(DimensionlessParams(1.0, 1.0), incident=2)
 
     def test_channel_coupling_comes_from_off_diagonal(self):
         # zeroing the site-1 off-diagonal element decouples the channels
@@ -102,7 +103,7 @@ class TestDoubletSolve:
         w1, w2 = doublet_site_matrices()
         w1_cut = np.array(w1)
         w1_cut[0, 1] = w1_cut[1, 0] = 0.0
-        matrix, rhs = _doublet_system(np.array([p.theta]), np.array([p.g]), w1_cut, w2)
+        matrix, rhs = _system(np.array([p.theta]), np.array([p.g]), w1_cut, w2)
         x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         assert abs(x[3]) < 1e-14   # t of channel 0 under incident channel 1
         assert abs(x[7]) > 0.1
@@ -113,7 +114,7 @@ class TestDoubletSolve:
         w1_bad = np.array(w1)
         w1_bad[0, 1] *= 1.01
         w1_bad[1, 0] *= 1.01
-        matrix, rhs = _doublet_system(np.array([p.theta]), np.array([p.g]), w1_bad, w2)
+        matrix, rhs = _system(np.array([p.theta]), np.array([p.g]), w1_bad, w2)
         x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         oracle = oracle_scattering(two_impurity_chain(p))
         b = coupled_basis().matrix
@@ -124,12 +125,12 @@ class TestDoubletSolve:
 
 class TestScatteringMatrices:
     def test_identity_at_zero_coupling(self):
-        t, r = scattering_matrices(DimensionlessParams(0.0, 1.0))
+        t, r = point(DimensionlessParams(0.0, 1.0))
         np.testing.assert_allclose(t, np.eye(8), atol=1e-14)
         np.testing.assert_allclose(r, np.zeros((8, 8)), atol=1e-14)
 
     def test_block_structure(self):
-        t, r = scattering_matrices(DimensionlessParams(5.0, 2.3))
+        t, r = point(DimensionlessParams(5.0, 2.3))
         for i, li in enumerate(COUPLED_LABELS):
             for j, lj in enumerate(COUPLED_LABELS):
                 if (li.s, li.m) != (lj.s, lj.m):
@@ -139,13 +140,13 @@ class TestScatteringMatrices:
     def test_unitarity(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
-            t, r = scattering_matrices(random_params(rng))
+            t, r = point(random_params(rng))
             np.testing.assert_allclose(
                 t.conj().T @ t + r.conj().T @ r, np.eye(8), atol=1e-10
             )
 
     def test_m_degenerate_blocks_identical(self):
-        t, r = scattering_matrices(DimensionlessParams(3.0, 1.9))
+        t, r = point(DimensionlessParams(3.0, 1.9))
         up = np.ix_((4, 6), (4, 6))
         down = np.ix_((5, 7), (5, 7))
         np.testing.assert_allclose(t[up], t[down], atol=1e-12)
@@ -153,7 +154,7 @@ class TestScatteringMatrices:
 
     def test_unit_eigenvalue_multiplicity_on_resonance(self):
         for u in (0.5, 7.0, 40.0):
-            t, _ = scattering_matrices(DimensionlessParams(u, math.pi))
+            t, _ = point(DimensionlessParams(u, math.pi))
             assert np.count_nonzero(np.abs(np.linalg.eigvals(t) - 1) < 1e-8) >= 2
 
 
@@ -171,14 +172,13 @@ class TestAmplitudes:
         u, theta = kernel_draws()
         t, r = amplitudes(u, theta)
         b = coupled_basis().matrix
-        doublet = np.ix_((4, 6), (4, 6))
         worst_closed = worst_oracle = 0.0
         for i in range(len(u)):
             p = DimensionlessParams(u[i], theta[i])
             worst_closed = max(
                 worst_closed,
                 abs(t[i, 0, 0] - t_quartet(p)),
-                np.max(np.abs(t[i][doublet] - t_doublet(p))),
+                np.max(np.abs(t[i][DOUBLET] - t_doublet(p))),
             )
             full = oracle_scattering(two_impurity_chain(p))
             worst_oracle = max(
@@ -195,9 +195,9 @@ class TestAmplitudes:
         u, theta = kernel_draws(60)
         t, r = amplitudes(u, theta)
         for i in range(len(u)):
-            t1, r1 = scattering_matrices(DimensionlessParams(u[i], theta[i]))
-            assert np.max(np.abs(t1 - t[i])) <= 1e-15
-            assert np.max(np.abs(r1 - r[i])) <= 1e-15
+            t1, r1 = amplitudes(u[i:i + 1], theta[i:i + 1])
+            assert np.max(np.abs(t1[0] - t[i])) <= 1e-15
+            assert np.max(np.abs(r1[0] - r[i])) <= 1e-15
 
     def test_flux_defect(self):
         u, theta = kernel_draws()
