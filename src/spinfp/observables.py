@@ -1,8 +1,9 @@
 """Physics-facing quantities: transmittivity, post-selection, symmetries.
 
-Everything here is driven by the waveguide solver's coupled-basis scattering
-matrices; the transfer-matrix oracle is used only for the symmetry report,
-which needs both incidence directions.
+``observable_table`` alone turns the waveguide solver's coupled-basis
+scattering matrices into observables; sweeps, ``scatter`` and the acceptance
+harness all read it.  The transfer-matrix oracle is used only for the
+symmetry report, which needs both incidence directions.
 """
 
 from __future__ import annotations
@@ -17,42 +18,70 @@ from .spin_algebra import SpinVector, coupled_basis, spin_operators
 from .transfer_oracle import oracle_scattering, two_impurity_chain
 from .waveguide_solver import amplitudes
 
+_PROB_TOL = 1e-12
 _BALANCE_TOL = 1e-10
 _ELECTRON_SLICES = {"up": slice(0, 4), "down": slice(4, 8)}
 FIXED_POINT_TOL = 1e-8
 
 
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Row-wise products: matrices (N or 1, n, n) times vectors (N or 1, n)."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
+    """Columns T, T_up, T_down, the 16 amplitude columns and R, one row per point.
+
+    ``t`` and ``r`` are coupled-basis matrices (N, 8, 8) and ``coeffs`` the
+    coupled-basis incident states (N, 8); any of them may have a leading
+    axis of length 1, which is shared by every row.  The amplitude columns
+    are the real and imaginary parts of the transmitted state in the product
+    basis.  T, T_up and T_down must lie in [0, 1] and T + R must equal 1;
+    a failure names its (u, theta) point, broadcast from ``u`` and ``theta``.
+    """
+    basis = coupled_basis().matrix
+    gamma = _matvec(t, coeffs)
+    rho = _matvec(r, coeffs)
+    product = _matvec(basis, gamma)
+    weights = product.real ** 2 + product.imag ** 2
+    t_total = np.sum(weights, axis=-1)
+    t_up = np.sum(weights[:, :4], axis=-1)
+    t_down = np.sum(weights[:, 4:], axis=-1)
+    reflected = np.sum(rho.real ** 2 + rho.imag ** 2, axis=-1)
+
+    def fail(i: int, message: str):
+        u_i, theta_i = np.broadcast_arrays(u, theta, t_total)[:2]
+        raise NumericError(
+            f"{message} at u = {float(u_i[i])!r}, theta = {float(theta_i[i])!r}"
+        )
+
+    for name, value in (("T", t_total), ("T_up", t_up), ("T_down", t_down)):
+        ok = (-_PROB_TOL <= value) & (value <= 1.0 + _PROB_TOL)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            fail(i, f"{name} = {float(value[i])!r} outside [0, 1] by more than "
+                    f"{_PROB_TOL!r}")
+    ok = np.abs(t_total + reflected - 1.0) <= _BALANCE_TOL
+    if not ok.all():
+        i = int(np.argmin(ok))
+        fail(i, f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more "
+                f"than {_BALANCE_TOL!r}")
+    return np.column_stack(
+        (t_total, t_up, t_down, np.ascontiguousarray(product).view(np.float64), reflected)
+    )
+
+
 @dataclass(frozen=True)
 class ScatteredState:
-    """Transmitted and reflected amplitudes for one incident spin state."""
+    """One ``observable_table`` row: transmitted product-basis state, T, T_up, T_down, R."""
 
     incident: SpinVector
     params: DimensionlessParams
-    transmitted_coupled: np.ndarray
     transmitted_product: np.ndarray
-    reflected_coupled: np.ndarray
-    reflected_product: np.ndarray
     transmittivity: float
+    transmitted_up: float
+    transmitted_down: float
     reflectivity: float
-
-    def __post_init__(self):
-        if abs(self.transmittivity + self.reflectivity - 1.0) > _BALANCE_TOL:
-            raise NumericError(
-                f"T + R = {self.transmittivity + self.reflectivity!r} differs from 1 "
-                f"by more than {_BALANCE_TOL!r} at u = {self.params.u!r}, "
-                f"theta = {self.params.theta!r}"
-            )
-
-    @property
-    def transmitted_up(self) -> float:
-        """Transmission probability with the outgoing electron spin up."""
-        amps = self.transmitted_product[_ELECTRON_SLICES["up"]]
-        return float(np.real(np.vdot(amps, amps)))
-
-    @property
-    def transmitted_down(self) -> float:
-        amps = self.transmitted_product[_ELECTRON_SLICES["down"]]
-        return float(np.real(np.vdot(amps, amps)))
 
 
 def _electron_slice(outcome: str) -> slice:
@@ -68,23 +97,10 @@ def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
     """Scatter a normalized incident spin state off the two-impurity wire."""
     if not chi.normalized:
         raise DomainError("incident state must be normalized")
-    basis = coupled_basis()
-    coeffs = basis.to_coupled(chi)
-    t_mat, r_mat = amplitudes([p.u], [p.theta])
-    gamma = t_mat[0] @ coeffs
-    rho = r_mat[0] @ coeffs
-    transmittivity = float(np.real(np.vdot(gamma, gamma)))
-    reflectivity = float(np.real(np.vdot(rho, rho)))
-    return ScatteredState(
-        incident=chi,
-        params=p,
-        transmitted_coupled=gamma,
-        transmitted_product=basis.to_product(gamma),
-        reflected_coupled=rho,
-        reflected_product=basis.to_product(rho),
-        transmittivity=transmittivity,
-        reflectivity=reflectivity,
-    )
+    t, r = amplitudes([p.u], [p.theta])
+    row = observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], p.u, p.theta)[0]
+    t_total, t_up, t_down, r_total = (float(row[i]) for i in (0, 1, 2, 19))
+    return ScatteredState(chi, p, row[3:19].view(complex), t_total, t_up, t_down, r_total)
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,7 @@ class PostSelectionResult:
 def postselect(state: ScatteredState, outcome: str) -> PostSelectionResult:
     """Project the transmitted wave on an electron spin outcome."""
     amps = state.transmitted_product[_electron_slice(outcome)]
-    probability = float(np.real(np.vdot(amps, amps)))
+    probability = state.transmitted_up if outcome == "up" else state.transmitted_down
     if probability < 1e-14:
         return PostSelectionResult(outcome, probability, False, None, None)
     conditional = amps / np.sqrt(probability)

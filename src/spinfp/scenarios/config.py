@@ -229,10 +229,15 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         theta_steps = _parse_int(resolved["theta_steps"], "theta_steps")
         per_u = theta_steps
     elif kind == "family":
-        family = resolved["impurity_state"].split()[0]
+        family, *extra = resolved["impurity_state"].split()
         if family not in ("family2", "uu_dd"):
             raise ConfigError(
                 f"family sweeps need impurity_state family2 or uu_dd, got {family!r}"
+            )
+        if extra:
+            raise ConfigError(
+                f"family sweeps span every family state; unexpected "
+                f"{' '.join(extra)!r} after {family!r}"
             )
         vsteps = _parse_int(resolved["vartheta_steps"], "vartheta_steps")
         psteps = _parse_int(resolved["phi_steps"], "phi_steps")

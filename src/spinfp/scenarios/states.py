@@ -9,7 +9,8 @@ Impurity pair states:
         cos(theta)|uu> + e^{i phi} sin(theta)|dd>
 
 Electron states: ``u`` / ``d`` (aliases ``up`` / ``down``) or two complex
-amplitudes ``<alpha>,<beta>`` parsed by Python's complex(), e.g. ``0.6,0.8j``.
+amplitudes ``<alpha>,<beta>`` parsed by Python's complex(), e.g. ``0.6,0.8j``;
+only the direction of a finite, nonzero pair matters.
 """
 
 from __future__ import annotations
@@ -107,15 +108,16 @@ def electron_state(spec: str) -> np.ndarray:
             amps = np.array([complex(parts[0]), complex(parts[1])])
         except ValueError as exc:
             raise DomainError(f"bad electron amplitudes {spec!r}") from exc
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            nrm = np.linalg.norm(amps)
-        if not (np.all(np.isfinite(amps)) and np.isfinite(nrm)):
-            raise DomainError(
-                f"electron amplitudes and their norm must be finite, got {spec!r}"
-            )
-        if nrm < 1e-12:
+        parts = amps.view(np.float64)  # real and imaginary parts
+        if not np.all(np.isfinite(parts)):
+            raise DomainError(f"electron amplitudes must be finite, got {spec!r}")
+        largest = float(np.max(np.abs(parts)))
+        if largest == 0.0:
             raise DomainError("electron state has zero norm")
-        return amps / nrm
+        # an exact power-of-two rescale puts the largest part in [0.5, 1): the
+        # norm cannot overflow or underflow, so only the direction matters
+        scaled = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
+        return scaled / np.linalg.norm(scaled)
     raise DomainError(f"unrecognized electron spin spec {spec!r}")
 
 

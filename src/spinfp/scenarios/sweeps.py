@@ -7,19 +7,20 @@ files.  The data section carries no timestamps; the ``#`` header block echoes
 the resolved configuration.
 
 Grids are evaluated in chunks of ``CHUNK`` points: one batched kernel call
-per chunk, then one vectorised row builder shared by all three sweep kinds.
-Every value of a row is computed from its own point only, so the output does
-not depend on the chunk size.
+per chunk, then the row builder ``observables.observable_table`` for all
+three sweep kinds.  Every value of a row is computed from its own point only,
+so the output does not depend on the chunk size.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericError
+from ..observables import _matvec, observable_table
 from ..spin_algebra import coupled_basis
 from ..waveguide_solver import amplitudes
 from .config import SweepConfig
@@ -33,8 +34,6 @@ _AMP_COLUMNS = tuple(
     name for ket in _KETS for name in (f"re_t_{ket}", f"im_t_{ket}")
 )
 _OBSERVABLE_COLUMNS = ("T", "T_up", "T_down", *_AMP_COLUMNS, "R")
-_PROB_TOL = 1e-12
-_BALANCE_TOL = 1e-10
 _FLOAT_SPEC = ".17g"
 
 
@@ -45,53 +44,6 @@ class SweepResult:
     header: tuple[str, ...]
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-
-
-def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise products: matrices (N or 1, n, n) times vectors (N or 1, n)."""
-    return np.matmul(matrices, vectors[..., None])[..., 0]
-
-
-def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
-    """Columns T, T_up, T_down, the 16 amplitude columns and R, one row per point.
-
-    ``t`` and ``r`` are coupled-basis matrices (N, 8, 8) and ``coeffs`` the
-    coupled-basis incident states (N, 8); any of them may have a leading
-    axis of length 1, which is shared by every row.  The amplitude columns
-    are the real and imaginary parts of the transmitted state in the product
-    basis.  T, T_up and T_down must lie in [0, 1] and T + R must equal 1;
-    a failure names its (u, theta) point, broadcast from ``u`` and ``theta``.
-    """
-    basis = coupled_basis().matrix
-    gamma = _matvec(t, coeffs)
-    rho = _matvec(r, coeffs)
-    product = _matvec(basis, gamma)
-    weights = product.real ** 2 + product.imag ** 2
-    t_total = np.sum(weights, axis=-1)
-    t_up = np.sum(weights[:, :4], axis=-1)
-    t_down = np.sum(weights[:, 4:], axis=-1)
-    reflected = np.sum(rho.real ** 2 + rho.imag ** 2, axis=-1)
-
-    def fail(i: int, message: str):
-        u_i, theta_i = np.broadcast_arrays(u, theta, t_total)[:2]
-        raise NumericError(
-            f"{message} at u = {float(u_i[i])!r}, theta = {float(theta_i[i])!r}"
-        )
-
-    for name, value in (("T", t_total), ("T_up", t_up), ("T_down", t_down)):
-        ok = (-_PROB_TOL <= value) & (value <= 1.0 + _PROB_TOL)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            fail(i, f"{name} = {float(value[i])!r} outside [0, 1] by more than "
-                    f"{_PROB_TOL!r}")
-    ok = np.abs(t_total + reflected - 1.0) <= _BALANCE_TOL
-    if not ok.all():
-        i = int(np.argmin(ok))
-        fail(i, f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more "
-                f"than {_BALANCE_TOL!r}")
-    return np.column_stack(
-        (t_total, t_up, t_down, np.ascontiguousarray(product).view(np.float64), reflected)
-    )
 
 
 def _chunks(n: int):
@@ -172,9 +124,18 @@ def render_csv(result: SweepResult) -> str:
 
 
 def write_csv(result: SweepResult, path: str | Path) -> Path:
-    """Write the table; identical results produce byte-identical files."""
+    """Write the table atomically: a failed write leaves any earlier file intact.
+
+    Identical results produce byte-identical files.
+    """
+    text = render_csv(result)
     out = Path(path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_csv(result), encoding="utf-8")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")  # replaced into place
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return out

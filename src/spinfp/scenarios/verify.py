@@ -15,6 +15,7 @@ import numpy as np
 from ..closed_form import DimensionlessParams, det_t_minus_identity, t_doublet, t_quartet
 from ..observables import (
     fixed_point_subspace,
+    observable_table,
     postselect,
     scatter,
     symmetry_report,
@@ -29,8 +30,8 @@ from ..spin_algebra import (
 from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import amplitudes
 from .config import build_config
-from .states import incident_state
-from .sweeps import observable_table, run_sweep
+from .states import bell_pair, incident_state
+from .sweeps import run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 _SEED = 20240817
@@ -114,19 +115,19 @@ def criterion_flux_conservation() -> CriterionResult:
 
 def criterion_singlet_transparency() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 2)
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    worst_t = 1.0
-    worst_fid = 1.0
-    for n in (1, 2, 3):
-        for u in (0.5, 1.0, 2.0, 10.0, 100.0):
-            p = DimensionlessParams(u, n * math.pi)
-            for _ in range(20):
-                raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                chi = compose_state(raw / np.linalg.norm(raw), singlet)
-                state = scatter(chi, p)
-                fid = abs(np.vdot(chi.amplitudes, state.transmitted_product)) ** 2
-                worst_t = min(worst_t, state.transmittivity)
-                worst_fid = min(worst_fid, fid)
+    points = [(u, n * math.pi) for n in (1, 2, 3) for u in (0.5, 1.0, 2.0, 10.0, 100.0)]
+    u, theta = np.repeat(points, 20, axis=0).T  # 20 electron spins per point
+    states = []
+    for _ in u:
+        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        states.append(compose_state(raw / np.linalg.norm(raw), bell_pair(-1)).amplitudes)
+    chi = np.asarray(states)
+    t, r = amplitudes(u, theta)
+    table = observable_table(t, r, chi @ coupled_basis().matrix.conj(), u, theta)
+    transmitted = table[:, 3:19].view(complex)  # the amplitude columns
+    fid = np.abs(np.sum(chi.conj() * transmitted, axis=1)) ** 2
+    worst_t = float(np.min(table[:, 0]))
+    worst_fid = float(np.min(fid))
     passed = worst_t > 1.0 - 1e-10 and worst_fid > 1.0 - 1e-10
     return CriterionResult(
         3, "singlet transparency", passed,
@@ -147,7 +148,7 @@ def _independent_determinant(p: DimensionlessParams) -> complex:
 
 def criterion_transparency_uniqueness() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 3)
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    singlet = bell_pair(-1)
     target = np.column_stack(
         [np.kron([1.0, 0.0], singlet), np.kron([0.0, 1.0], singlet)]
     )
@@ -245,8 +246,7 @@ def criterion_entanglement_generation() -> CriterionResult:
     best_u = float(u[best])
     state = scatter(chi, DimensionlessParams(best_u, math.pi))
     res = postselect(state, "down")
-    triplet = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    fid = abs(np.vdot(triplet, res.impurity_state)) ** 2
+    fid = abs(np.vdot(bell_pair(+1), res.impurity_state)) ** 2
     passed = (
         best_t > 0.20
         and 0.5 <= best_u <= 2.0

@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinfp.closed_form import DimensionlessParams, t_doublet, t_quartet
+from spinfp import observables
 from spinfp.errors import DomainError, NumericError
 from spinfp.observables import (
     concurrence,
@@ -19,6 +19,10 @@ from spinfp.spin_algebra import (
     coupled_basis,
     product_ket,
 )
+from spinfp.scenarios.config import build_config
+from spinfp.scenarios.states import incident_state
+from spinfp.scenarios.sweeps import run_sweep
+from spinfp.waveguide_solver import amplitudes
 
 SQ2 = math.sqrt(2.0)
 SINGLET = np.array([0, 1, -1, 0]) / SQ2
@@ -63,12 +67,30 @@ class TestScatter:
                 1.0, abs=1e-10
             )
 
-    def test_balance_failure_is_located(self):
-        state = scatter(compose_state([1, 0], [0, 1, 0, 0]), DimensionlessParams(2.0, 1.5))
+    def test_balance_failure_is_located(self, monkeypatch):
+        def unbalanced(u, theta):
+            t, r = amplitudes(u, theta)
+            return t, 1.001 * r
+
+        monkeypatch.setattr(observables, "amplitudes", unbalanced)
         with pytest.raises(NumericError) as info:
-            dataclasses.replace(state, reflectivity=state.reflectivity + 1e-6)
+            scatter(compose_state([1, 0], [0, 1, 0, 0]), DimensionlessParams(2.0, 1.5))
         message = str(info.value)
         assert "u = 2.0, theta = 1.5" in message and "1e-10" in message
+
+    def test_matches_sweep_rows_bit_for_bit(self):
+        # scatter is one row of the sweep's row builder, not a second derivation
+        cfg = build_config({"scenario": "fig2a", "impurity_state": "psi+",
+                            "electron_spin": "0.6,0.8j", "theta_steps": "40",
+                            "u_list": "0.5,7"})
+        chi = incident_state(cfg.electron_spin, cfg.impurity_state)
+        rows = run_sweep(cfg).rows
+        for row in rows[::9]:
+            theta, u, t_total, t_up, t_down, *amps, r_total = row
+            state = scatter(chi, DimensionlessParams(u, theta))
+            assert (state.transmittivity, state.transmitted_up, state.transmitted_down,
+                    state.reflectivity) == (t_total, t_up, t_down, r_total)
+            assert state.transmitted_product.view(np.float64).tolist() == amps
 
     def test_transmitted_coefficients_follow_channel_amplitudes(self):
         # per-channel composition: gamma = t^(in; s) <in; s, m | chi>
@@ -79,6 +101,7 @@ class TestScatter:
         t2 = t_doublet(p)
         tq = t_quartet(p)
         state = scatter(chi, p)
+        transmitted = basis.to_coupled(state.transmitted_product)
         for j, lab in enumerate(basis.labels):
             if lab.s == 1.5:
                 expected = tq * coeffs[j]
@@ -88,7 +111,7 @@ class TestScatter:
                     t2[row, inc] * coeffs[basis.index(inc, 0.5, lab.m)]
                     for inc in (0, 1)
                 )
-            assert abs(state.transmitted_coupled[j] - expected) < 1e-12
+            assert abs(transmitted[j] - expected) < 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):

@@ -114,6 +114,18 @@ class TestStates:
         with pytest.raises(DomainError):
             electron_state("0,0")
 
+    def test_electron_amplitudes_depend_on_direction_only(self):
+        raw = np.array([0.6, 0.8], dtype=complex)
+        assert electron_state("0.6,0.8").tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+        np.testing.assert_allclose(electron_state("3e-13,4e-13"), [0.6, 0.8], rtol=1e-15)
+        diagonal = electron_state("1,1")
+        for spec in ("1e-170,1e-170", "1e200,1e200", "1.7e308,1.7e308"):
+            np.testing.assert_allclose(electron_state(spec), diagonal, rtol=1e-15)
+        assert electron_state("5e-324,0").tobytes() == electron_state("u").tobytes()
+        for spec in ("nan,1", "inf,1", "0,-0.0"):
+            with pytest.raises(DomainError):
+                electron_state(spec)
+
     def test_incident_state_is_normalized(self):
         chi = incident_state("0.6,0.8", "psi-")
         assert chi.normalized
@@ -184,6 +196,11 @@ class TestConfig:
     def test_family_needs_family_state(self):
         with pytest.raises(ConfigError):
             build_config({"scenario": "fig4", "impurity_state": "ud"})
+
+    @pytest.mark.parametrize("spec", ["family2 foo", "family2 theta=1 phi=2", "uu_dd x"])
+    def test_family_rejects_trailing_tokens(self, spec):
+        with pytest.raises(ConfigError, match=repr(spec.split(maxsplit=1)[1])):
+            build_config({"sweep": "family", "impurity_state": spec})
 
     def test_coupling_preset(self):
         cfg = build_config({"scenario": "fig7"})
@@ -364,6 +381,26 @@ class TestSweeps:
         assert f"{value:.17g}" == body[1].split(",")[2]
 
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        cfg = build_config({"scenario": "fig2a", "theta_steps": "5", "u_list": "2",
+                            "output": str(tmp_path / "sweep.csv")})
+        path = write_csv(run_sweep(cfg), cfg.output)
+        earlier = path.read_bytes()
+        real_write_text = type(path).write_text
+
+        def fail_partway(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(type(path), "write_text", fail_partway)
+        wider = build_config({"scenario": "fig2a", "theta_steps": "9", "u_list": "2",
+                              "output": str(tmp_path / "sweep.csv")})
+        with pytest.raises(OSError):
+            write_csv(run_sweep(wider), wider.output)
+        assert path.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
 class TestCli:
     def test_sweep_command(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
@@ -383,7 +420,7 @@ class TestCli:
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
 
-    @pytest.mark.parametrize("electron", ["nan,1", "inf,1", "1e200,1e200"])
+    @pytest.mark.parametrize("electron", ["nan,1", "inf,1"])
     @pytest.mark.parametrize("kind", ["family", "theta"])
     def test_non_finite_electron_rejected_at_parse_time(
         self, tmp_path, capsys, kind, electron
@@ -398,6 +435,22 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("kind", ["family", "theta"])
+    def test_huge_electron_amplitudes_accepted(self, tmp_path, kind):
+        assert electron_state("1e200,1e200").tobytes() == (
+            np.array([1, 1], dtype=complex) / math.sqrt(2)
+        ).tobytes()
+        impurity = "family2" if kind == "family" else "ud"
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(
+            f"sweep = {kind}\nimpurity_state = {impurity}\nelectron_spin = 1e200,1e200\n"
+            f"u_list = 1\nvartheta_steps = 3\nphi_steps = 2\ntheta_steps = 4\n"
+            f"output = {out_file}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        assert out_file.exists()
 
     def test_numeric_failure_is_located(self, tmp_path, capsys):
         cfg_file = tmp_path / "strong.cfg"
