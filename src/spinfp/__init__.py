@@ -32,7 +32,6 @@ from .spin_algebra import (
     SpinVector,
     compose_state,
     coupled_basis,
-    product_ket,
     recoupling_matrix_elements,
     spin_operators,
     wigner_6j,
@@ -42,7 +41,6 @@ from .transfer_oracle import (
     Impurity,
     ImpurityChain,
     oracle_scattering,
-    oracle_transmittivity,
     two_impurity_chain,
 )
 from .waveguide_solver import amplitudes
@@ -71,7 +69,6 @@ __all__ = [
     "SpinVector",
     "compose_state",
     "coupled_basis",
-    "product_ket",
     "recoupling_matrix_elements",
     "spin_operators",
     "wigner_6j",
@@ -79,7 +76,6 @@ __all__ = [
     "Impurity",
     "ImpurityChain",
     "oracle_scattering",
-    "oracle_transmittivity",
     "two_impurity_chain",
     "amplitudes",
     "__version__",

@@ -118,11 +118,6 @@ class PostSelectionResult:
     impurity_state: np.ndarray | None
     concurrence: float | None
 
-    def impurity_density(self) -> np.ndarray:
-        if not self.has_support:
-            raise DomainError("no support: conditional state undefined")
-        return np.outer(self.impurity_state, self.impurity_state.conj())
-
 
 def postselect(state: ScatteredState, outcome: str) -> PostSelectionResult:
     """Project the transmitted wave on an electron spin outcome."""

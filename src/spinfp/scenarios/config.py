@@ -31,13 +31,6 @@ GRID_CAP = 10**7
 
 _TWO_PI = 2.0 * math.pi
 
-_KNOWN_KEYS = {
-    "scenario", "theta_min", "theta_max", "theta_steps", "u_list",
-    "electron_spin", "impurity_state", "output",
-    "theta", "vartheta_steps", "phi_steps", "u_min", "u_max", "u_steps",
-    "sweep",
-}
-
 # per sweep kind, the grid keys it reads and their defaults; the header
 # echoes these and _COMMON_KEYS, no others
 _GRID_DEFAULTS = {
@@ -49,6 +42,7 @@ _GRID_DEFAULTS = {
                  "u_steps": "1000"},
 }
 _COMMON_KEYS = {"scenario", "sweep", "electron_spin", "impurity_state", "output"}
+_KNOWN_KEYS = _COMMON_KEYS.union(*_GRID_DEFAULTS.values())
 _U_RANGE_KEYS = {"u_min", "u_max", "u_steps"}
 
 _THETA_PRESET = {**_GRID_DEFAULTS["theta"], "electron_spin": "u", "sweep": "theta"}

@@ -62,6 +62,8 @@ def _parse_family_args(tokens: list[str], spec: str) -> tuple[float, float]:
         key, _, raw = tok.partition("=")
         if key not in ("theta", "phi") or not raw:
             raise DomainError(f"bad family parameter {tok!r} in {spec!r}")
+        if key in values:
+            raise DomainError(f"repeated family parameter {key!r} in {spec!r}")
         try:
             values[key] = float(raw)
         except ValueError as exc:
@@ -74,25 +76,25 @@ def _parse_family_args(tokens: list[str], spec: str) -> tuple[float, float]:
 
 def impurity_state(spec: str) -> np.ndarray:
     """Parse an impurity pair specification into a normalized 4-vector."""
-    text = spec.strip().lower()
-    tokens = text.split()
+    tokens = spec.strip().lower().split()
     if not tokens:
         raise DomainError("empty impurity state spec")
-    head = tokens[0]
-    if head == "psi+":
-        return bell_pair(+1)
-    if head == "psi-":
-        return bell_pair(-1)
+    head, *rest = tokens
     if head == "family2":
-        return one_up_family(*_parse_family_args(tokens[1:], spec))
+        return one_up_family(*_parse_family_args(rest, spec))
     if head == "uu_dd":
-        return aligned_family(*_parse_family_args(tokens[1:], spec))
+        return aligned_family(*_parse_family_args(rest, spec))
     ket = head.replace(",", "")
-    if len(tokens) == 1 and ket in _KET_INDEX:
+    if head in ("psi+", "psi-"):
+        out = bell_pair(+1 if head == "psi+" else -1)
+    elif ket in _KET_INDEX:
         out = np.zeros(4, dtype=complex)
         out[_KET_INDEX[ket]] = 1.0
-        return out
-    raise DomainError(f"unrecognized impurity state spec {spec!r}")
+    else:
+        raise DomainError(f"unrecognized impurity state spec {spec!r}")
+    if rest:
+        raise DomainError(f"unexpected {' '.join(rest)!r} after {head!r} in {spec!r}")
+    return out
 
 
 def electron_state(spec: str) -> np.ndarray:

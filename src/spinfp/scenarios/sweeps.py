@@ -8,8 +8,10 @@ the resolved configuration.
 
 Grids are evaluated in chunks of ``CHUNK`` points: one batched kernel call
 per chunk, then the row builder ``observables.observable_table`` for all
-three sweep kinds.  Every value of a row is computed from its own point only,
-so the output does not depend on the chunk size.
+three sweep kinds, whose rows are written into one float64 table beside the
+lead columns (the config's grid values).  Every value of a row is computed
+from its own point only, so the output does not depend on the chunk size.
+``render_csv`` formats that table ``CHUNK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -39,77 +41,70 @@ _FLOAT_SPEC = ".17g"
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Computed table: header echo lines, column names and numeric rows."""
+    """Computed table: header echo lines, column names and the numeric rows.
+
+    ``rows`` is a read-only float64 array of shape (rows, len(columns)).
+    """
 
     header: tuple[str, ...]
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
 
 
 def _chunks(n: int):
     return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
 
 
-def _rows(table: np.ndarray, lead) -> list[tuple[float, ...]]:
-    """Row tuples: the next values of the ``lead`` iterator, then the table row.
-
-    The lead values are the config's own float objects, shared between rows.
-    """
-    return [(*head, *values) for values, head in zip(table.tolist(), lead)]
-
-
-def _point_rows(cfg: SweepConfig) -> list[tuple[float, ...]]:
+def _point_table(cfg: SweepConfig) -> np.ndarray:
     """Theta and coupling sweeps: one incident state over the points (u, theta)."""
     if cfg.kind == "theta":  # u is the outer axis
         u = np.repeat(cfg.u_values, len(cfg.theta_values))
         theta = np.tile(cfg.theta_values, len(cfg.u_values))
-        lead = ((th, u_) for u_ in cfg.u_values for th in cfg.theta_values)
     else:
         u = np.asarray(cfg.u_values)
         theta = np.full(len(u), cfg.fixed_theta)
-        lead = ((cfg.fixed_theta, u_) for u_ in cfg.u_values)
     chi = incident_state(cfg.electron_spin, cfg.impurity_state)
     coeffs = coupled_basis().to_coupled(chi)[None, :]
-    rows = []
+    out = np.empty((len(u), 2 + len(_OBSERVABLE_COLUMNS)))
+    out[:, 0], out[:, 1] = theta, u
     for s in _chunks(len(u)):
         t, r = amplitudes(u[s], theta[s])
-        rows += _rows(observable_table(t, r, coeffs, u[s], theta[s]), lead)
-    return rows
+        out[s, 2:] = observable_table(t, r, coeffs, u[s], theta[s])
+    return out
 
 
-def _family_rows(cfg: SweepConfig) -> list[tuple[float, ...]]:
+def _family_table(cfg: SweepConfig) -> np.ndarray:
     """Family sweeps: one kernel point per u, a grid of incident states each."""
     family = cfg.impurity_state.split()[0]
     builder = one_up_family if family == "family2" else aligned_family
-    pairs = builder(np.asarray(cfg.vartheta_values)[:, None], np.asarray(cfg.phi_values))
-    pairs = pairs.reshape(-1, 4)  # phi is the inner axis
-    electron = electron_state(cfg.electron_spin)
-    to_coupled = coupled_basis().matrix.conj().T
-    u_all = np.asarray(cfg.u_values)
-    theta_all = np.full(len(u_all), cfg.fixed_theta)
-    rows = []
-    for k in _chunks(len(u_all)):
-        t_block, r_block = amplitudes(u_all[k], theta_all[k])
-        for u, t, r in zip(cfg.u_values[k], t_block, r_block):
-            lead = ((vt, ph, u) for vt in cfg.vartheta_values for ph in cfg.phi_values)
+    vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
+    pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
+    chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
+    coeffs = _matvec(coupled_basis().matrix.conj().T, chi)
+    u = np.asarray(cfg.u_values)
+    out = np.empty((len(u), len(pairs), 3 + len(_OBSERVABLE_COLUMNS)))
+    out[..., 0], out[..., 1], out[..., 2] = vartheta.ravel(), phi.ravel(), u[:, None]
+    for k in _chunks(len(u)):
+        t_block, r_block = amplitudes(u[k], np.full(len(u[k]), cfg.fixed_theta))
+        for block, u_i, t, r in zip(out[k], u[k], t_block, r_block):
             for s in _chunks(len(pairs)):
-                chi = (electron[:, None] * pairs[s, None, :]).reshape(-1, 8)
-                coeffs = _matvec(to_coupled, chi)
-                table = observable_table(t[None], r[None], coeffs, u, cfg.fixed_theta)
-                rows += _rows(table, lead)
-    return rows
+                block[s, 3:] = observable_table(
+                    t[None], r[None], coeffs[s], u_i, cfg.fixed_theta
+                )
+    return out.reshape(-1, out.shape[-1])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured grid and return the result table."""
     if cfg.kind == "family":
         columns = ("vartheta", "phi", "u", *_OBSERVABLE_COLUMNS)
-        rows = _family_rows(cfg)
+        rows = _family_table(cfg)
     else:
         columns = ("theta", "u", *_OBSERVABLE_COLUMNS)
-        rows = _point_rows(cfg)
+        rows = _point_table(cfg)
+    rows.flags.writeable = False
     header = tuple(f"# {key} = {value}" for key, value in cfg.echo)
-    return SweepResult(header=header, columns=columns, rows=tuple(rows))
+    return SweepResult(header=header, columns=columns, rows=rows)
 
 
 def format_float(value: float) -> str:
@@ -117,9 +112,12 @@ def format_float(value: float) -> str:
 
 
 def render_csv(result: SweepResult) -> str:
+    """The CSV text; the rows are formatted ``CHUNK`` at a time, one template each."""
     row_template = ",".join(["%" + _FLOAT_SPEC] * len(result.columns))
     lines = [*result.header, ",".join(result.columns)]
-    lines.extend(row_template % row for row in result.rows)
+    for s in _chunks(len(result.rows)):
+        chunk = result.rows[s]
+        lines.append("\n".join([row_template] * len(chunk)) % tuple(chunk.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

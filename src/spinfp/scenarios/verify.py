@@ -263,16 +263,22 @@ def criterion_entanglement_generation() -> CriterionResult:
 
 def _sweep_rows(scenario: str) -> tuple[float, np.ndarray]:
     cfg = build_config({"scenario": scenario})
-    result = run_sweep(cfg)
     if cfg.kind == "theta":
         step = cfg.theta_values[1] - cfg.theta_values[0]
     else:
         step = 0.0
-    return step, np.asarray(result.rows)
+    return step, run_sweep(cfg).rows
 
 
-def _nearest_multiple_distance(value: float, period: float) -> float:
-    return abs(value - period * round(value / period))
+def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
+    """Grid step and the distance of each u's argmax of T from the nearest n pi."""
+    step, rows = _sweep_rows(scenario)
+    offsets = []
+    for u in (1.0, 2.0, 10.0):
+        sel = rows[rows[:, 1] == u]
+        peak = sel[np.argmax(sel[:, 2]), 0]
+        offsets.append(abs(peak - math.pi * round(peak / math.pi)))
+    return step, offsets
 
 
 def _scan(chi: SpinVector, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -292,23 +298,13 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes: list[str] = []
 
     # one-excitation product states: peak locations over theta
-    step, rows = _sweep_rows("fig2a")
-    offsets_a = []
-    for u in (1.0, 2.0, 10.0):
-        sel = rows[rows[:, 1] == u]
-        peak = sel[np.argmax(sel[:, 2]), 0]
-        offsets_a.append(_nearest_multiple_distance(peak, math.pi))
+    _, offsets_a = _peak_offsets("fig2a")
     if not offsets_a[0] > offsets_a[1] > offsets_a[2]:
         problems.append(f"fig2a offsets not decreasing: {offsets_a}")
     notes.append("fig2a |argmax - n pi| = " + ", ".join(f"{o:.4f}" for o in offsets_a))
 
     # swapped product state: the strong-coupling peak pins to n pi exactly
-    step, rows = _sweep_rows("fig2b")
-    offsets_b = []
-    for u in (1.0, 2.0, 10.0):
-        sel = rows[rows[:, 1] == u]
-        peak = sel[np.argmax(sel[:, 2]), 0]
-        offsets_b.append(_nearest_multiple_distance(peak, math.pi))
+    step, offsets_b = _peak_offsets("fig2b")
     if offsets_b[2] > step:
         problems.append(
             f"fig2b argmax at u = 10 off n pi by {offsets_b[2]:.4f} > step {step:.4f}"

@@ -144,20 +144,6 @@ class SpinVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-_SPIN_CHARS = {"u": 0, "d": 1, "0": 0, "1": 1}
-
-
-def product_ket(spins: str) -> SpinVector:
-    """Basis ket from a 3-character string, e.g. ``'udu'`` = up, down, up."""
-    cleaned = spins.replace(",", "").replace(" ", "").lower()
-    if len(cleaned) != 3 or any(c not in _SPIN_CHARS for c in cleaned):
-        raise DomainError(f"bad product ket {spins!r}; expected 3 of u/d")
-    e, a, b = (_SPIN_CHARS[c] for c in cleaned)
-    amps = np.zeros(8, dtype=complex)
-    amps[4 * e + 2 * a + b] = 1.0
-    return SpinVector(amps)
-
-
 def compose_state(electron: Iterable[complex], impurities: Iterable[complex]) -> SpinVector:
     """Tensor an electron 2-vector with a two-impurity 4-vector."""
     el = np.asarray(list(electron), dtype=complex)

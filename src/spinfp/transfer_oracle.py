@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_form import DimensionlessParams
 from .errors import DomainError, NumericError
-from .spin_algebra import SpinVector, spin_operators
+from .spin_algebra import spin_operators
 
 _UNITARITY_TOL = 1e-10
 _DIM = 8
@@ -133,18 +133,3 @@ def oracle_scattering(chain: ImpurityChain) -> FullScatteringMatrix:
         transmission_right=t_right,
         reflection_right=m12 @ t_right,
     )
-
-
-def oracle_transmittivity(chain: ImpurityChain, chi: SpinVector) -> tuple[float, np.ndarray]:
-    """Total transmission probability and per-channel transmitted amplitudes.
-
-    The probability is basis independent; amplitudes are returned in the
-    product basis.
-    """
-    if not chi.normalized or abs(chi.norm - 1.0) > 1e-10:
-        raise DomainError("incident spin state must be normalized")
-    amps = oracle_scattering(chain).transmission @ chi.amplitudes
-    total = float(np.real(np.vdot(amps, amps)))
-    if not -1e-12 <= total <= 1.0 + 1e-12:
-        raise NumericError(f"transmittivity {total} outside [0, 1]")
-    return total, amps

@@ -102,6 +102,15 @@ class TestStates:
         with pytest.raises(DomainError):
             impurity_state("bell")
 
+    @pytest.mark.parametrize("spec", ["psi+ foo", "psi- theta=1", "uu foo"])
+    def test_rejects_tokens_after_a_named_state(self, spec):
+        with pytest.raises(DomainError, match=repr(spec.split(maxsplit=1)[1])):
+            impurity_state(spec)
+
+    def test_rejects_repeated_family_parameter(self):
+        with pytest.raises(DomainError, match="repeated family parameter 'theta'"):
+            impurity_state("family2 theta=1 phi=2 theta=3")
+
     def test_electron_states(self):
         np.testing.assert_allclose(electron_state("u"), [1, 0])
         np.testing.assert_allclose(electron_state("down"), [0, 1])
@@ -329,6 +338,30 @@ class TestSweeps:
         ]
         assert point[0, 3] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "settings, lead",
+        [  # the lead values of each row, u outermost
+            ({"scenario": "fig2a", "theta_steps": "7", "u_list": "1,0.3"},
+             lambda c: [(th, u) for u in c.u_values for th in c.theta_values]),
+            ({"scenario": "fig7", "u_steps": "9"},
+             lambda c: [(c.fixed_theta, u) for u in c.u_values]),
+            ({"scenario": "fig4", "vartheta_steps": "3", "phi_steps": "5", "u_list": "2,0.1"},
+             lambda c: [(vt, ph, u) for u in c.u_values
+                        for vt in c.vartheta_values for ph in c.phi_values]),
+        ],
+        ids=["theta", "coupling", "family"],
+    )
+    def test_rows_are_one_read_only_float_table(self, settings, lead):
+        cfg = build_config(settings)
+        result = run_sweep(cfg)
+        rows = result.rows
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert not rows.flags.writeable
+        expected = np.array(lead(cfg))
+        assert rows.shape == (len(expected), len(result.columns))
+        # the config's grid values, bit for bit
+        assert rows[:, :expected.shape[1]].tobytes() == expected.tobytes()
+
     def test_reruns_are_byte_identical(self):
         cfg = build_config({"scenario": "fig2a", "theta_steps": "15", "u_list": "2"})
         assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))
@@ -344,7 +377,7 @@ class TestSweeps:
     def test_output_independent_of_chunk_size(self, monkeypatch, settings):
         cfg = build_config(settings)
         reference = render_csv(run_sweep(cfg))
-        for chunk in (1, 7):
+        for chunk in (1, 7, 4096):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
             assert render_csv(run_sweep(cfg)) == reference
 
@@ -355,7 +388,9 @@ class TestSweeps:
         drawn = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
         values = special + drawn.tolist()
         rows = tuple(tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3))
-        result = SweepResult(header=("# scenario = x",), columns=("a", "b", "c"), rows=rows)
+        result = SweepResult(
+            header=("# scenario = x",), columns=("a", "b", "c"), rows=np.array(rows)
+        )
         expected = ["# scenario = x", "a,b,c"]
         expected += [",".join(format_float(v) for v in row) for row in rows]
         assert render_csv(result) == "\n".join(expected) + "\n"
@@ -434,6 +469,16 @@ class TestCli:
         )
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "impurity", ["psi+ foo", "psi- theta=1", "family2 theta=1 phi=2 theta=3"]
+    )
+    def test_malformed_impurity_rejected_at_parse_time(self, tmp_path, impurity):
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"impurity_state = {impurity}\noutput = {out_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert not out_file.exists()
 
     @pytest.mark.parametrize("kind", ["family", "theta"])

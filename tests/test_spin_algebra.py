@@ -11,7 +11,6 @@ from spinfp.spin_algebra import (
     compose_state,
     coupled_basis,
     coupling_scheme_overlap,
-    product_ket,
     recoupling_matrix_elements,
     spin_operators,
     wigner_6j,
@@ -46,16 +45,10 @@ class TestSpinVector:
 
     def test_product_ket_index_convention(self):
         # index = 4*electron + 2*imp1 + imp2
-        v = product_ket("udu")
+        v = compose_state([1, 0], [0, 0, 1, 0])  # up, down, up
         assert v.amplitudes[0b010] == 1.0
-        v = product_ket("d,d,u")
+        v = compose_state([0, 1], [0, 0, 1, 0])  # down, down, up
         assert v.amplitudes[0b110] == 1.0
-
-    def test_product_ket_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            product_ket("uu")
-        with pytest.raises(DomainError):
-            product_ket("uxd")
 
 
 class TestOperators:
@@ -141,7 +134,7 @@ class TestCoupledBasis:
     def test_stretched_state(self):
         basis = coupled_basis()
         v = basis.vector(1, 1.5, 1.5).amplitudes
-        np.testing.assert_allclose(v, product_ket("uuu").amplitudes, atol=1e-12)
+        np.testing.assert_allclose(v, np.eye(8)[0], atol=1e-12)  # |up, up, up>
 
     def test_singlet_combination_positive_coefficients(self):
         # 1/2 |0;1/2,1/2> + sqrt(3)/2 |1;1/2,1/2>  =  |up> (|ud> - |du>)/sqrt(2)
@@ -176,14 +169,14 @@ class TestBasisChange:
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
     def test_stretched_decomposition(self):
-        coeffs = coupled_basis().to_coupled(product_ket("uuu"))
+        coeffs = coupled_basis().to_coupled(compose_state([1, 0], [1, 0, 0, 0]))
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
     def test_electron_up_pair_down_support(self):
         # |up, down, down> has total m = -1/2: support only on m = -1/2 labels
-        coeffs = coupled_basis().to_coupled(product_ket("udd"))
+        coeffs = coupled_basis().to_coupled(compose_state([1, 0], [0, 0, 0, 1]))
         for j, lab in enumerate(COUPLED_LABELS):
             if lab.m != -0.5:
                 assert abs(coeffs[j]) < 1e-12

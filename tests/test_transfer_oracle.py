@@ -6,10 +6,8 @@ import pytest
 from spinfp.closed_form import DimensionlessParams, t_quartet
 from spinfp.errors import DomainError
 from spinfp.spin_algebra import (
-    SpinVector,
     compose_state,
     coupled_basis,
-    product_ket,
     spin_operators,
 )
 from spinfp.transfer_oracle import (
@@ -17,7 +15,6 @@ from spinfp.transfer_oracle import (
     Impurity,
     ImpurityChain,
     oracle_scattering,
-    oracle_transmittivity,
     two_impurity_chain,
 )
 from spinfp.waveguide_solver import amplitudes
@@ -151,8 +148,9 @@ class TestOracleScattering:
 class TestOracleTransmittivity:
     def test_free_chain(self):
         chain = ImpurityChain(sites=(), wave_number=1.0)
-        total, _ = oracle_transmittivity(chain, product_ket("uud"))
-        assert total == pytest.approx(1.0)
+        chi = compose_state([1, 0], [0, 1, 0, 0])
+        amps = oracle_scattering(chain).transmission @ chi.amplitudes
+        assert np.vdot(amps, amps).real == pytest.approx(1.0)
 
     def test_singlet_family_transparency(self):
         rng = np.random.default_rng(34)
@@ -162,24 +160,18 @@ class TestOracleTransmittivity:
             for _ in range(5):
                 raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 chi = compose_state(raw / np.linalg.norm(raw), singlet)
-                total, _ = oracle_transmittivity(chain, chi)
-                assert total == pytest.approx(1.0, abs=1e-10)
+                amps = oracle_scattering(chain).transmission @ chi.amplitudes
+                assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_pipeline_for_product_state(self):
         from spinfp.observables import scatter
 
         p = DimensionlessParams(1.0, math.pi / 2)
-        chi = product_ket("uud")
-        total, amps = oracle_transmittivity(two_impurity_chain(p), chi)
+        chi = compose_state([1, 0], [0, 1, 0, 0])  # up, up, down
+        amps = oracle_scattering(two_impurity_chain(p)).transmission @ chi.amplitudes
         state = scatter(chi, p)
-        assert total == pytest.approx(state.transmittivity, abs=1e-10)
+        assert np.vdot(amps, amps).real == pytest.approx(state.transmittivity, abs=1e-10)
         np.testing.assert_allclose(amps, state.transmitted_product, atol=1e-10)
-
-    def test_rejects_unnormalized(self):
-        chain = ImpurityChain(sites=(), wave_number=1.0)
-        bad = SpinVector(np.ones(8), normalized=False)
-        with pytest.raises(DomainError):
-            oracle_transmittivity(chain, bad)
 
 
 class TestFullScatteringMatrix:
