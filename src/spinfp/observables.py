@@ -2,8 +2,8 @@
 
 ``observable_table`` alone turns the waveguide solver's coupled-basis
 scattering matrices into observables; sweeps, ``scatter`` and the acceptance
-harness all read it.  The transfer-matrix oracle is used only for the
-symmetry report, which needs both incidence directions.
+harness all read it.  The star-product oracle serves only the symmetry
+report, which needs both incidence directions and takes a stack of points.
 """
 
 from __future__ import annotations
@@ -187,12 +187,15 @@ def fixed_point_subspace(p: DimensionlessParams) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Frobenius norms of the commutators of the full scattering matrix."""
+    """Frobenius norms of the commutators of the full scattering matrix.
 
-    total_spin_sq: float
-    total_sz: float
-    pair_spin_sq: float
-    electron_imp2_sq: float
+    Floats for one point, arrays of the stack's shape for a stack.
+    """
+
+    total_spin_sq: float | np.ndarray
+    total_sz: float | np.ndarray
+    pair_spin_sq: float | np.ndarray
+    electron_imp2_sq: float | np.ndarray
 
 
 def symmetry_report(p: DimensionlessParams) -> SymmetryReport:
@@ -201,17 +204,13 @@ def symmetry_report(p: DimensionlessParams) -> SymmetryReport:
     Total spin squared and its z component commute for every parameter
     choice; the squared impurity pair spin commutes exactly when theta is a
     multiple of pi; the electron+impurity-2 pair spin generically does not.
+    ``p`` may hold a stack of points.
     """
-    s = oracle_scattering(two_impurity_chain(p)).s_matrix()
+    s = oracle_scattering(two_impurity_chain(p)).s_matrix()[..., None, :, :]
     ops = spin_operators()
-
-    def norm(op: np.ndarray) -> float:
-        o16 = np.kron(np.eye(2), op)
-        return float(np.linalg.norm(s @ o16 - o16 @ s))
-
-    return SymmetryReport(
-        total_spin_sq=norm(ops.total_spin_sq),
-        total_sz=norm(ops.total_sz),
-        pair_spin_sq=norm(ops.pair_spin_sq),
-        electron_imp2_sq=norm(ops.electron_imp2_sq),
-    )
+    o16 = np.kron(
+        np.eye(2),
+        np.array([ops.total_spin_sq, ops.total_sz, ops.pair_spin_sq, ops.electron_imp2_sq]),
+    )  # one 16x16 operator per field
+    norms = np.moveaxis(np.linalg.norm(s @ o16 - o16 @ s, axis=(-2, -1)), -1, 0)
+    return SymmetryReport(*(norms.tolist() if norms.ndim == 1 else norms))

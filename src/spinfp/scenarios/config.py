@@ -125,10 +125,13 @@ def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, .
         raise ConfigError("theta_max must exceed theta_min")
     if theta_min < 0:
         raise ConfigError("theta_min must be >= 0")
-    if theta_min == 0.0:
-        pts = theta_max * np.arange(1, steps + 1) / steps
-    else:
-        pts = np.linspace(theta_min, theta_max, steps)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        if theta_min == 0.0:
+            pts = theta_max * np.arange(1, steps + 1) / steps
+        else:
+            pts = np.linspace(theta_min, theta_max, steps)
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"theta_max = {theta_max!r} overflows a grid of {steps} phases")
     return tuple(float(t) for t in pts)
 
 
@@ -188,6 +191,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     else:
         try:
             states.electron_state(electron)
+            states.family_builder(impurity)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -223,16 +227,6 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         theta_steps = _parse_int(resolved["theta_steps"], "theta_steps")
         per_u = theta_steps
     elif kind == "family":
-        family, *extra = resolved["impurity_state"].split()
-        if family not in ("family2", "uu_dd"):
-            raise ConfigError(
-                f"family sweeps need impurity_state family2 or uu_dd, got {family!r}"
-            )
-        if extra:
-            raise ConfigError(
-                f"family sweeps span every family state; unexpected "
-                f"{' '.join(extra)!r} after {family!r}"
-            )
         vsteps = _parse_int(resolved["vartheta_steps"], "vartheta_steps")
         psteps = _parse_int(resolved["phi_steps"], "phi_steps")
         per_u = vsteps * psteps

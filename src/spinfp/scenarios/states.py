@@ -49,6 +49,26 @@ def aligned_family(mix, phase) -> np.ndarray:
     return _family(mix, phase, 0, 3)
 
 
+_FAMILIES = {"family2": one_up_family, "uu_dd": aligned_family}
+
+
+def family_builder(spec: str):
+    """The builder of the pair states a family sweep spans.
+
+    ``spec`` is the family's name alone, in any case; the sweep spans every
+    state of the family, so it takes no parameters.
+    """
+    head, *extra = spec.split() or [""]
+    builder = _FAMILIES.get(head.lower())
+    if builder is None:
+        raise DomainError(f"family sweeps need impurity_state family2 or uu_dd, "
+                          f"got {head!r}")
+    if extra:
+        raise DomainError(f"family sweeps span every family state; unexpected "
+                          f"{' '.join(extra)!r} after {head!r}")
+    return builder
+
+
 def bell_pair(sign: int) -> np.ndarray:
     out = np.zeros(4, dtype=complex)
     out[1] = 1.0 / math.sqrt(2.0)
@@ -80,10 +100,8 @@ def impurity_state(spec: str) -> np.ndarray:
     if not tokens:
         raise DomainError("empty impurity state spec")
     head, *rest = tokens
-    if head == "family2":
-        return one_up_family(*_parse_family_args(rest, spec))
-    if head == "uu_dd":
-        return aligned_family(*_parse_family_args(rest, spec))
+    if head in _FAMILIES:
+        return _FAMILIES[head](*_parse_family_args(rest, spec))
     ket = head.replace(",", "")
     if head in ("psi+", "psi-"):
         out = bell_pair(+1 if head == "psi+" else -1)

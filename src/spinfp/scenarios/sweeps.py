@@ -26,7 +26,7 @@ from ..observables import _matvec, observable_table
 from ..spin_algebra import coupled_basis
 from ..waveguide_solver import amplitudes
 from .config import SweepConfig
-from .states import aligned_family, electron_state, incident_state, one_up_family
+from .states import electron_state, family_builder, incident_state
 
 # points per kernel call; keeps the kernel's temporary arrays near 1 MB
 CHUNK = 256
@@ -75,8 +75,7 @@ def _point_table(cfg: SweepConfig) -> np.ndarray:
 
 def _family_table(cfg: SweepConfig) -> np.ndarray:
     """Family sweeps: one kernel point per u, a grid of incident states each."""
-    family = cfg.impurity_state.split()[0]
-    builder = one_up_family if family == "family2" else aligned_family
+    builder = family_builder(cfg.impurity_state)
     vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
     pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
     chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)

@@ -31,7 +31,7 @@ from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
-from .sweeps import run_sweep
+from .sweeps import _chunks, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 _SEED = 20240817
@@ -49,14 +49,9 @@ class CriterionResult:
         return f"[{status}] {self.number}. {self.name}: {self.details}"
 
 
-def _random_params(rng, n, u_hi=20.0):
-    for _ in range(n):
-        yield DimensionlessParams(rng.uniform(1e-6, u_hi), rng.uniform(1e-6, 2 * math.pi))
-
-
-def _kernel(params: list[DimensionlessParams]) -> tuple[np.ndarray, np.ndarray]:
-    """One batched kernel call over the drawn points."""
-    return amplitudes([p.u for p in params], [p.theta for p in params])
+def _random_points(rng, n) -> np.ndarray:
+    """Rows (u, theta) of n points: u in [1e-6, 20), theta in [1e-6, 2 pi)."""
+    return rng.uniform((1e-6, 1e-6), (20.0, 2 * math.pi), size=(n, 2))
 
 
 def _random_state(rng) -> SpinVector:
@@ -64,28 +59,25 @@ def _random_state(rng) -> SpinVector:
     return SpinVector(raw / np.linalg.norm(raw))
 
 
-def _coupled_sandwich(matrix: np.ndarray) -> np.ndarray:
-    b = coupled_basis().matrix
-    return b.conj().T @ matrix @ b
-
-
 def criterion_triple_agreement() -> CriterionResult:
-    rng = np.random.default_rng(_SEED)
-    params = list(_random_params(rng, 1000))
-    doublet = np.ix_((4, 6), (4, 6))  # the m = +1/2 doublet block, channels s_e2 = 0, 1
+    u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
+    b = coupled_basis().matrix
     worst_closed = 0.0
     worst_oracle = 0.0
-    for p, t_solver, r_solver in zip(params, *_kernel(params)):
+    for s in _chunks(len(u)):  # one stack per derivation and chunk
+        p = DimensionlessParams(u[s], theta[s])
+        t_solver, r_solver = amplitudes(p.u, p.theta)
+        doublet = t_solver[:, 4:7:2, 4:7:2]  # the m = +1/2 block, channels s_e2 = 0, 1
+        full = oracle_scattering(two_impurity_chain(p))
         worst_closed = max(
             worst_closed,
-            abs(t_quartet(p) - t_solver[0, 0]),
-            float(np.max(np.abs(t_doublet(p) - t_solver[doublet]))),
+            float(np.max(np.abs(t_quartet(p) - t_solver[:, 0, 0]))),
+            float(np.max(np.abs(t_doublet(p) - doublet))),
         )
-        full = oracle_scattering(two_impurity_chain(p))
         worst_oracle = max(
             worst_oracle,
-            float(np.max(np.abs(_coupled_sandwich(full.transmission) - t_solver))),
-            float(np.max(np.abs(_coupled_sandwich(full.reflection) - r_solver))),
+            float(np.max(np.abs(b.conj().T @ full.transmission @ b - t_solver))),
+            float(np.max(np.abs(b.conj().T @ full.reflection @ b - r_solver))),
         )
     passed = worst_closed < 1e-10 and worst_oracle < 1e-10
     return CriterionResult(
@@ -97,11 +89,11 @@ def criterion_triple_agreement() -> CriterionResult:
 
 def criterion_flux_conservation() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
-    params, states = [], []
-    for p in _random_params(rng, 1000):  # draw order: point, then its state
-        params.append(p)
+    points, states = [], []
+    for _ in range(1000):  # draw order: point, then its state
+        points.append(_random_points(rng, 1)[0])
         states.append(_random_state(rng).amplitudes)
-    t, r = _kernel(params)
+    t, r = amplitudes(*np.transpose(points))
     coeffs = np.asarray(states) @ coupled_basis().matrix.conj()  # rows B^dagger chi
     gamma = np.matmul(t, coeffs[..., None])
     rho = np.matmul(r, coeffs[..., None])
@@ -136,10 +128,15 @@ def criterion_singlet_transparency() -> CriterionResult:
     )
 
 
-def _independent_determinant(p: DimensionlessParams) -> complex:
+def _resonances(u: float) -> DimensionlessParams:
+    """The points theta = n pi, n = 1, 2, 3, at coupling u."""
+    return DimensionlessParams(np.full(3, u), np.arange(1, 4) * math.pi)
+
+
+def _independent_determinant(p: DimensionlessParams) -> np.ndarray:
     """det(t - I) evaluated from its factorized closed form."""
     g = p.g
-    ring = complex(math.cos(2 * p.theta) - 1.0, math.sin(2 * p.theta))
+    ring = np.cos(2 * p.theta) - 1.0 + 1j * np.sin(2 * p.theta)
     delta = 4096.0 + g * (
         -2048.0j + ring * g * (-128.0 + 96.0j * g + 9.0 * ring * g * g)
     )
@@ -165,21 +162,18 @@ def criterion_transparency_uniqueness() -> CriterionResult:
             angles = np.arccos(np.clip(np.linalg.svd(overlap, compute_uv=False), -1, 1))
             max_angle = max(max_angle, float(np.max(angles)))
     off_count = 0
-    min_det = math.inf
-    max_det_err = 0.0
+    points = []
     for _ in range(100):
         theta = rng.uniform(0.05, math.pi - 0.05) + rng.integers(0, 2) * math.pi
         u = rng.uniform(0.5, 20.0)
-        p = DimensionlessParams(u, theta)
-        dim, _ = fixed_point_subspace(p)
+        dim, _ = fixed_point_subspace(DimensionlessParams(u, theta))
         off_count += dim == 0
-        det = det_t_minus_identity(p)
-        min_det = min(min_det, abs(det))
-        max_det_err = max(max_det_err, abs(det - _independent_determinant(p)))
-    det_at_pi = max(
-        abs(det_t_minus_identity(DimensionlessParams(5.0, n * math.pi)))
-        for n in (1, 2, 3)
-    )
+        points.append((u, theta))
+    p = DimensionlessParams(*np.transpose(points))
+    det = det_t_minus_identity(p)
+    min_det = float(np.min(np.abs(det)))
+    max_det_err = float(np.max(np.abs(det - _independent_determinant(p))))
+    det_at_pi = float(np.max(np.abs(det_t_minus_identity(_resonances(5.0)))))
     passed = (
         max_angle < 1e-6
         and off_count == 100
@@ -196,15 +190,10 @@ def criterion_transparency_uniqueness() -> CriterionResult:
 
 
 def criterion_conservation_laws() -> CriterionResult:
-    rng = np.random.default_rng(_SEED + 4)
-    worst_total = 0.0
-    for p in _random_params(rng, 25):
-        rep = symmetry_report(p)
-        worst_total = max(worst_total, rep.total_spin_sq, rep.total_sz)
-    pair_resonant = max(
-        symmetry_report(DimensionlessParams(10.0, n * math.pi)).pair_spin_sq
-        for n in (1, 2, 3)
-    )
+    drawn = _random_points(np.random.default_rng(_SEED + 4), 25)
+    drawn = symmetry_report(DimensionlessParams(*drawn.T))
+    worst_total = float(max(np.max(drawn.total_spin_sq), np.max(drawn.total_sz)))
+    pair_resonant = float(np.max(symmetry_report(_resonances(10.0)).pair_spin_sq))
     pair_generic = symmetry_report(DimensionlessParams(10.0, 2.0)).pair_spin_sq
     passed = worst_total < 1e-10 and pair_resonant < 1e-10 and pair_generic > 1e-3
     return CriterionResult(

@@ -31,7 +31,8 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .closed_form import DimensionlessParams
+from .errors import NumericError
 from .spin_algebra import recoupling_matrix_elements
 
 _RESIDUAL_RTOL = 1e-8
@@ -116,18 +117,10 @@ def _system(
 
 
 def _points(u, theta) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if u.ndim != 1 or u.shape != theta.shape:
-        raise ValueError(
-            f"u and theta must be 1-D arrays of one length, got shapes {u.shape} "
-            f"and {theta.shape}"
-        )
-    if not np.all(np.isfinite(u) & (u >= 0)):
-        raise DomainError("coupling u must be finite and >= 0")
-    if not np.all(np.isfinite(theta) & (theta > 0)):
-        raise DomainError("phase theta must be finite and > 0")
-    return u, theta
+    p = DimensionlessParams(u, theta)  # validates every point
+    if np.ndim(p.u) != 1:
+        raise ValueError(f"u and theta must be 1-D arrays, got shape {np.shape(p.u)}")
+    return p.u, p.theta
 
 
 def _solve(

@@ -34,9 +34,29 @@ class TestParams:
     def test_rejects_bad_inputs(self, u, theta):
         with pytest.raises(DomainError):
             DimensionlessParams(u, theta)
+        with pytest.raises(DomainError, match=f"got {u if u != 1.0 else theta}"):
+            DimensionlessParams([1.0, 2.0, u], [1.0, 2.0, theta])  # any bad element
 
     def test_zero_coupling_allowed(self):
         assert DimensionlessParams(0.0, 1.0).u == 0.0
+
+    def test_one_point_holds_python_floats(self):
+        p = DimensionlessParams(np.float64(2.0), 1)
+        assert type(p.u) is float and type(p.theta) is float
+        assert repr(p) == "DimensionlessParams(u=2.0, theta=1.0)"
+
+    def test_stack_holds_read_only_arrays(self):
+        u = [1.0, 2.0]
+        p = DimensionlessParams(u, np.array([0.5, 0.7]))
+        assert p.u.shape == p.theta.shape == (2,)
+        assert not p.u.flags.writeable
+        np.testing.assert_array_equal(p.g, np.pi * np.array(u))
+
+    @pytest.mark.parametrize("u,theta", [(np.ones(3), np.ones(4)), (1.0, np.ones(2)),
+                                         (np.ones((2, 3)), np.ones(6))])
+    def test_rejects_stacks_of_unequal_shape(self, u, theta):
+        with pytest.raises(ValueError, match="one shape"):
+            DimensionlessParams(u, theta)
 
 
 class TestQuartet:
@@ -115,6 +135,21 @@ class TestDeterminant:
         for _ in range(200):
             p = DimensionlessParams(rng.uniform(0.01, 20), rng.uniform(0.01, 2 * math.pi))
             assert abs(det_t_minus_identity(p) - reference_determinant(p)) < 1e-10
+
+
+class TestStacks:
+    def test_stacked_closed_forms_equal_per_point_calls(self):
+        rng = np.random.default_rng(12)
+        u = rng.uniform(0.0, 50.0, (4, 10))
+        theta = rng.uniform(1e-6, 4 * math.pi, (4, 10))
+        stacked = DimensionlessParams(u, theta)
+        forms = ((t_quartet, ()), (t_doublet, (2, 2)), (det_t_minus_identity, ()))
+        for form, shape in forms:
+            values = form(stacked)
+            assert values.shape == u.shape + shape
+            for i in np.ndindex(u.shape):
+                one = form(DimensionlessParams(u[i], theta[i]))
+                assert np.max(np.abs(values[i] - one)) <= 1e-15
 
 
 class TestChannelAmplitudes:

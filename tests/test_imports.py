@@ -58,6 +58,15 @@ def test_benchmark_names_resolve(module, name):
     assert callable(obj) or isinstance(obj, tuple)
 
 
+def test_benchmark_oracle_call_returns_8x8_blocks():
+    # perfbench/checks.py multiplies the transmission block by one 8-vector
+    from spinfp.closed_form import DimensionlessParams
+    from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
+
+    p = DimensionlessParams(1.3, 2.1)
+    assert oracle_scattering(two_impurity_chain(p)).transmission.shape == (8, 8)
+
+
 def test_verify_binds_run_sweep_at_module_level():
     from spinfp.scenarios import sweeps, verify
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,14 @@ class TestSweeps:
         ]
         assert point[0, 3] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("family", ["family2", "uu_dd"])
+    def test_family_name_is_case_insensitive(self, family):
+        base = {"sweep": "family", "u_list": "1,3", "vartheta_steps": "5", "phi_steps": "3"}
+        expected = run_sweep(build_config({**base, "impurity_state": family})).rows
+        for spec in (family.upper(), family.capitalize()):
+            rows = run_sweep(build_config({**base, "impurity_state": spec})).rows
+            assert rows.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "settings, lead",
         [  # the lead values of each row, u outermost
@@ -479,6 +488,18 @@ class TestCli:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"impurity_state = {impurity}\noutput = {out_file}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert not out_file.exists()
+
+    def test_overflowing_theta_grid_rejected_at_parse_time(self, tmp_path, capsys):
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(
+            f"theta_max = 1e308\ntheta_steps = 5\nimpurity_state = ud\noutput = {out_file}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow must not warn
+            assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert "theta_max = 1e+308" in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("kind", ["family", "theta"])

@@ -145,6 +145,52 @@ class TestOracleScattering:
         assert commutator(DimensionlessParams(10.0, 2.0)) > 1e-3
 
 
+class TestStacks:
+    def test_stacked_oracle_equals_per_point_calls(self):
+        rng = np.random.default_rng(35)
+        u = rng.uniform(1e-6, 20.0, (5, 8))
+        theta = rng.uniform(1e-6, 2 * math.pi, (5, 8))
+        stacked = oracle_scattering(two_impurity_chain(DimensionlessParams(u, theta)))
+        names = ("transmission", "reflection", "transmission_right", "reflection_right")
+        for i in np.ndindex(u.shape):
+            one = oracle_scattering(two_impurity_chain(DimensionlessParams(u[i], theta[i])))
+            for name in names:
+                block = getattr(stacked, name)
+                assert block.shape == u.shape + (8, 8)
+                assert np.max(np.abs(block[i] - getattr(one, name))) <= 1e-15
+
+    def test_array_strengths_and_wave_number_broadcast(self):
+        strengths = np.array([[0.5], [2.0], [7.0]])  # (3, 1) against k of shape (4,)
+        k = np.array([0.3, 1.0, 2.5, 4.0])
+        chain = ImpurityChain(
+            sites=(Impurity(0.0, strengths, 1), Impurity(1.4, 2.0, 2)), wave_number=k
+        )
+        stacked = oracle_scattering(chain)
+        assert stacked.transmission.shape == (3, 4, 8, 8)
+        for i, j in np.ndindex(3, 4):
+            one = ImpurityChain(
+                sites=(Impurity(0.0, float(strengths[i, 0]), 1), Impurity(1.4, 2.0, 2)),
+                wave_number=float(k[j]),
+            )
+            one_reflection = oracle_scattering(one).reflection
+            assert np.max(np.abs(stacked.reflection[i, j] - one_reflection)) <= 1e-15
+
+    def test_stacked_chain_validated_per_element(self):
+        with pytest.raises(DomainError):
+            Impurity(0.0, np.array([1.0, -1.0]), 1)
+        with pytest.raises(DomainError):
+            ImpurityChain(sites=(), wave_number=np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("u", [1e3, 1e4, 1e6])
+    def test_unitary_at_strong_coupling(self, u):
+        # the scattering-matrix check runs inside every call; the defect is
+        # measured again here against a bound far below it
+        for theta in np.random.default_rng(36).uniform(1e-6, 2 * math.pi, 40):
+            chain = two_impurity_chain(DimensionlessParams(u, theta))
+            s = oracle_scattering(chain).s_matrix()
+            assert np.max(np.abs(s.conj().T @ s - np.eye(16))) < 1e-14
+
+
 class TestOracleTransmittivity:
     def test_free_chain(self):
         chain = ImpurityChain(sites=(), wave_number=1.0)
@@ -186,3 +232,15 @@ class TestFullScatteringMatrix:
                 transmission_right=1.1 * eye,
                 reflection_right=np.zeros((8, 8)),
             )
+
+    def test_unitarity_failure_names_wave_number_defect_and_bound(self):
+        from spinfp.errors import NumericError
+
+        blocks = np.broadcast_to(np.eye(8), (3, 8, 8)).copy()
+        blocks[1] *= 1.1
+        zero = np.zeros((3, 8, 8))
+        k = np.array([1.0, 2.5, 3.0])
+        with pytest.raises(NumericError) as info:
+            FullScatteringMatrix(blocks, zero, blocks, zero, wave_number=k)
+        message = str(info.value)
+        assert "wave number 2.5" in message and "2.100e-01" in message and "1e-10" in message

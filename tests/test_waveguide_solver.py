@@ -170,26 +170,20 @@ def kernel_draws(n=500):
 class TestAmplitudes:
     def test_matches_closed_form_and_oracle(self):
         u, theta = kernel_draws()
+        p = DimensionlessParams(u, theta)
         t, r = amplitudes(u, theta)
         b = coupled_basis().matrix
-        worst_closed = worst_oracle = 0.0
-        for i in range(len(u)):
-            p = DimensionlessParams(u[i], theta[i])
-            worst_closed = max(
-                worst_closed,
-                abs(t[i, 0, 0] - t_quartet(p)),
-                np.max(np.abs(t[i][DOUBLET] - t_doublet(p))),
-            )
-            full = oracle_scattering(two_impurity_chain(p))
-            worst_oracle = max(
-                worst_oracle,
-                np.max(np.abs(b.conj().T @ full.transmission @ b - t[i])),
-                np.max(np.abs(b.conj().T @ full.reflection @ b - r[i])),
-            )
+        worst_closed = max(
+            np.max(np.abs(t[:, 0, 0] - t_quartet(p))),
+            np.max(np.abs(t[:, DOUBLET[0], DOUBLET[1]] - t_doublet(p))),
+        )
+        full = oracle_scattering(two_impurity_chain(p))
+        worst_oracle = max(
+            np.max(np.abs(b.conj().T @ full.transmission @ b - t)),
+            np.max(np.abs(b.conj().T @ full.reflection @ b - r)),
+        )
         assert worst_closed < 1e-13
-        # the transfer-matrix products lose accuracy roughly as u^2: about
-        # 1.4e-13 at u = 20, against 5e-14 for the closed form
-        assert worst_oracle < 1e-12
+        assert worst_oracle < 1e-13
 
     def test_single_point_matches_batch(self):
         u, theta = kernel_draws(60)
