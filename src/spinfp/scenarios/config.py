@@ -19,6 +19,7 @@ neither sets takes its sweep kind's default.  A key may appear only once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,9 @@ from ..errors import DomainError
 from . import states
 
 GRID_CAP = 10**7
+# the kernel's solve gives a nan residual at subnormal phases (from 1e-308 at
+# u = 1e-6, from 1e-309 at u = 1 to 1e3) and passes at the smallest normal one
+_SMALLEST_PHASE = sys.float_info.min
 
 _TWO_PI = 2.0 * math.pi
 
@@ -132,6 +136,12 @@ def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, .
             pts = np.linspace(theta_min, theta_max, steps)
     if not np.all(np.isfinite(pts)):
         raise ConfigError(f"theta_max = {theta_max!r} overflows a grid of {steps} phases")
+    if pts[0] < _SMALLEST_PHASE:
+        key, value = ("theta_min", theta_min) if theta_min else ("theta_max", theta_max)
+        raise ConfigError(
+            f"{key} = {value!r} gives the phase {float(pts[0])!r}, below the smallest "
+            f"normal double {_SMALLEST_PHASE!r}"
+        )
     return tuple(float(t) for t in pts)
 
 
@@ -219,8 +229,11 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     fixed_theta: float | None = None
     if kind != "theta":
         fixed_theta = _parse_float(resolved["theta"], "theta")
-        if fixed_theta <= 0:
-            raise ConfigError("theta must be > 0")
+        if fixed_theta < _SMALLEST_PHASE:
+            raise ConfigError(
+                f"theta = {fixed_theta!r} must be at least the smallest normal double "
+                f"{_SMALLEST_PHASE!r}"
+            )
     if kind == "theta":
         theta_min = _parse_float(resolved["theta_min"], "theta_min")
         theta_max = _parse_float(resolved["theta_max"], "theta_max")

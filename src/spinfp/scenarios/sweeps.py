@@ -11,7 +11,13 @@ per chunk, then the row builder ``observables.observable_table`` for all
 three sweep kinds, whose rows are written into one float64 table beside the
 lead columns (the config's grid values).  Every value of a row is computed
 from its own point only, so the output does not depend on the chunk size.
-``render_csv`` formats that table ``CHUNK`` rows at a time.
+
+``render_csv`` formats that table ``CHUNK`` rows at a time with
+``_format.format_rows``: every value reads exactly as ``format_float``
+(``%.17g``) prints it, but numpy computes the digits of the whole chunk.
+Only nan, +-inf, values outside (1e-280, 1e280) and values within 1e-6 of a
+rounding tie go through ``format_float`` one by one (2 of the 985,976 values
+of the figure presets).
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from ..observables import _matvec, observable_table
 from ..spin_algebra import coupled_basis
 from ..waveguide_solver import amplitudes
+from ._format import format_float, format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
 
@@ -36,7 +43,6 @@ _AMP_COLUMNS = tuple(
     name for ket in _KETS for name in (f"re_t_{ket}", f"im_t_{ket}")
 )
 _OBSERVABLE_COLUMNS = ("T", "T_up", "T_down", *_AMP_COLUMNS, "R")
-_FLOAT_SPEC = ".17g"
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,17 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(header=header, columns=columns, rows=rows)
 
 
-def format_float(value: float) -> str:
-    return format(value, _FLOAT_SPEC)
-
-
 def render_csv(result: SweepResult) -> str:
-    """The CSV text; the rows are formatted ``CHUNK`` at a time, one template each."""
-    row_template = ",".join(["%" + _FLOAT_SPEC] * len(result.columns))
-    lines = [*result.header, ",".join(result.columns)]
+    """The CSV text: the header lines, the column names, then one line per row.
+
+    Every value reads exactly as ``format_float`` (``%.17g``) prints it; numpy
+    computes the digits ``CHUNK`` rows at a time, and only the fallback set of
+    the module docstring goes through ``format_float`` value by value.
+    """
+    parts = ["\n".join([*result.header, ",".join(result.columns)]) + "\n"]
     for s in _chunks(len(result.rows)):
-        chunk = result.rows[s]
-        lines.append("\n".join([row_template] * len(chunk)) % tuple(chunk.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        parts.append(format_rows(result.rows[s]).decode("ascii"))
+    return "".join(parts)
 
 
 def write_csv(result: SweepResult, path: str | Path) -> Path:

@@ -1,4 +1,5 @@
-"""The package imports on numpy alone: no sympy, scipy or mpmath at run time.
+"""The package imports on numpy alone: no sympy, scipy or mpmath at run time,
+and no lookup table is built at import.
 
 Also checks that the names the benchmark harness looks up still resolve.
 """
@@ -17,19 +18,35 @@ import spinfp
 HEAVY = ("sympy", "scipy", "mpmath")
 
 
-@pytest.mark.parametrize("module", ["spinfp", "spinfp.scenarios.cli"])
-def test_import_loads_no_heavy_dependency(module):
+def _run(script: str) -> str:
+    """stdout of ``script`` in a fresh interpreter that imports this source tree."""
     env = dict(os.environ)
     source = str(Path(spinfp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["spinfp", "spinfp.scenarios.cli"])
+def test_import_loads_no_heavy_dependency(module):
     script = (
         f"import sys, {module}\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {HEAVY!r}))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    assert _run(script) == "[]"
+
+
+def test_import_builds_no_format_table():
+    # the formatter's 10^k, digit and exponent tables cost set-up time; they
+    # are built for the first rendered CSV, not at import
+    script = (
+        "import spinfp.scenarios.cli\n"
+        "from spinfp.scenarios import _format as fmt\n"
+        "print([t.cache_info().currsize for t in (fmt._powers, fmt._quads, fmt._exponents)])"
     )
-    assert proc.stdout.strip() == "[]"
+    assert _run(script) == "[0, 0, 0]"
 
 
 # names the benchmark harness (perfbench/) looks up; a deletion that breaks

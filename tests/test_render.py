@@ -1,0 +1,100 @@
+"""``render_csv`` prints every value exactly as ``format_float`` (``%.17g``) does.
+
+The rows are formatted by numpy (``scenarios._format``); the reference is the
+one-value formatter joined per row.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from spinfp.scenarios import _format
+from spinfp.scenarios.config import build_config
+from spinfp.scenarios.sweeps import SweepResult, format_float, render_csv, run_sweep
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+RUNS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def reference(header, columns, rows) -> str:
+    lines = [*header, ",".join(columns)]
+    lines += [",".join(format_float(v) for v in row) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def assert_renders_exactly(values, width=3):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate([values, np.zeros(-len(values) % width)])
+    rows = values.reshape(-1, width)
+    columns = tuple(f"c{i}" for i in range(width))
+    result = SweepResult(header=("# scenario = x",), columns=columns, rows=rows)
+    assert render_csv(result) == reference(result.header, columns, rows)
+
+
+@RUNS
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
+def test_any_float(values, width):
+    assert_renders_exactly(values, width)
+
+
+@RUNS
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+def test_any_bit_pattern(patterns):
+    assert_renders_exactly(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([10.0**k for k in range(-300, 301)])
+    return np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    )
+
+
+def _edges(limit):
+    return [np.nextafter(limit, 0.0), limit, np.nextafter(limit, np.inf)]
+
+
+EXPLICIT = {
+    "ties": [2.0**50 + 0.25, 2.0**50 + 0.75, -(2.0**50 + 0.25)],
+    "powers of ten": _powers_of_ten_and_neighbours(),
+    # 17 digits round up into the next decade, or sit just below it
+    "decade carries": [9.9999999999999997e-278, 1e-243, 1e-14, 1e98, 1e220,
+                       np.nextafter(1e17, 0.0), np.nextafter(1e16, 0.0)],
+    "fallback edges": [s * v for s in (1.0, -1.0) for v in _edges(1e-280) + _edges(1e280)],
+    "specials": [0.0, -0.0, math.nan, math.inf, -math.inf, sys.float_info.max,
+                 -sys.float_info.max, 5e-324, -5e-324, sys.float_info.min],
+    "notation switch": [1e-4, 9.9999999999999991e-05, 1e-5, 1e16, 1e17, 123456789012345678.0,
+                        12345678901234567.0, 0.5, 1.0 / 3.0, 100.0, 1200.0],
+}
+
+
+@pytest.mark.parametrize("values", EXPLICIT.values(), ids=EXPLICIT.keys())
+def test_explicit_values(values):
+    assert_renders_exactly(values)
+
+
+def test_only_the_fallback_set_is_formatted_one_by_one(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_float(value)
+
+    monkeypatch.setattr(_format, "format_float", counted)
+    tie = 2.0**50 + 0.25  # 1125899906842624.25: a tie at 17 digits, rounds to even
+    assert_renders_exactly([1.5, tie, -0.0, 1e-300, math.inf, 0.1])
+    assert calls == [tie, 1e-300, math.inf]
+    calls.clear()
+    # a carry to 10^17 stays on the fast path
+    assert_renders_exactly([*np.linspace(-3.0, 7.0, 99), *EXPLICIT["decade carries"]])
+    assert calls == []
+
+
+@pytest.mark.parametrize("scenario", ["fig2a", "fig4"])
+def test_preset_tables(scenario):
+    result = run_sweep(build_config({"scenario": scenario}))
+    assert render_csv(result) == reference(result.header, result.columns, result.rows)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -501,6 +502,35 @@ class TestCli:
             assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert "theta_max = 1e+308" in capsys.readouterr().err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "settings,key",
+        [
+            ("impurity_state = ud\ntheta_min = 1e-320\ntheta_max = 1", "theta_min"),
+            ("impurity_state = ud\ntheta_min = 0\ntheta_max = 1e-310", "theta_max"),
+            ("sweep = family\nimpurity_state = family2\ntheta = 1e-320", "theta"),
+            ("scenario = fig7\ntheta = 1e-320", "theta"),
+        ],
+    )
+    def test_subnormal_phase_rejected_at_parse_time(self, tmp_path, capsys, settings, key):
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(f"{settings}\noutput = {out_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert f"{key} = " in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("sweep", ["impurity_state = ud\ntheta_min = {}\ntheta_steps = 3",
+                                       "sweep = family\nimpurity_state = family2\ntheta = {}"])
+    def test_smallest_normal_phase_accepted(self, tmp_path, sweep):
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(
+            sweep.format(repr(sys.float_info.min)) + "\nu_list = 1e-6,1,1e3\n"
+            f"vartheta_steps = 3\nphi_steps = 2\noutput = {out_file}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        assert out_file.exists()
 
     @pytest.mark.parametrize("kind", ["family", "theta"])
     def test_huge_electron_amplitudes_accepted(self, tmp_path, kind):
