@@ -169,20 +169,24 @@ def concurrence(state: np.ndarray) -> float:
     raise DomainError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
 
 
-def fixed_point_subspace(p: DimensionlessParams) -> tuple[int, np.ndarray]:
+def fixed_point_subspace(
+    p: DimensionlessParams,
+) -> tuple[int, np.ndarray] | tuple[np.ndarray, list[np.ndarray]]:
     """Eigenvalue-1 subspace of the product-basis transmission matrix.
 
     Detected through singular values of (T - I) below ``FIXED_POINT_TOL``.
-    Returns the dimension and an 8 x dim array of orthonormal spanning
-    vectors.
+    For one point, returns the dimension and an 8 x dim array of orthonormal
+    spanning vectors.  For a 1-D stack, one kernel call and one stacked SVD
+    give an int array of dimensions and a list of those arrays, one per
+    point (the dimensions differ, so the list is ragged).
     """
-    basis = coupled_basis()
-    t_mat, _ = amplitudes([p.u], [p.theta])
-    t_prod = basis.matrix @ t_mat[0] @ basis.matrix.conj().T
-    _, svals, vh = np.linalg.svd(t_prod - np.eye(8))
+    basis = coupled_basis().matrix
+    t_mat, _ = amplitudes(np.atleast_1d(p.u), np.atleast_1d(p.theta))
+    _, svals, vh = np.linalg.svd(basis @ t_mat @ basis.conj().T - np.eye(8))
     hits = svals < FIXED_POINT_TOL
-    vectors = vh.conj().T[:, hits]
-    return int(np.count_nonzero(hits)), vectors
+    dims = np.count_nonzero(hits, axis=-1)
+    vectors = [v.conj().T[:, hit] for v, hit in zip(vh, hits)]
+    return (int(dims[0]), vectors[0]) if np.ndim(p.u) == 0 else (dims, vectors)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,13 @@ import numpy as np
 from ..errors import DomainError
 from . import states
 
-GRID_CAP = 10**7
+# Largest accepted grid, in rows.  Marginal cost per row of a whole sweep
+# (config to CSV on disk), measured between 3e4 and 3e5 rows on a 2-vCPU,
+# 8.2 GB machine: theta 14.6 us and 0.68 kB, coupling 16.3 us and 0.75 kB,
+# family 7.4 us and 0.71 kB.  Memory binds: a quarter of the machine (2 GB)
+# holds 2.6e6 rows at 0.75 kB, a minute holds 3.7e6 at 16.3 us.  Rounded
+# down, 2e6 rows run in at most about 35 s and peak near 1.5 GB.
+GRID_CAP = 2 * 10**6
 # the kernel's solve gives a nan residual at subnormal phases (from 1e-308 at
 # u = 1e-6, from 1e-309 at u = 1 to 1e3) and passes at the smallest normal one
 _SMALLEST_PHASE = sys.float_info.min
@@ -84,8 +90,7 @@ class SweepConfig:
     impurity_state: str
     output: str
     u_values: tuple[float, ...]
-    theta_values: tuple[float, ...]          # sweep grid (theta kind)
-    fixed_theta: float | None                # family / coupling kinds
+    theta_values: tuple[float, ...]          # the phases; one for family / coupling
     vartheta_values: tuple[float, ...]
     phi_values: tuple[float, ...]
     echo: tuple[tuple[str, str], ...]        # resolved settings for the header
@@ -226,31 +231,29 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         if not 0 <= u_lo < u_hi:
             raise ConfigError("need 0 <= u_min < u_max")
 
-    fixed_theta: float | None = None
-    if kind != "theta":
-        fixed_theta = _parse_float(resolved["theta"], "theta")
-        if fixed_theta < _SMALLEST_PHASE:
-            raise ConfigError(
-                f"theta = {fixed_theta!r} must be at least the smallest normal double "
-                f"{_SMALLEST_PHASE!r}"
-            )
     if kind == "theta":
         theta_min = _parse_float(resolved["theta_min"], "theta_min")
         theta_max = _parse_float(resolved["theta_max"], "theta_max")
         theta_steps = _parse_int(resolved["theta_steps"], "theta_steps")
         per_u = theta_steps
-    elif kind == "family":
+    else:  # one fixed phase
+        theta = _parse_float(resolved["theta"], "theta")
+        if theta < _SMALLEST_PHASE:
+            raise ConfigError(
+                f"theta = {theta!r} must be at least the smallest normal double "
+                f"{_SMALLEST_PHASE!r}"
+            )
+        theta_values = (theta,)
+        per_u = 1
+    if kind == "family":
         vsteps = _parse_int(resolved["vartheta_steps"], "vartheta_steps")
         psteps = _parse_int(resolved["phi_steps"], "phi_steps")
         per_u = vsteps * psteps
-    else:
-        per_u = 1
 
     points = u_count * per_u  # checked before any grid is allocated
     if points > GRID_CAP:
         raise ConfigError(f"grid of {points} points exceeds cap {GRID_CAP}")
 
-    theta_values: tuple[float, ...] = ()
     vartheta_values: tuple[float, ...] = ()
     phi_values: tuple[float, ...] = ()
     if kind == "theta":
@@ -273,7 +276,6 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         output=resolved["output"],
         u_values=u_values,
         theta_values=theta_values,
-        fixed_theta=fixed_theta,
         vartheta_values=vartheta_values,
         phi_values=phi_values,
         echo=echo,

@@ -11,6 +11,9 @@ per chunk, then the row builder ``observables.observable_table`` for all
 three sweep kinds, whose rows are written into one float64 table beside the
 lead columns (the config's grid values).  Every value of a row is computed
 from its own point only, so the output does not depend on the chunk size.
+Every sweep kind reads its phases from ``SweepConfig.theta_values``, which
+holds one phase for family and coupling sweeps, so theta and coupling
+sweeps are the same grid of points (u, theta).
 
 ``render_csv`` formats that table ``CHUNK`` rows at a time with
 ``_format.format_rows``: every value reads exactly as ``format_float``
@@ -63,12 +66,8 @@ def _chunks(n: int):
 
 def _point_table(cfg: SweepConfig) -> np.ndarray:
     """Theta and coupling sweeps: one incident state over the points (u, theta)."""
-    if cfg.kind == "theta":  # u is the outer axis
-        u = np.repeat(cfg.u_values, len(cfg.theta_values))
-        theta = np.tile(cfg.theta_values, len(cfg.u_values))
-    else:
-        u = np.asarray(cfg.u_values)
-        theta = np.full(len(u), cfg.fixed_theta)
+    u = np.repeat(cfg.u_values, len(cfg.theta_values))  # u is the outer axis
+    theta = np.tile(cfg.theta_values, len(cfg.u_values))
     chi = incident_state(cfg.electron_spin, cfg.impurity_state)
     coeffs = coupled_basis().to_coupled(chi)[None, :]
     out = np.empty((len(u), 2 + len(_OBSERVABLE_COLUMNS)))
@@ -87,14 +86,15 @@ def _family_table(cfg: SweepConfig) -> np.ndarray:
     chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
     coeffs = _matvec(coupled_basis().matrix.conj().T, chi)
     u = np.asarray(cfg.u_values)
+    theta = cfg.theta_values[0]
     out = np.empty((len(u), len(pairs), 3 + len(_OBSERVABLE_COLUMNS)))
     out[..., 0], out[..., 1], out[..., 2] = vartheta.ravel(), phi.ravel(), u[:, None]
     for k in _chunks(len(u)):
-        t_block, r_block = amplitudes(u[k], np.full(len(u[k]), cfg.fixed_theta))
+        t_block, r_block = amplitudes(u[k], np.full(len(u[k]), theta))
         for block, u_i, t, r in zip(out[k], u[k], t_block, r_block):
             for s in _chunks(len(pairs)):
                 block[s, 3:] = observable_table(
-                    t[None], r[None], coeffs[s], u_i, cfg.fixed_theta
+                    t[None], r[None], coeffs[s], u_i, theta
                 )
     return out.reshape(-1, out.shape[-1])
 

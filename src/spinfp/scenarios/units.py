@@ -48,20 +48,41 @@ class PhysicalParams:
             raise DomainError("coupling must be finite and >= 0")
 
 
-def wave_number(effective_mass: float, energy_mev: float) -> float:
-    """Electron wave number in 1/m."""
+def _finite_positive(
+    value: float, quantity: str, effective_mass: float, energy_mev: float
+) -> float:
+    """``value``, or a DomainError naming the inputs when it is not finite and > 0.
+
+    At extreme magnitudes the SI products under- or overflow.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(
+            f"effective_mass = {effective_mass!r} and energy_mev = {energy_mev!r} give "
+            f"{quantity} {value!r}; it must be finite and > 0"
+        )
+    return value
+
+
+def _si(effective_mass: float, energy_mev: float) -> tuple[float, float]:
+    """The mass in kg and the energy in J."""
     if effective_mass <= 0 or energy_mev <= 0:
         raise DomainError("mass and energy must be positive")
-    m = effective_mass * ELECTRON_MASS
-    e = energy_mev * _MEV
-    return math.sqrt(2.0 * m * e) / HBAR
+    return effective_mass * ELECTRON_MASS, energy_mev * _MEV
+
+
+def wave_number(effective_mass: float, energy_mev: float) -> float:
+    """Electron wave number in 1/m."""
+    m, e = _si(effective_mass, energy_mev)
+    k = math.sqrt(2.0 * m * e) / HBAR
+    return _finite_positive(k, "the wave number", effective_mass, energy_mev)
 
 
 def density_of_states(effective_mass: float, energy_mev: float) -> float:
     """1D density of states per unit length, in 1/(J*m)."""
-    m = effective_mass * ELECTRON_MASS
-    e = energy_mev * _MEV
-    return math.sqrt(2.0 * m / e) / (math.pi * HBAR)
+    m, e = _si(effective_mass, energy_mev)
+    ratio = 2.0 * m / e if e > 0 else math.inf  # e is 0 when energy_mev underflows
+    rho = math.sqrt(ratio) / (math.pi * HBAR)
+    return _finite_positive(rho, "the density of states", effective_mass, energy_mev)
 
 
 def convert_units(phys: PhysicalParams) -> DimensionlessParams:

@@ -3,6 +3,11 @@
 Each criterion evaluates one falsifiable claim of the model at a fixed
 tolerance and reports the measured quantity, so a failure is directly
 actionable.  Everything is deterministic (seeded random draws).
+
+Every check runs on stacks of points: the kernel, the closed forms, the
+oracle and ``fixed_point_subspace`` take all of a criterion's points in one
+call (criterion 1 in chunks of ``sweeps.CHUNK``), and criteria 7 and 8 read
+the figure presets' sweep tables instead of scanning the same grids again.
 """
 
 from __future__ import annotations
@@ -149,27 +154,27 @@ def criterion_transparency_uniqueness() -> CriterionResult:
     target = np.column_stack(
         [np.kron([1.0, 0.0], singlet), np.kron([0.0, 1.0], singlet)]
     )
-    max_angle = 0.0
-    for n in (1, 2, 3):
-        for u in (0.5, 3.0, 40.0):
-            dim, vecs = fixed_point_subspace(DimensionlessParams(u, n * math.pi))
-            if dim != 2:
-                return CriterionResult(
-                    4, "transparent-subspace uniqueness", False,
-                    f"dimension {dim} != 2 at theta = {n} pi, u = {u}",
-                )
-            overlap = target.conj().T @ vecs
-            angles = np.arccos(np.clip(np.linalg.svd(overlap, compute_uv=False), -1, 1))
-            max_angle = max(max_angle, float(np.max(angles)))
-    off_count = 0
+    resonant = [(n, u) for n in (1, 2, 3) for u in (0.5, 3.0, 40.0)]
+    ns, us = np.transpose(resonant)
+    dims, vecs = fixed_point_subspace(DimensionlessParams(us, ns * math.pi))
+    for (n, u), dim in zip(resonant, dims):
+        if dim != 2:
+            return CriterionResult(
+                4, "transparent-subspace uniqueness", False,
+                f"dimension {dim} != 2 at theta = {n} pi, u = {u}",
+            )
+    # principal angles from their sines, the singular values of V - T T^H V:
+    # a cosine within an ulp of 1 hides any angle below 1.5e-8
+    vecs = np.asarray(vecs)
+    sines = np.linalg.svd(vecs - target @ (target.conj().T @ vecs), compute_uv=False)
+    max_angle = float(np.max(np.arcsin(np.minimum(sines, 1.0))))
     points = []
     for _ in range(100):
         theta = rng.uniform(0.05, math.pi - 0.05) + rng.integers(0, 2) * math.pi
         u = rng.uniform(0.5, 20.0)
-        dim, _ = fixed_point_subspace(DimensionlessParams(u, theta))
-        off_count += dim == 0
         points.append((u, theta))
     p = DimensionlessParams(*np.transpose(points))
+    off_count = int(np.count_nonzero(fixed_point_subspace(p)[0] == 0))
     det = det_t_minus_identity(p)
     min_det = float(np.min(np.abs(det)))
     max_det_err = float(np.max(np.abs(det - _independent_determinant(p))))
@@ -228,8 +233,8 @@ def criterion_recoupling_values() -> CriterionResult:
 
 def criterion_entanglement_generation() -> CriterionResult:
     chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, pair down-down
-    u = np.linspace(0.01, 10.0, 1000)
-    t_down = _scan(chi, u, np.full(len(u), math.pi))[:, 2]  # columns T, T_up, T_down, ...
+    _, rows = _sweep_rows("fig7")  # u from 0.01 to 10 at theta = pi, impurities dd
+    u, t_down = rows[:, 1], rows[:, 4]  # columns theta, u, T, T_up, T_down, ...
     best = int(np.argmax(t_down))  # the first of equal maxima
     best_t = float(t_down[best])
     best_u = float(u[best])
@@ -270,16 +275,13 @@ def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
     return step, offsets
 
 
-def _scan(chi: SpinVector, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Sweep columns T, T_up, T_down, ... of one incident state, one kernel call."""
-    t, r = amplitudes(u, theta)
-    return observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], u, theta)
-
-
-def _curve(impurity_spec: str, thetas, u: float) -> np.ndarray:
-    """T over the phases ``thetas`` at coupling u, electron up."""
+def _curve(impurity_spec: str, thetas, u) -> np.ndarray:
+    """T at the points (u, theta) in one kernel call, electron up; u may be one value."""
     theta = np.asarray(thetas, dtype=float)
-    return _scan(incident_state("u", impurity_spec), np.full(len(theta), u), theta)[:, 0]
+    u = np.broadcast_to(u, theta.shape)
+    t, r = amplitudes(u, theta)
+    coeffs = coupled_basis().to_coupled(incident_state("u", impurity_spec))[None, :]
+    return observable_table(t, r, coeffs, u, theta)[:, 0]
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901
@@ -311,11 +313,12 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
         t_vals = sel[:, 2]
         window = (thetas >= math.pi / 2) & (thetas <= 3 * math.pi / 2)
         widths.append(float(np.count_nonzero(t_vals[window] >= 0.5) * step))
-        # the 2001-point grid straddles pi, so probe the resonance directly
-        for theta in (math.pi, 2 * math.pi):
-            t_res = _curve("psi-", (theta,), u)[0]
-            if t_res < 1.0 - 1e-10:
-                problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
+    # the 2001-point grid straddles pi, so probe the resonances directly
+    probes = [(u, theta) for u in (1.0, 2.0, 10.0) for theta in (math.pi, 2 * math.pi)]
+    us, thetas = np.transpose(probes)
+    for (u, theta), t_res in zip(probes, _curve("psi-", thetas, us).tolist()):
+        if t_res < 1.0 - 1e-10:
+            problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
     if not widths[0] > widths[1] > widths[2]:
         problems.append(f"fig3b widths not decreasing: {widths}")
     notes.append("fig3b half-height widths = " + ", ".join(f"{w:.4f}" for w in widths))

@@ -246,6 +246,22 @@ class TestFixedPointSubspace:
     def test_free_wire_is_fully_transparent(self):
         assert fixed_point_subspace(DimensionlessParams(0.0, 1.0))[0] == 8
 
+    def test_stack_equals_per_point_calls(self):
+        rng = np.random.default_rng(17)
+        n, u = np.meshgrid([1, 2, 3], [0.5, 3.0, 40.0], indexing="ij")
+        u = np.concatenate([u.ravel(), rng.uniform(0.5, 20.0, 10)])
+        theta = np.concatenate([n.ravel() * math.pi, rng.uniform(0.05, math.pi - 0.05, 10)])
+        dims, vecs = fixed_point_subspace(DimensionlessParams(u, theta))
+        assert dims.dtype.kind == "i" and dims.tolist() == [2] * 9 + [0] * 10
+        assert len(vecs) == len(u) and vecs[-1].shape == (8, 0)
+        for i in range(len(u)):
+            dim, v = fixed_point_subspace(DimensionlessParams(float(u[i]), float(theta[i])))
+            assert isinstance(dim, int) and dim == dims[i]
+            assert vecs[i].shape == v.shape == (8, dim)
+            np.testing.assert_allclose(
+                vecs[i] @ vecs[i].conj().T, v @ v.conj().T, rtol=0, atol=1e-13
+            )
+
 
 class TestSymmetryReport:
     def test_always_conserved(self):

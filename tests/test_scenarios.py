@@ -70,6 +70,9 @@ class TestUnits:
             PhysicalParams(0.067, -2.0, 1.0, 50.0)
         with pytest.raises(DomainError):
             spacing_for_phase(0.067, 2.0, 0.0)
+        for quantity in (units.wave_number, units.density_of_states):
+            with pytest.raises(DomainError, match="mass and energy must be positive"):
+                quantity(-1.0, 2.0)
 
 
 class TestStates:
@@ -198,7 +201,7 @@ class TestConfig:
     def test_family_preset(self):
         cfg = build_config({"scenario": "fig4"})
         assert cfg.kind == "family"
-        assert cfg.fixed_theta == pytest.approx(math.pi)
+        assert cfg.theta_values == pytest.approx((math.pi,))
         assert cfg.u_values == (10.0,)
         assert cfg.vartheta_values[0] == 0.0
         assert cfg.vartheta_values[-1] == pytest.approx(2 * math.pi)
@@ -280,6 +283,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="u_list conflicts with u_steps"):
             build_config({"scenario": "fig7", "u_list": "1,3", "u_steps": "5"})
 
+    def test_grid_cap_is_exact(self):
+        per_u = config_mod.GRID_CAP // 4
+        assert per_u * 4 == config_mod.GRID_CAP
+        cfg = build_config({"scenario": "fig4", "vartheta_steps": str(per_u), "phi_steps": "4"})
+        assert len(cfg.vartheta_values) * len(cfg.phi_values) == config_mod.GRID_CAP
+        with pytest.raises(ConfigError, match="exceeds cap"):
+            build_config({"scenario": "fig4", "vartheta_steps": str(per_u + 1), "phi_steps": "4"})
+
     def test_grid_cap_checked_before_allocation(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("grid allocated before the cap check")
@@ -354,7 +365,7 @@ class TestSweeps:
             ({"scenario": "fig2a", "theta_steps": "7", "u_list": "1,0.3"},
              lambda c: [(th, u) for u in c.u_values for th in c.theta_values]),
             ({"scenario": "fig7", "u_steps": "9"},
-             lambda c: [(c.fixed_theta, u) for u in c.u_values]),
+             lambda c: [(th, u) for u in c.u_values for th in c.theta_values]),
             ({"scenario": "fig4", "vartheta_steps": "3", "phi_steps": "5", "u_list": "2,0.1"},
              lambda c: [(vt, ph, u) for u in c.u_values
                         for vt in c.vartheta_values for ph in c.phi_values]),
@@ -580,6 +591,21 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("x0", [[], ["--x0-nm", "50"]], ids=["default-x0", "x0"])
+    @pytest.mark.parametrize(  # under- or overflow of the wave number or density of states
+        "mstar, energy",
+        [("1e-320", "2"), ("0.067", "1e-320"), ("1e300", "1e300"), ("1e300", "1e-300")],
+    )
+    def test_convert_extreme_magnitudes_name_the_inputs(self, capsys, mstar, energy, x0):
+        argv = ["convert", "--mstar", mstar, "--energy-mev", energy, "--coupling-evA", "1"]
+        assert cli.main(argv + x0) == 1  # an exception here would fail the test
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"effective_mass = {float(mstar)!r}" in captured.err
+        assert f"energy_mev = {float(energy)!r}" in captured.err
+        assert "spacing_nm" not in captured.err
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         from spinfp.scenarios import verify as verify_mod
         from spinfp.scenarios.verify import CriterionResult
@@ -596,3 +622,36 @@ class TestCli:
         assert cli.main(["verify"]) == 3
         out = capsys.readouterr().out
         assert "[FAIL] 1. stub: bad" in out
+
+
+class TestVerify:
+    def test_criterion_4_makes_two_kernel_calls(self, monkeypatch):
+        from spinfp import observables
+        from spinfp.scenarios import verify as verify_mod
+
+        kernel, calls = observables.amplitudes, []
+
+        def counting(u, theta):
+            calls.append(len(u))
+            return kernel(u, theta)
+
+        monkeypatch.setattr(observables, "amplitudes", counting)
+        result = verify_mod.criterion_transparency_uniqueness()
+        assert result.passed, result.details
+        assert calls == [9, 100]  # the resonant points, then the drawn ones
+        angle = float(result.details.split("subspace angle <= ")[1].split()[0])
+        assert angle <= 1e-13  # from sines; a cosine cannot resolve below 1.5e-8
+
+    def test_fig7_table_is_the_entanglement_scan(self):
+        from spinfp.observables import observable_table
+        from spinfp.spin_algebra import compose_state, coupled_basis
+        from spinfp.waveguide_solver import amplitudes
+
+        rows = run_sweep(build_config({"scenario": "fig7"})).rows
+        u = np.linspace(0.01, 10, 1000)
+        theta = np.full(len(u), math.pi)
+        chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, dd
+        t, r = amplitudes(u, theta)
+        table = observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], u, theta)
+        assert rows[:, 1].tobytes() == u.tobytes()
+        assert rows[:, 4].tobytes() == table[:, 2].tobytes()  # T_down
