@@ -13,7 +13,8 @@ plus the optional extras used by fixed-phase scenarios:
 
 Every scenario ships with complete defaults, so a config may be as short as
 ``scenario = fig3b``; explicit keys override the preset, and a grid key that
-neither sets takes its sweep kind's default.  A key may appear only once.
+neither sets takes its sweep kind's default.  A key may appear only once,
+and a key the config sets must be one its sweep kind reads.
 """
 
 from __future__ import annotations
@@ -212,14 +213,15 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
 
     # theta and family sweeps read u_list; a coupling sweep spans
     # u_min..u_max unless the config itself sets u_list
-    u_range_keys = sorted(_U_RANGE_KEYS & settings.keys())
-    if "u_list" in settings and u_range_keys:
-        raise ConfigError(
-            f"u_list conflicts with {', '.join(u_range_keys)}; set one or the other"
-        )
     grid_keys = _GRID_DEFAULTS[kind].keys()
     if "u_list" in settings:
         grid_keys = (grid_keys - _U_RANGE_KEYS) | {"u_list"}
+    unread = sorted(settings.keys() - _COMMON_KEYS - grid_keys)
+    if unread:
+        raise ConfigError(
+            f"a {kind} sweep does not read {', '.join(unread)}; it reads "
+            f"{', '.join(sorted(_COMMON_KEYS | grid_keys))}"
+        )
     u_values: tuple[float, ...] | None = None
     if "u_list" in grid_keys:
         u_values = _parse_u_list(resolved["u_list"])

@@ -275,13 +275,19 @@ def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
     return step, offsets
 
 
-def _curve(impurity_spec: str, thetas, u) -> np.ndarray:
-    """T at the points (u, theta) in one kernel call, electron up; u may be one value."""
+def _curve(impurity_specs, thetas, u) -> np.ndarray:
+    """T at the points (u, theta), one row per impurity spec, electron up.
+
+    One kernel call serves every spec; u may be one value.
+    """
     theta = np.asarray(thetas, dtype=float)
     u = np.broadcast_to(u, theta.shape)
     t, r = amplitudes(u, theta)
-    coeffs = coupled_basis().to_coupled(incident_state("u", impurity_spec))[None, :]
-    return observable_table(t, r, coeffs, u, theta)[:, 0]
+    to_coupled = coupled_basis().to_coupled
+    return np.array([
+        observable_table(t, r, to_coupled(incident_state("u", spec))[None, :], u, theta)[:, 0]
+        for spec in impurity_specs
+    ])
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901
@@ -316,7 +322,7 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     # the 2001-point grid straddles pi, so probe the resonances directly
     probes = [(u, theta) for u in (1.0, 2.0, 10.0) for theta in (math.pi, 2 * math.pi)]
     us, thetas = np.transpose(probes)
-    for (u, theta), t_res in zip(probes, _curve("psi-", thetas, us).tolist()):
+    for (u, theta), t_res in zip(probes, _curve(["psi-"], thetas, us)[0].tolist()):
         if t_res < 1.0 - 1e-10:
             problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
     if not widths[0] > widths[1] > widths[2]:
@@ -354,21 +360,15 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append(f"fig5 max(T_up - T) = {gap:.2e}, singlet gap = {eq_gap:.2e}")
 
     # aligned family: no interference, the relative phase plays no role
-    thetas = tuple(float(t) for t in np.linspace(0.3, 2 * math.pi, 41))
-    uu = _curve("uu", thetas, 2.0)
-    dd = _curve("dd", thetas, 2.0)
-    worst_phase = 0.0
-    worst_mix = 0.0
-    for mix in (math.pi / 4, 0.3, 1.1):
-        reference = None
-        for phi in (0.0, 0.7, 2.2, math.pi):
-            spec = f"uu_dd theta={mix!r} phi={phi!r}"
-            curve = _curve(spec, thetas, 2.0)
-            if reference is None:
-                reference = curve
-            worst_phase = max(worst_phase, float(np.max(np.abs(curve - reference))))
-        expected = math.cos(mix) ** 2 * uu + math.sin(mix) ** 2 * dd
-        worst_mix = max(worst_mix, float(np.max(np.abs(reference - expected))))
+    thetas = np.linspace(0.3, 2 * math.pi, 41)
+    mixes, phis = (math.pi / 4, 0.3, 1.1), (0.0, 0.7, 2.2, math.pi)
+    specs = [f"uu_dd theta={mix!r} phi={phi!r}" for mix in mixes for phi in phis]
+    uu, dd, *curves = _curve(["uu", "dd", *specs], thetas, 2.0)
+    curves = np.reshape(curves, (len(mixes), len(phis), len(thetas)))
+    reference = curves[:, 0]  # phi = 0
+    worst_phase = float(np.max(np.abs(curves - reference[:, None])))
+    expected = np.array([math.cos(mix) ** 2 * uu + math.sin(mix) ** 2 * dd for mix in mixes])
+    worst_mix = float(np.max(np.abs(reference - expected)))
     if worst_phase > 1e-12:
         problems.append(f"fig6c phase dependence {worst_phase:.3e}")
     if worst_mix > 1e-12:

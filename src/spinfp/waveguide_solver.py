@@ -5,7 +5,8 @@ x0 = 1, so the wave number is k = theta and the exchange strength enters as
 2 m* J / hbar^2 = g k with g = pi u.  Per total-spin sector the stationary
 state is expanded in plane waves over the three regions x < 0, 0 < x < x0
 and x > x0; continuity plus the derivative-jump conditions at the two sites
-give a small dense linear system.
+give a small dense linear system.  Divided by k (the jumps) and by e^{i theta}
+(both x0 conditions), it depends on g and e^{-2i theta} alone: k cancels.
 
 Both sectors are the same cavity: the total-spin-3/2 (quartet) sector is a
 one-channel Fabry-Perot with two static J/4 barriers, and the total-spin-1/2
@@ -68,51 +69,46 @@ def doublet_site_matrices() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _system(
-    k: np.ndarray,
+    phase: np.ndarray,
     g: np.ndarray,
     site1: np.ndarray,
     site2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked n-channel systems of one sector, one per point.
 
-    ``site1`` and ``site2`` are the n x n delta-strength matrices (units of
-    J) at x = 0 and x = x0.  Unknown ordering: [B_I, A_II, B_II, t] for
-    channel 0, then channel 1, and so on.  Matching conditions are
-    continuity at both sites plus the derivative jump
-    Delta phi' = g k w phi.  Returns matrices (N, 4n, 4n) and right-hand
-    sides (N, 4n, n); column i of the right-hand side carries the unit
-    incoming wave in channel i.
+    ``phase`` is e^{-2i theta} and ``g`` is pi u, one per point; ``site1``
+    and ``site2`` are the n x n delta-strength matrices (units of J) at
+    x = 0 and x = x0.  Unknown ordering: [B_I, A_II, B_II, t] for channel 0,
+    then channel 1, and so on.  Rows are continuity at both sites and the
+    jump Delta phi' = g k w phi divided by k, the x0 rows by e^{i theta}.
+    Returns matrices (N, 4n, 4n) and right-hand sides (N, 4n, n); column i
+    of the right-hand side carries the unit incoming wave in channel i.
     """
     n = len(site1)
-    ep = np.exp(1j * k)   # e^{+i k x0} with x0 = 1
-    em = np.exp(-1j * k)
-    ik = 1j * k
-    gk = (g * k)[:, None]  # one column, broadcast over the n channels
+    g = g[:, None]  # one column, broadcast over the n channels
 
-    matrix = np.zeros((len(k), 4 * n, 4 * n), dtype=complex)
-    rhs = np.zeros((len(k), 4 * n, n), dtype=complex)
+    matrix = np.zeros((len(phase), 4 * n, 4 * n), dtype=complex)
+    rhs = np.zeros((len(phase), 4 * n, n), dtype=complex)
     for c in range(n):
         row = 4 * c  # also the column of B_I in channel c; slots follow in order
         # continuity at x = 0
         matrix[:, row, row:row + 3] = (1.0, -1.0, -1.0)
         rhs[:, row, c] = -1.0
         # continuity at x = x0
-        matrix[:, row + 1, row + 1] = ep
-        matrix[:, row + 1, row + 2] = em
-        matrix[:, row + 1, row + 3] = -ep
+        matrix[:, row + 1, row + 1] = 1.0
+        matrix[:, row + 1, row + 2] = phase
+        matrix[:, row + 1, row + 3] = -1.0
         # derivative jump at x = 0 couples the channels through site 1
-        matrix[:, row + 2, row] = ik
-        matrix[:, row + 2, row + 1] = ik
-        matrix[:, row + 2, row + 2] = -ik
-        rhs[:, row + 2, c] = ik
-        jump = gk * site1[c]
+        matrix[:, row + 2, row:row + 3] = (1j, 1j, -1j)
+        rhs[:, row + 2, c] = 1j
+        jump = g * site1[c]
         matrix[:, row + 2, 0::4] -= jump  # the B_I column of every channel
         rhs[:, row + 2] += jump
         # derivative jump at x = x0
-        matrix[:, row + 3, row + 1] = -ik * ep
-        matrix[:, row + 3, row + 2] = ik * em
-        matrix[:, row + 3, row + 3] = ik * ep
-        matrix[:, row + 3, 3::4] -= gk * site2[c] * ep[:, None]  # every t column
+        matrix[:, row + 3, row + 1] = -1j
+        matrix[:, row + 3, row + 2] = 1j * phase
+        matrix[:, row + 3, row + 3] = 1j
+        matrix[:, row + 3, 3::4] -= g * site2[c]  # every t column
     return matrix, rhs
 
 
@@ -179,11 +175,11 @@ def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
     sectors.
     """
     u, theta = _points(u, theta)
-    g = np.pi * u
+    phase, g = np.exp(-2j * theta), np.pi * u
     w1, w2 = quartet_site_strengths()  # the quartet is the n = 1 cavity
-    quartet_system = _system(theta, g, np.array([[w1]]), np.array([[w2]]))
+    quartet_system = _system(phase, g, np.array([[w1]]), np.array([[w2]]))
     quartet = _solve(*quartet_system, u, theta, "quartet")
-    doublet = _solve(*_system(theta, g, *doublet_site_matrices()), u, theta, "doublet")
+    doublet = _solve(*_system(phase, g, *doublet_site_matrices()), u, theta, "doublet")
 
     t = np.zeros((len(u), 8, 8), dtype=complex)
     r = np.zeros((len(u), 8, 8), dtype=complex)

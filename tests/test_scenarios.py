@@ -280,8 +280,25 @@ class TestConfig:
 
     def test_coupling_u_list_from_config(self):
         assert build_config({"scenario": "fig7", "u_list": "1,3"}).u_values == (1.0, 3.0)
-        with pytest.raises(ConfigError, match="u_list conflicts with u_steps"):
+        with pytest.raises(ConfigError, match="coupling sweep does not read u_steps; "):
             build_config({"scenario": "fig7", "u_list": "1,3", "u_steps": "5"})
+
+    @pytest.mark.parametrize(
+        "settings,unread",
+        [
+            ({"sweep": "theta", "impurity_state": "dd", "u_min": "0.1"}, "u_min"),
+            ({"scenario": "fig7", "theta_steps": "5"}, "theta_steps"),
+            ({"scenario": "fig4", "theta_max": "3"}, "theta_max"),
+            ({"scenario": "fig2a", "tehta_steps": "5"}, "tehta_steps"),
+        ],
+        ids=["theta", "coupling", "family", "typo"],
+    )
+    def test_unread_key_rejected(self, settings, unread):
+        # every key a config sets must be read by its sweep kind
+        with pytest.raises(ConfigError, match=f"does not read {unread}; it reads ") as info:
+            build_config(settings)
+        read = str(info.value).split("it reads ")[1].split(", ")
+        assert "output" in read and unread not in read
 
     def test_grid_cap_is_exact(self):
         per_u = config_mod.GRID_CAP // 4
@@ -536,9 +553,10 @@ class TestCli:
     def test_smallest_normal_phase_accepted(self, tmp_path, sweep):
         out_file = tmp_path / "rows.csv"
         cfg_file = tmp_path / "tiny.cfg"
+        grid = "vartheta_steps = 3\nphi_steps = 2\n" if "family" in sweep else ""
         cfg_file.write_text(
             sweep.format(repr(sys.float_info.min)) + "\nu_list = 1e-6,1,1e3\n"
-            f"vartheta_steps = 3\nphi_steps = 2\noutput = {out_file}\n"
+            f"{grid}output = {out_file}\n"
         )
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
         assert out_file.exists()
@@ -548,26 +566,67 @@ class TestCli:
         assert electron_state("1e200,1e200").tobytes() == (
             np.array([1, 1], dtype=complex) / math.sqrt(2)
         ).tobytes()
-        impurity = "family2" if kind == "family" else "ud"
+        impurity, grid = (
+            ("family2", "vartheta_steps = 3\nphi_steps = 2")
+            if kind == "family" else ("ud", "theta_steps = 4")
+        )
         out_file = tmp_path / "rows.csv"
         cfg_file = tmp_path / "huge.cfg"
         cfg_file.write_text(
             f"sweep = {kind}\nimpurity_state = {impurity}\nelectron_spin = 1e200,1e200\n"
-            f"u_list = 1\nvartheta_steps = 3\nphi_steps = 2\ntheta_steps = 4\n"
-            f"output = {out_file}\n"
+            f"u_list = 1\n{grid}\noutput = {out_file}\n"
         )
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
         assert out_file.exists()
 
+    @pytest.mark.parametrize(
+        "settings,unread",
+        [
+            ("sweep = theta\nimpurity_state = dd\nu_min = 0.1\nu_max = 5\nu_steps = 50",
+             "u_max, u_min, u_steps"),
+            ("scenario = fig7\ntheta_min = 1\ntheta_max = 2\ntheta_steps = 3",
+             "theta_max, theta_min, theta_steps"),
+        ],
+        ids=["theta", "coupling"],
+    )
+    def test_unread_keys_rejected_at_parse_time(self, tmp_path, capsys, settings, unread):
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "unread.cfg"
+        cfg_file.write_text(f"{settings}\noutput = {out_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert f"does not read {unread}; it reads " in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["u_list = 20\ntheta_min = 1e306\ntheta_max = 1e307",
+         "u_list = 1\ntheta_min = 0\ntheta_max = 1e300"],
+        ids=["1e307", "1e300"],
+    )
+    def test_huge_phases_run_without_overflow(self, tmp_path, grid):
+        # theta enters the kernel only through e^{-2i theta}, so no product
+        # of the coupling and the phase can overflow
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(
+            f"scenario = fig3b\n{grid}\ntheta_steps = 3\noutput = {out_file}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        lines = [line for line in out_file.read_text().splitlines() if line[0] != "#"]
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
+
     def test_numeric_failure_is_located(self, tmp_path, capsys):
         cfg_file = tmp_path / "strong.cfg"
         cfg_file.write_text(
-            "scenario = fig7\nu_min = 1e4\nu_max = 1.00001e4\nu_steps = 3\n"
+            "scenario = fig7\nu_min = 1e6\nu_max = 1.00001e6\nu_steps = 3\n"
             f"output = {tmp_path / 'strong.csv'}\n"
         )
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
         message = capsys.readouterr().err
-        assert "u = 10000.0" in message and f"theta = {math.pi!r}" in message
+        assert "u = 1000000.0" in message and f"theta = {math.pi!r}" in message
         assert "doublet" in message and "1e-09" in message
         assert "np.float64" not in message
 
@@ -641,6 +700,20 @@ class TestVerify:
         assert calls == [9, 100]  # the resonant points, then the drawn ones
         angle = float(result.details.split("subspace angle <= ")[1].split()[0])
         assert angle <= 1e-13  # from sines; a cosine cannot resolve below 1.5e-8
+
+    def test_criterion_8_probes_in_two_kernel_calls(self, monkeypatch):
+        from spinfp.scenarios import verify as verify_mod
+
+        kernel, calls = verify_mod.amplitudes, []
+
+        def counting(u, theta):
+            calls.append(len(u))
+            return kernel(u, theta)
+
+        monkeypatch.setattr(verify_mod, "amplitudes", counting)
+        result = verify_mod.criterion_figure_claims()
+        assert result.passed, result.details
+        assert calls == [6, 41]  # the fig3b resonances, then fig6c's 14 states at once
 
     def test_fig7_table_is_the_entanglement_scan(self):
         from spinfp.observables import observable_table

@@ -62,7 +62,8 @@ class TestQuartetSolve:
     def test_residual_recorded(self):
         u, theta = np.array([10.0]), np.array([2.0])
         w1, w2 = quartet_site_strengths()
-        matrix, rhs = _system(theta, np.pi * u, np.array([[w1]]), np.array([[w2]]))
+        phase = np.exp(-2j * theta)
+        matrix, rhs = _system(phase, np.pi * u, np.array([[w1]]), np.array([[w2]]))
         x = _solve(matrix, rhs, u, theta, "quartet")
         assert np.linalg.norm(matrix @ x - rhs) < 1e-10
 
@@ -103,7 +104,7 @@ class TestDoubletSolve:
         w1, w2 = doublet_site_matrices()
         w1_cut = np.array(w1)
         w1_cut[0, 1] = w1_cut[1, 0] = 0.0
-        matrix, rhs = _system(np.array([p.theta]), np.array([p.g]), w1_cut, w2)
+        matrix, rhs = _system(np.exp([-2j * p.theta]), np.array([p.g]), w1_cut, w2)
         x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         assert abs(x[3]) < 1e-14   # t of channel 0 under incident channel 1
         assert abs(x[7]) > 0.1
@@ -114,7 +115,7 @@ class TestDoubletSolve:
         w1_bad = np.array(w1)
         w1_bad[0, 1] *= 1.01
         w1_bad[1, 0] *= 1.01
-        matrix, rhs = _system(np.array([p.theta]), np.array([p.g]), w1_bad, w2)
+        matrix, rhs = _system(np.exp([-2j * p.theta]), np.array([p.g]), w1_bad, w2)
         x = np.linalg.solve(matrix, rhs)[0, :, 1]  # incident channel 1
         oracle = oracle_scattering(two_impurity_chain(p))
         b = coupled_basis().matrix
@@ -185,6 +186,36 @@ class TestAmplitudes:
         assert worst_closed < 1e-13
         assert worst_oracle < 1e-13
 
+    def test_matches_high_precision_closed_form_over_many_periods(self):
+        # with k divided out of the matching conditions the error does not
+        # grow with theta; the reference is the closed form at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        rng = np.random.default_rng(27)
+        u = np.full(400, 100.0)
+        theta = rng.uniform(1.0, 1000 * math.pi, 400)
+        t, _ = amplitudes(u, theta)
+        worst = 0.0
+        for i in range(len(u)):
+            g = mp.pi * mp.mpf(u[i])
+            rg = (mp.expj(2 * mp.mpf(theta[i])) - 1) * g
+            quartet = 64 / (64 + g * (16j + rg))
+            den = 4096 + g * (-2048j + rg * (-128 + 96j * g + 9 * rg * g))
+            root3 = mp.sqrt(3)
+            doublet = [
+                [128 * (32 - 4j * g - rg * g), -64 * root3 * g * (8j + rg)],
+                [64 * root3 * g * (3 * rg - 8j), 512 * (8 - 3j * g)],
+            ]
+            kernel = t[i][DOUBLET]
+            worst = max(
+                worst,
+                abs(complex(t[i, 0, 0]) - quartet),
+                *(abs(complex(kernel[a, b]) - doublet[a][b] / den)
+                  for a in (0, 1) for b in (0, 1)),
+            )
+        assert worst < 1e-13
+
     def test_single_point_matches_batch(self):
         u, theta = kernel_draws(60)
         t, r = amplitudes(u, theta)
@@ -212,8 +243,8 @@ class TestAmplitudes:
     def test_flux_failure_names_point_sector_and_bound(self):
         # strong coupling at a resonance breaks the doublet flux check
         with pytest.raises(NumericError) as info:
-            amplitudes([1e4], [math.pi])
+            amplitudes([1e6], [math.pi])
         message = str(info.value)
         assert "doublet sector (incident channel" in message
-        assert "u = 10000.0" in message and f"theta = {math.pi!r}" in message
+        assert "u = 1000000.0" in message and f"theta = {math.pi!r}" in message
         assert "1e-09" in message and "np.float64" not in message
