@@ -9,7 +9,10 @@ an independent transfer-matrix oracle.
 
 from .closed_form import (
     DimensionlessParams,
+    amplitudes,
     det_t_minus_identity,
+    r_doublet,
+    r_quartet,
     t_doublet,
     t_quartet,
 )
@@ -43,13 +46,15 @@ from .transfer_oracle import (
     oracle_scattering,
     two_impurity_chain,
 )
-from .waveguide_solver import amplitudes
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DimensionlessParams",
+    "amplitudes",
     "det_t_minus_identity",
+    "r_doublet",
+    "r_quartet",
     "t_doublet",
     "t_quartet",
     "DomainError",
@@ -77,6 +82,5 @@ __all__ = [
     "ImpurityChain",
     "oracle_scattering",
     "two_impurity_chain",
-    "amplitudes",
     "__version__",
 ]

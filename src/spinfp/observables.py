@@ -1,6 +1,6 @@
 """Physics-facing quantities: transmittivity, post-selection, symmetries.
 
-``observable_table`` alone turns the waveguide solver's coupled-basis
+``observable_table`` alone turns the closed-form kernel's coupled-basis
 scattering matrices into observables; sweeps, ``scatter`` and the acceptance
 harness all read it.  The star-product oracle serves only the symmetry
 report, which needs both incidence directions and takes a stack of points.
@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import DimensionlessParams
+from .closed_form import DimensionlessParams, amplitudes
 from .errors import DomainError, NumericError
 from .spin_algebra import SpinVector, coupled_basis, spin_operators
 from .transfer_oracle import oracle_scattering, two_impurity_chain
-from .waveguide_solver import amplitudes
 
 _PROB_TOL = 1e-12
 _BALANCE_TOL = 1e-10

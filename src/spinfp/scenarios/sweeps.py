@@ -6,11 +6,12 @@ printed with 17 significant digits, so identical configs give byte-identical
 files.  The data section carries no timestamps; the ``#`` header block echoes
 the resolved configuration.
 
-Grids are evaluated in chunks of ``CHUNK`` points: one batched kernel call
-per chunk, then the row builder ``observables.observable_table`` for all
-three sweep kinds, whose rows are written into one float64 table beside the
-lead columns (the config's grid values).  Every value of a row is computed
-from its own point only, so the output does not depend on the chunk size.
+Grids are evaluated in chunks of ``CHUNK`` points: one call of the
+production kernel, ``closed_form.amplitudes``, per chunk, then the row
+builder ``observables.observable_table`` for all three sweep kinds, whose
+rows are written into one float64 table beside the lead columns (the
+config's grid values).  Every value of a row is computed from its own
+point only, so the output does not depend on the chunk size.
 Every sweep kind reads its phases from ``SweepConfig.theta_values``, which
 holds one phase for family and coupling sweeps, so theta and coupling
 sweeps are the same grid of points (u, theta).
@@ -31,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..closed_form import amplitudes
 from ..observables import _matvec, observable_table
 from ..spin_algebra import coupled_basis
-from ..waveguide_solver import amplitudes
 from ._format import format_float, format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state

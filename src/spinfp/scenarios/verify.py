@@ -4,9 +4,10 @@ Each criterion evaluates one falsifiable claim of the model at a fixed
 tolerance and reports the measured quantity, so a failure is directly
 actionable.  Everything is deterministic (seeded random draws).
 
-Every check runs on stacks of points: the kernel, the closed forms, the
-oracle and ``fixed_point_subspace`` take all of a criterion's points in one
-call (criterion 1 in chunks of ``sweeps.CHUNK``), and criteria 7 and 8 read
+Every check runs on stacks of points: the production kernel (the closed
+forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
+criterion's points in one call (criterion 1 in chunks of ``sweeps.CHUNK``);
+the solver serves criterion 1 alone, as evidence.  Criteria 7 and 8 read
 the figure presets' sweep tables instead of scanning the same grids again.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..closed_form import DimensionlessParams, det_t_minus_identity, t_doublet, t_quartet
+from ..closed_form import DimensionlessParams, amplitudes, det_t_minus_identity
 from ..observables import (
     fixed_point_subspace,
     observable_table,
@@ -33,7 +34,7 @@ from ..spin_algebra import (
     spin_operators,
 )
 from ..transfer_oracle import oracle_scattering, two_impurity_chain
-from ..waveguide_solver import amplitudes
+from ..waveguide_solver import solver_amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
 from .sweeps import _chunks, run_sweep
@@ -71,13 +72,13 @@ def criterion_triple_agreement() -> CriterionResult:
     worst_oracle = 0.0
     for s in _chunks(len(u)):  # one stack per derivation and chunk
         p = DimensionlessParams(u[s], theta[s])
-        t_solver, r_solver = amplitudes(p.u, p.theta)
-        doublet = t_solver[:, 4:7:2, 4:7:2]  # the m = +1/2 block, channels s_e2 = 0, 1
+        t, r = amplitudes(p.u, p.theta)  # production: the closed forms
+        t_solver, r_solver = solver_amplitudes(p.u, p.theta)
         full = oracle_scattering(two_impurity_chain(p))
         worst_closed = max(
             worst_closed,
-            float(np.max(np.abs(t_quartet(p) - t_solver[:, 0, 0]))),
-            float(np.max(np.abs(t_doublet(p) - doublet))),
+            float(np.max(np.abs(t - t_solver))),
+            float(np.max(np.abs(r - r_solver))),
         )
         worst_oracle = max(
             worst_oracle,

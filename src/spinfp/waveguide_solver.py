@@ -18,11 +18,14 @@ assembled from the electron+impurity-1 pair-spin matrix elements
 (recoupling_matrix_elements), so the derivation remains visible and can be
 perturbed by tests.
 
-All points go through one batched kernel, ``amplitudes``: per sector it
-assembles a stack of systems, one per (u, theta) point, and runs one stacked
-solve.  The system matrix does not depend on the incident channel, so the n
-channels are n right-hand sides of one factorisation.  The residual and flux
-checks run on every point and channel.
+The solver is evidence, not production: sweeps read the closed forms
+(closed_form.amplitudes), and only verify's criterion 1 and the tests call
+``solver_amplitudes``.  Per sector it assembles a stack of systems, one per
+(u, theta) point, and runs one stacked solve.  The system matrix does not
+depend on the incident channel, so the n channels are n right-hand sides of
+one factorisation.  The residual and flux checks run on every point and
+channel, and the blocks go into the coupled basis through the same placement
+as the closed forms.
 """
 
 
@@ -32,20 +35,15 @@ import functools
 
 import numpy as np
 
-from .closed_form import DimensionlessParams
+from .closed_form import _check_flux, _coupled, _stack, _where
 from .errors import NumericError
 from .spin_algebra import recoupling_matrix_elements
 
 _RESIDUAL_RTOL = 1e-8
-_FLUX_TOL = 1e-9
 
 # In the quartet sector the electron+impurity-1 pair spin is pinned to 1,
 # so (sigma + S_1)^2 = 2 identically and the same holds at the second site.
 _QUARTET_PAIR_SQ = 2.0
-
-# doublet blocks of the coupled basis: labels 4, 6 share m = +1/2 and labels
-# 5, 7 share m = -1/2; position c in a pair is the s_e2 = c channel
-_DOUBLET_BLOCKS = (np.ix_((4, 6), (4, 6)), np.ix_((5, 7), (5, 7)))
 
 
 def quartet_site_strengths() -> tuple[float, float]:
@@ -112,13 +110,6 @@ def _system(
     return matrix, rhs
 
 
-def _points(u, theta) -> tuple[np.ndarray, np.ndarray]:
-    p = DimensionlessParams(u, theta)  # validates every point
-    if np.ndim(p.u) != 1:
-        raise ValueError(f"u and theta must be 1-D arrays, got shape {np.shape(p.u)}")
-    return p.u, p.theta
-
-
 def _solve(
     matrix: np.ndarray, rhs: np.ndarray, u: np.ndarray, theta: np.ndarray, sector: str
 ) -> np.ndarray:
@@ -127,18 +118,12 @@ def _solve(
     Returns the solutions (N, 4n, n).  A failure names the first offending
     point.
     """
-
-    def where(i, c=None) -> str:
-        name = f"{sector} sector"
-        if sector == "doublet" and c is not None:
-            name += f" (incident channel {c})"
-        return f"{name} at u = {float(u[i])!r}, theta = {float(theta[i])!r}"
-
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
         i = int(np.argmin(np.abs(np.linalg.det(matrix))))
-        raise NumericError(f"singular linear system in the {where(i)}") from None
+        where = _where(sector, u, theta, i)
+        raise NumericError(f"singular linear system in the {where}") from None
 
     residual = np.linalg.norm(matrix @ x - rhs, axis=1)
     scale = (
@@ -149,44 +134,29 @@ def _solve(
     if not ok.all():
         i, c = np.argwhere(~ok)[0]
         raise NumericError(
-            f"large residual in the {where(i, c)}: |A x - b| / (|A| |x| + |b|) = "
+            f"large residual in the {_where(sector, u, theta, i, c)}: "
+            f"|A x - b| / (|A| |x| + |b|) = "
             f"{float(residual[i, c] / scale[i, c])!r} > {_RESIDUAL_RTOL!r}"
         )
 
     # per channel block the reflected amplitude is slot 0 and the transmitted slot 3
-    flux = np.sum(np.abs(x[:, 0::4]) ** 2 + np.abs(x[:, 3::4]) ** 2, axis=1)
-    ok = np.abs(flux - 1.0) <= _FLUX_TOL
-    if not ok.all():
-        i, c = np.argwhere(~ok)[0]
-        raise NumericError(
-            f"flux not conserved in the {where(i, c)}: sum |t|^2 + |r|^2 = "
-            f"{float(flux[i, c])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"
-        )
+    _check_flux(x[:, 3::4], x[:, 0::4], u, theta, sector)
     return x
 
 
-def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
+def solver_amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
     """Transmission and reflection matrices, each (N, 8, 8), in the coupled basis.
 
-    ``u`` and ``theta`` are arrays of length N; point i is (u[i], theta[i]).
-    Every matrix is block diagonal: the quartet amplitude on each
-    |1; 3/2, m> channel and one copy of the 2x2 doublet block, indexed
-    (out, in), per m = +-1/2 pair; exactly zero between different (s, m)
-    sectors.
+    The same contract as closed_form.amplitudes, from the boundary-value
+    problem: ``u`` and ``theta`` are arrays of length N, and point i is
+    (u[i], theta[i]).
     """
-    u, theta = _points(u, theta)
-    phase, g = np.exp(-2j * theta), np.pi * u
+    p = _stack(u, theta)
+    u, theta = p.u, p.theta
+    phase, g = np.exp(-2j * theta), p.g
     w1, w2 = quartet_site_strengths()  # the quartet is the n = 1 cavity
     quartet_system = _system(phase, g, np.array([[w1]]), np.array([[w2]]))
     quartet = _solve(*quartet_system, u, theta, "quartet")
     doublet = _solve(*_system(phase, g, *doublet_site_matrices()), u, theta, "doublet")
-
-    t = np.zeros((len(u), 8, 8), dtype=complex)
-    r = np.zeros((len(u), 8, 8), dtype=complex)
-    diag = np.arange(4)  # quartet channels come first in the label order
-    t[:, diag, diag] = quartet[:, 3]
-    r[:, diag, diag] = quartet[:, 0]
-    for rows, cols in _DOUBLET_BLOCKS:
-        t[:, rows, cols] = doublet[:, 3::4]
-        r[:, rows, cols] = doublet[:, 0::4]
-    return t, r
+    return (_coupled(quartet[:, 3::4], doublet[:, 3::4]),
+            _coupled(quartet[:, 0::4], doublet[:, 0::4]))

@@ -6,12 +6,22 @@ import pytest
 
 from spinfp.closed_form import (
     DimensionlessParams,
+    amplitudes,
     det_t_minus_identity,
+    r_doublet,
+    r_quartet,
     t_doublet,
     t_quartet,
 )
-from spinfp.errors import DomainError
-from spinfp.waveguide_solver import amplitudes
+from spinfp.errors import DomainError, NumericError
+from spinfp.spin_algebra import coupled_basis
+from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
+from spinfp.waveguide_solver import (
+    _system,
+    doublet_site_matrices,
+    quartet_site_strengths,
+    solver_amplitudes,
+)
 
 DOUBLET = np.ix_((4, 6), (4, 6))  # the m = +1/2 block of the kernel's matrices
 
@@ -115,7 +125,7 @@ class TestDoublet:
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = DimensionlessParams(rng.uniform(1e-6, 20), rng.uniform(1e-6, 2 * math.pi))
-            solver_t = amplitudes([p.u], [p.theta])[0][0]
+            solver_t = solver_amplitudes([p.u], [p.theta])[0][0]
             np.testing.assert_allclose(t_doublet(p), solver_t[DOUBLET], atol=1e-10)
             assert abs(t_quartet(p) - solver_t[0, 0]) < 1e-10
 
@@ -167,3 +177,179 @@ class TestChannelAmplitudes:
             assert largest <= 1 + 1e-12
             # flux conservation makes every singular value exactly one
             assert largest == pytest.approx(1.0, abs=1e-10)
+
+
+def exact_blocks(g, ring, root3, i):
+    """Quartet (t, r) and doublet (t, r) entries in g and ring = e^{2i theta} - 1.
+
+    Written from the sympy solution of the matching conditions and kept
+    independent of the package; generic over the number type, so one text
+    serves sympy symbols and mpmath numbers.  Doublet blocks are nested
+    lists indexed (out, in).
+    """
+    qden = g**2 * ring + 16 * i * g + 64
+    quartet = (64 / qden, -g * (g * ring + 8 * i * ring + 16 * i) / qden)
+    den = (9 * g**4 * ring**2 + 96 * i * g**3 * ring - 128 * g**2 * ring
+           - 2048 * i * g + 4096)
+    mixed = -8 * root3 * i * g * (g * ring + 8 * i) * (3 * g * ring - 8 * i) / den
+    t = [[-128 * (g**2 * ring + 4 * i * g - 32) / den,
+          -64 * root3 * g * (g * ring + 8 * i) / den],
+         [64 * root3 * g * (3 * g * ring - 8 * i) / den,
+          -512 * i * (3 * g + 8 * i) / den]]
+    r = [[-3 * g * (3 * g**3 * ring**2 + 16 * i * g**2 * ring**2 + 32 * i * g**2 * ring
+                    - 64 * g * ring - 512 * i * ring - 512 * i) / den, mixed],
+         [mixed, -g * (9 * g**3 * ring**2 + 96 * i * g**2 * ring + 64 * g * ring
+                       + 512 * i * ring - 512 * i) / den]]
+    return quartet, (t, r)
+
+
+class TestDerivation:
+    def test_exact_blocks_solve_the_matching_conditions(self):
+        # _system is affine in z = e^{-2i theta} and in g separately, so three
+        # evaluations give its exact coefficients; with t and r from the
+        # formulas, continuity and the jump at x = 0 fix A_II and B_II, and
+        # the two conditions at x0 must then hold identically
+        sp = pytest.importorskip("sympy")
+        g, ring = sp.symbols("g ring")
+        z = 1 / (1 + ring)
+        root3 = sp.sqrt(3)
+
+        def exact(value):  # the site strengths carry rounding from the recoupling
+            parts = [sp.nsimplify(v, [root3]) if abs(v) > 1e-12 else sp.S.Zero
+                     for v in (value.real, value.imag)]
+            assert complex(parts[0] + sp.I * parts[1]) == pytest.approx(value, abs=1e-15)
+            return parts[0] + sp.I * parts[1]
+
+        def symbolic(site1, site2):
+            def at(phase, coupling):
+                m, b = _system(np.array([phase], complex), np.array([coupling]), site1, site2)
+                return m[0], b[0]
+            (m0, b0), (mz, _), (mg, bg) = at(0, 0), at(1, 0), at(0, 1)
+            m23, b23 = at(2, 3)
+            assert np.array_equal(m23, m0 + 2 * (mz - m0) + 3 * (mg - m0))
+            assert np.array_equal(b23, b0 + 3 * (bg - b0))
+            to_sp = np.vectorize(exact, otypes=[object])
+            matrix = (sp.Matrix(to_sp(m0)) + z * sp.Matrix(to_sp(mz - m0))
+                      + g * sp.Matrix(to_sp(mg - m0)))
+            return matrix, sp.Matrix(to_sp(b0)) + g * sp.Matrix(to_sp(bg - b0))
+
+        quartet, doublet = exact_blocks(g, ring, root3, sp.I)
+        w1, w2 = quartet_site_strengths()
+        sectors = (
+            (symbolic(np.array([[w1]]), np.array([[w2]])), ([[quartet[0]]], [[quartet[1]]])),
+            (symbolic(*doublet_site_matrices()), doublet),
+        )
+        for (matrix, rhs), (t, r) in sectors:
+            n = len(t)
+            for c in range(n):  # incident channel
+                inner = sp.symbols(f"a0:{n} b0:{n}")
+                x = sp.Matrix([v for k in range(n)
+                               for v in (r[k][c], inner[k], inner[n + k], t[k][c])])
+                residual = matrix * x - rhs[:, c]
+                fixed = sp.solve([residual[4 * k + j] for k in range(n) for j in (0, 2)],
+                                 inner, dict=True)[0]
+                for k in range(n):
+                    for j in (1, 3):
+                        assert sp.cancel(residual[4 * k + j].subs(fixed)) == 0
+
+    def test_production_matches_50_digits_near_resonance(self):
+        # theta = n pi + N(0, 1) / g^2 lies within the resonance width; the
+        # reference evaluates the exact blocks at 50 digits at the same float theta
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        rng = np.random.default_rng(28)
+        root3, i = mp.sqrt(3), mp.mpc(0, 1)
+        for u_value in (1e2, 1e4, 1e6, 1e8):
+            g_float = math.pi * u_value
+            theta = rng.integers(1, 1000, 25) * math.pi + rng.standard_normal(25) / g_float**2
+            t, r = amplitudes(np.full(25, u_value), theta)
+            for k in range(len(theta)):
+                g = mp.pi * mp.mpf(u_value)
+                quartet, doublet = exact_blocks(g, mp.expj(2 * mp.mpf(theta[k])) - 1, root3, i)
+                expected = [np.zeros((8, 8), dtype=object) for _ in range(2)]
+                for m, (q, d) in zip(expected, zip(quartet, doublet)):
+                    for j in range(4):
+                        m[j, j] = q
+                    for rows in ((4, 6), (5, 7)):
+                        for a in (0, 1):
+                            for b in (0, 1):
+                                m[rows[a], rows[b]] = d[a][b]
+                for got, want in zip((t[k], r[k]), expected):
+                    worst = max(abs(complex(got[a, b]) - want[a, b])
+                                for a in range(8) for b in range(8))
+                    assert worst <= 1e-15, (u_value, theta[k], worst)
+
+
+def kernel_draws(n=500):
+    """Seeded points with u in [1e-6, 20] and theta in (0, 4 pi], plus exact n pi."""
+    rng = np.random.default_rng(29)
+    u = rng.uniform(1e-6, 20.0, n)
+    theta = 4 * math.pi - rng.uniform(0.0, 4 * math.pi, n)  # (0, 4 pi]
+    resonant = np.arange(1, 5) * math.pi
+    return np.concatenate([u, [0.5, 3.0, 20.0, 1e-6]]), np.concatenate([theta, resonant])
+
+
+class TestAmplitudes:
+    def test_matches_solver_and_oracle(self):
+        u, theta = kernel_draws()
+        t, r = amplitudes(u, theta)
+        t_solver, r_solver = solver_amplitudes(u, theta)
+        full = oracle_scattering(two_impurity_chain(DimensionlessParams(u, theta)))
+        b = coupled_basis().matrix
+        assert max(np.max(np.abs(t - t_solver)), np.max(np.abs(r - r_solver))) < 1e-13
+        assert np.max(np.abs(b.conj().T @ full.transmission @ b - t)) < 1e-13
+        assert np.max(np.abs(b.conj().T @ full.reflection @ b - r)) < 1e-13
+
+    def test_blocks_are_the_closed_forms(self):
+        u, theta = kernel_draws(50)
+        p = DimensionlessParams(u, theta)
+        t, r = amplitudes(u, theta)
+        for matrix, quartet, doublet in ((t, t_quartet(p), t_doublet(p)),
+                                         (r, r_quartet(p), r_doublet(p))):
+            expected = np.zeros_like(matrix)
+            expected[:, range(4), range(4)] = quartet[:, None]
+            expected[:, DOUBLET[0], DOUBLET[1]] = doublet
+            expected[:, [[5], [7]], [5, 7]] = doublet
+            assert np.array_equal(matrix, expected)
+
+    def test_single_point_matches_batch(self):
+        u, theta = kernel_draws(60)
+        t, r = amplitudes(u, theta)
+        for i in range(len(u)):
+            t1, r1 = amplitudes(u[i:i + 1], theta[i:i + 1])
+            assert np.array_equal(t1[0], t[i]) and np.array_equal(r1[0], r[i])
+
+    def test_unitarity(self):
+        u, theta = kernel_draws()
+        t, r = amplitudes(u, theta)
+        dagger = np.conj(np.swapaxes(t, 1, 2)), np.conj(np.swapaxes(r, 1, 2))
+        defect = dagger[0] @ t + dagger[1] @ r - np.eye(8)
+        assert np.max(np.linalg.norm(defect, axis=(1, 2))) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [1e307, 1e308, np.finfo(float).max])
+    def test_every_finite_phase(self, theta):
+        t, r = amplitudes([0.5, 10.0], [theta, theta])
+        flux = np.sum(np.abs(t) ** 2 + np.abs(r) ** 2, axis=1)
+        assert np.max(np.abs(flux - 1.0)) <= 1e-13
+
+    def test_shape_and_domain_validation(self):
+        assert amplitudes([], [])[0].shape == (0, 8, 8)
+        with pytest.raises(ValueError):
+            amplitudes([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            amplitudes([[1.0]], [[1.0]])
+        with pytest.raises(DomainError):
+            amplitudes([-1.0], [1.0])
+        with pytest.raises(DomainError):
+            amplitudes([1.0], [0.0])
+
+    def test_overflow_fails_the_flux_check_at_its_point(self):
+        # g^4 overflows beyond u of about 1e76; no warning escapes, and the
+        # nan is reported with its point, sector and bound
+        with pytest.raises(NumericError) as info:
+            amplitudes([1.0, 1e100], [1.0, math.pi])
+        message = str(info.value)
+        assert "doublet sector (incident channel 0)" in message
+        assert "u = 1e+100" in message and f"theta = {math.pi!r}" in message
+        assert "nan" in message and "1e-09" in message and "np.float64" not in message

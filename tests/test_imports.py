@@ -90,3 +90,13 @@ def test_verify_binds_run_sweep_at_module_level():
     assert verify.run_sweep is sweeps.run_sweep
     assert all(callable(criterion) for criterion in verify._CRITERIA)
     assert "stream" in inspect.signature(verify.run_verification).parameters
+
+
+def test_production_binds_the_closed_form_kernel():
+    # one production path: the solver is evidence, called by verify and tests
+    from spinfp import closed_form, observables
+    from spinfp.scenarios import sweeps, verify
+
+    kernel = closed_form.amplitudes
+    assert sweeps.amplitudes is observables.amplitudes is spinfp.amplitudes is kernel
+    assert verify.amplitudes is kernel and not hasattr(spinfp, "solver_amplitudes")

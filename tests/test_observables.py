@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfp.closed_form import DimensionlessParams, t_doublet, t_quartet
+from spinfp.closed_form import DimensionlessParams, amplitudes, t_doublet, t_quartet
 from spinfp import observables
 from spinfp.errors import DomainError, NumericError
 from spinfp.observables import (
@@ -21,7 +21,6 @@ from spinfp.spin_algebra import (
 from spinfp.scenarios.config import build_config
 from spinfp.scenarios.states import incident_state
 from spinfp.scenarios.sweeps import run_sweep
-from spinfp.waveguide_solver import amplitudes
 
 SQ2 = math.sqrt(2.0)
 SINGLET = np.array([0, 1, -1, 0]) / SQ2

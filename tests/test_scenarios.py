@@ -604,7 +604,7 @@ class TestCli:
         ids=["1e307", "1e300"],
     )
     def test_huge_phases_run_without_overflow(self, tmp_path, grid):
-        # theta enters the kernel only through e^{-2i theta}, so no product
+        # theta enters the kernel only through e^{-i theta}, so no product
         # of the coupling and the phase can overflow
         out_file = tmp_path / "rows.csv"
         cfg_file = tmp_path / "huge.cfg"
@@ -618,15 +618,35 @@ class TestCli:
         rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
         assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize(
+        "settings,n_rows",
+        [("scenario = fig7\ntheta = 1e308\nu_steps = 5", 5),
+         ("scenario = fig3b\ntheta_min = 1e307\ntheta_max = 1.7e308\ntheta_steps = 7", 21)],
+        ids=["fig7", "fig3b"],
+    )
+    def test_every_finite_phase_runs(self, tmp_path, settings, n_rows):
+        # e^{-i theta} is formed once and 2 theta never is, so phases up to
+        # the largest double stay finite
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f"{settings}\noutput = {out_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        lines = [line for line in out_file.read_text().splitlines() if line[0] != "#"]
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert len(rows) == n_rows and np.all(np.isfinite(rows))
+        assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0))  # T
+        np.testing.assert_allclose(rows[:, 2] + rows[:, -1], 1.0, rtol=0, atol=1e-10)
+
     def test_numeric_failure_is_located(self, tmp_path, capsys):
+        # g^4 overflows beyond u of about 1e76; the nan reaches the flux check
         cfg_file = tmp_path / "strong.cfg"
         cfg_file.write_text(
-            "scenario = fig7\nu_min = 1e6\nu_max = 1.00001e6\nu_steps = 3\n"
+            "scenario = fig7\nu_min = 1e100\nu_max = 1.00001e100\nu_steps = 3\n"
             f"output = {tmp_path / 'strong.csv'}\n"
         )
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
         message = capsys.readouterr().err
-        assert "u = 1000000.0" in message and f"theta = {math.pi!r}" in message
+        assert "u = 1e+100" in message and f"theta = {math.pi!r}" in message
         assert "doublet" in message and "1e-09" in message
         assert "np.float64" not in message
 
@@ -718,7 +738,7 @@ class TestVerify:
     def test_fig7_table_is_the_entanglement_scan(self):
         from spinfp.observables import observable_table
         from spinfp.spin_algebra import compose_state, coupled_basis
-        from spinfp.waveguide_solver import amplitudes
+        from spinfp.closed_form import amplitudes
 
         rows = run_sweep(build_config({"scenario": "fig7"})).rows
         u = np.linspace(0.01, 10, 1000)

@@ -17,7 +17,7 @@ from spinfp.transfer_oracle import (
     oracle_scattering,
     two_impurity_chain,
 )
-from spinfp.waveguide_solver import amplitudes
+from spinfp.waveguide_solver import solver_amplitudes
 
 
 def random_chain(rng, n_sites):
@@ -91,7 +91,7 @@ class TestOracleScattering:
         for _ in range(50):
             p = DimensionlessParams(rng.uniform(1e-6, 20), rng.uniform(1e-6, 2 * math.pi))
             fsm = oracle_scattering(two_impurity_chain(p))
-            t_solver, r_solver = amplitudes([p.u], [p.theta])
+            t_solver, r_solver = solver_amplitudes([p.u], [p.theta])
             np.testing.assert_allclose(
                 b.conj().T @ fsm.transmission @ b, t_solver[0], atol=1e-10
             )

@@ -10,9 +10,9 @@ from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
     _solve,
     _system,
-    amplitudes,
     doublet_site_matrices,
     quartet_site_strengths,
+    solver_amplitudes,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -25,7 +25,7 @@ def random_params(rng, u_hi=20.0):
 
 def point(p):
     """The kernel's (t, r) 8x8 matrices at one point."""
-    t, r = amplitudes([p.u], [p.theta])
+    t, r = solver_amplitudes([p.u], [p.theta])
     return t[0], r[0]
 
 
@@ -172,7 +172,7 @@ class TestAmplitudes:
     def test_matches_closed_form_and_oracle(self):
         u, theta = kernel_draws()
         p = DimensionlessParams(u, theta)
-        t, r = amplitudes(u, theta)
+        t, r = solver_amplitudes(u, theta)
         b = coupled_basis().matrix
         worst_closed = max(
             np.max(np.abs(t[:, 0, 0] - t_quartet(p))),
@@ -195,7 +195,7 @@ class TestAmplitudes:
         rng = np.random.default_rng(27)
         u = np.full(400, 100.0)
         theta = rng.uniform(1.0, 1000 * math.pi, 400)
-        t, _ = amplitudes(u, theta)
+        t, _ = solver_amplitudes(u, theta)
         worst = 0.0
         for i in range(len(u)):
             g = mp.pi * mp.mpf(u[i])
@@ -218,32 +218,32 @@ class TestAmplitudes:
 
     def test_single_point_matches_batch(self):
         u, theta = kernel_draws(60)
-        t, r = amplitudes(u, theta)
+        t, r = solver_amplitudes(u, theta)
         for i in range(len(u)):
-            t1, r1 = amplitudes(u[i:i + 1], theta[i:i + 1])
+            t1, r1 = solver_amplitudes(u[i:i + 1], theta[i:i + 1])
             assert np.max(np.abs(t1[0] - t[i])) <= 1e-15
             assert np.max(np.abs(r1[0] - r[i])) <= 1e-15
 
     def test_flux_defect(self):
         u, theta = kernel_draws()
-        t, r = amplitudes(u, theta)
+        t, r = solver_amplitudes(u, theta)
         dagger = np.conj(np.swapaxes(t, 1, 2)), np.conj(np.swapaxes(r, 1, 2))
         defect = dagger[0] @ t + dagger[1] @ r - np.eye(8)
         assert np.max(np.linalg.norm(defect, axis=(1, 2))) <= 1e-10
 
     def test_shape_and_domain_validation(self):
-        assert amplitudes([], [])[0].shape == (0, 8, 8)
+        assert solver_amplitudes([], [])[0].shape == (0, 8, 8)
         with pytest.raises(ValueError):
-            amplitudes([1.0, 2.0], [1.0])
+            solver_amplitudes([1.0, 2.0], [1.0])
         with pytest.raises(DomainError):
-            amplitudes([-1.0], [1.0])
+            solver_amplitudes([-1.0], [1.0])
         with pytest.raises(DomainError):
-            amplitudes([1.0], [0.0])
+            solver_amplitudes([1.0], [0.0])
 
     def test_flux_failure_names_point_sector_and_bound(self):
         # strong coupling at a resonance breaks the doublet flux check
         with pytest.raises(NumericError) as info:
-            amplitudes([1e6], [math.pi])
+            solver_amplitudes([1e6], [math.pi])
         message = str(info.value)
         assert "doublet sector (incident channel" in message
         assert "u = 1000000.0" in message and f"theta = {math.pi!r}" in message
