@@ -2,8 +2,11 @@
 
 ``observable_table`` alone turns the closed-form kernel's coupled-basis
 scattering matrices into observables; sweeps, ``scatter`` and the acceptance
-harness all read it.  The star-product oracle serves only the symmetry
-report, which needs both incidence directions and takes a stack of points.
+harness all read it.  Its callers convert incident states with
+``CoupledBasis.to_coupled``, and ``OBSERVABLE_COLUMNS`` names its columns in
+the order it writes them, so the sweep tables take their names from here.
+The star-product oracle serves only the symmetry report, which needs both
+incidence directions and takes a stack of points.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ _BALANCE_TOL = 1e-10
 _ELECTRON_SLICES = {"up": slice(0, 4), "down": slice(4, 8)}
 FIXED_POINT_TOL = 1e-8
 
+_KETS = ("uuu", "uud", "udu", "udd", "duu", "dud", "ddu", "ddd")  # product-basis order
+OBSERVABLE_COLUMNS = (
+    "T", "T_up", "T_down",
+    *(f"{part}_t_{ket}" for ket in _KETS for part in ("re", "im")),
+    "R",
+)
+
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Row-wise products: matrices (N or 1, n, n) times vectors (N or 1, n)."""
@@ -29,14 +39,16 @@ def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
-    """Columns T, T_up, T_down, the 16 amplitude columns and R, one row per point.
+    """The ``OBSERVABLE_COLUMNS`` of each point, one row per point.
 
+    T, T_up and T_down come first, then the 16 amplitude columns and R.
     ``t`` and ``r`` are coupled-basis matrices (N, 8, 8) and ``coeffs`` the
-    coupled-basis incident states (N, 8); any of them may have a leading
-    axis of length 1, which is shared by every row.  The amplitude columns
-    are the real and imaginary parts of the transmitted state in the product
-    basis.  T, T_up and T_down must lie in [0, 1] and T + R must equal 1;
-    a failure names its (u, theta) point, broadcast from ``u`` and ``theta``.
+    coupled-basis incident states (N, 8), as ``CoupledBasis.to_coupled``
+    gives them; any of them may have a leading axis of length 1, which is
+    shared by every row.  The amplitude columns are the real and imaginary
+    parts of the transmitted state in the product basis.  T, T_up and T_down
+    must lie in [0, 1] and T + R must equal 1; a failure names its
+    (u, theta) point, broadcast from ``u`` and ``theta``.
     """
     basis = coupled_basis().matrix
     gamma = _matvec(t, coeffs)

@@ -36,9 +36,15 @@ from . import states
 # holds 2.6e6 rows at 0.75 kB, a minute holds 3.7e6 at 16.3 us.  Rounded
 # down, 2e6 rows run in at most about 35 s and peak near 1.5 GB.
 GRID_CAP = 2 * 10**6
-# the kernel's solve gives a nan residual at subnormal phases (from 1e-308 at
-# u = 1e-6, from 1e-309 at u = 1 to 1e3) and passes at the smallest normal one
+# Smallest accepted phase: the smallest normal double.  The kernel does not
+# need it: the closed forms and the solver both pass at the subnormal phases
+# 5e-324, 1e-310 and 2.2e-308 for u = 1e-6, 1 and 1e3.
 _SMALLEST_PHASE = sys.float_info.min
+# Largest accepted coupling u.  The kernel's g^4 overflows beyond it: the
+# largest u that passes, bisected on 404 phases in (0, 2 pi] plus 1, pi/2,
+# 1e-300 and 1e300, is 1.44e76 at its smallest (1.50e76 at pi/2, 1.60e76 at
+# theta = 1).
+_LARGEST_COUPLING = 1e76
 
 _TWO_PI = 2.0 * math.pi
 
@@ -117,6 +123,14 @@ def _parse_int(raw: str, key: str) -> int:
     return value
 
 
+def _check_coupling(value: float, key: str) -> float:
+    if value > _LARGEST_COUPLING:
+        raise ConfigError(
+            f"{key} = {value!r} exceeds the largest coupling {_LARGEST_COUPLING!r}"
+        )
+    return value
+
+
 def _parse_u_list(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
@@ -126,7 +140,7 @@ def _parse_u_list(raw: str) -> tuple[float, ...]:
         raise ConfigError("u_list is empty")
     if any(v < 0 or not math.isfinite(v) for v in values):
         raise ConfigError("u values must be finite and >= 0")
-    return values
+    return tuple(_check_coupling(v, "u_list") for v in values)
 
 
 def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, ...]:
@@ -227,8 +241,8 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         u_values = _parse_u_list(resolved["u_list"])
         u_count = len(u_values)
     else:
-        u_lo = _parse_float(resolved["u_min"], "u_min")
-        u_hi = _parse_float(resolved["u_max"], "u_max")
+        u_lo = _check_coupling(_parse_float(resolved["u_min"], "u_min"), "u_min")
+        u_hi = _check_coupling(_parse_float(resolved["u_max"], "u_max"), "u_max")
         u_count = _parse_int(resolved["u_steps"], "u_steps")
         if not 0 <= u_lo < u_hi:
             raise ConfigError("need 0 <= u_min < u_max")

@@ -10,8 +10,12 @@ Grids are evaluated in chunks of ``CHUNK`` points: one call of the
 production kernel, ``closed_form.amplitudes``, per chunk, then the row
 builder ``observables.observable_table`` for all three sweep kinds, whose
 rows are written into one float64 table beside the lead columns (the
-config's grid values).  Every value of a row is computed from its own
-point only, so the output does not depend on the chunk size.
+config's grid values).  This module names only those lead columns; the
+rest are ``observables.OBSERVABLE_COLUMNS``.  Incident states reach the
+row builder through ``CoupledBasis.to_coupled``; a family sweep converts
+its whole grid of states once, before the first kernel call.  Every value
+of a row is computed from its own point only, so the output does not
+depend on the chunk size.
 Every sweep kind reads its phases from ``SweepConfig.theta_values``, which
 holds one phase for family and coupling sweeps, so theta and coupling
 sweeps are the same grid of points (u, theta).
@@ -33,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..closed_form import amplitudes
-from ..observables import _matvec, observable_table
+from ..observables import OBSERVABLE_COLUMNS, observable_table
 from ..spin_algebra import coupled_basis
 from ._format import format_float, format_rows
 from .config import SweepConfig
@@ -41,12 +45,6 @@ from .states import electron_state, family_builder, incident_state
 
 # points per kernel call; keeps the kernel's temporary arrays near 1 MB
 CHUNK = 256
-
-_KETS = ("uuu", "uud", "udu", "udd", "duu", "dud", "ddu", "ddd")
-_AMP_COLUMNS = tuple(
-    name for ket in _KETS for name in (f"re_t_{ket}", f"im_t_{ket}")
-)
-_OBSERVABLE_COLUMNS = ("T", "T_up", "T_down", *_AMP_COLUMNS, "R")
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def _point_table(cfg: SweepConfig) -> np.ndarray:
     theta = np.tile(cfg.theta_values, len(cfg.u_values))
     chi = incident_state(cfg.electron_spin, cfg.impurity_state)
     coeffs = coupled_basis().to_coupled(chi)[None, :]
-    out = np.empty((len(u), 2 + len(_OBSERVABLE_COLUMNS)))
+    out = np.empty((len(u), 2 + len(OBSERVABLE_COLUMNS)))
     out[:, 0], out[:, 1] = theta, u
     for s in _chunks(len(u)):
         t, r = amplitudes(u[s], theta[s])
@@ -85,10 +83,10 @@ def _family_table(cfg: SweepConfig) -> np.ndarray:
     vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
     pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
     chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
-    coeffs = _matvec(coupled_basis().matrix.conj().T, chi)
+    coeffs = coupled_basis().to_coupled(chi)
     u = np.asarray(cfg.u_values)
     theta = cfg.theta_values[0]
-    out = np.empty((len(u), len(pairs), 3 + len(_OBSERVABLE_COLUMNS)))
+    out = np.empty((len(u), len(pairs), 3 + len(OBSERVABLE_COLUMNS)))
     out[..., 0], out[..., 1], out[..., 2] = vartheta.ravel(), phi.ravel(), u[:, None]
     for k in _chunks(len(u)):
         t_block, r_block = amplitudes(u[k], np.full(len(u[k]), theta))
@@ -103,10 +101,10 @@ def _family_table(cfg: SweepConfig) -> np.ndarray:
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured grid and return the result table."""
     if cfg.kind == "family":
-        columns = ("vartheta", "phi", "u", *_OBSERVABLE_COLUMNS)
+        columns = ("vartheta", "phi", "u", *OBSERVABLE_COLUMNS)
         rows = _family_table(cfg)
     else:
-        columns = ("theta", "u", *_OBSERVABLE_COLUMNS)
+        columns = ("theta", "u", *OBSERVABLE_COLUMNS)
         rows = _point_table(cfg)
     rows.flags.writeable = False
     header = tuple(f"# {key} = {value}" for key, value in cfg.echo)

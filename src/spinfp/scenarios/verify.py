@@ -8,7 +8,8 @@ Every check runs on stacks of points: the production kernel (the closed
 forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
 criterion's points in one call (criterion 1 in chunks of ``sweeps.CHUNK``);
 the solver serves criterion 1 alone, as evidence.  Criteria 7 and 8 read
-the figure presets' sweep tables instead of scanning the same grids again.
+the figure presets' sweep tables, by column name, instead of scanning the
+same grids again.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def criterion_flux_conservation() -> CriterionResult:
         points.append(_random_points(rng, 1)[0])
         states.append(_random_state(rng).amplitudes)
     t, r = amplitudes(*np.transpose(points))
-    coeffs = np.asarray(states) @ coupled_basis().matrix.conj()  # rows B^dagger chi
+    coeffs = coupled_basis().to_coupled(np.asarray(states))
     gamma = np.matmul(t, coeffs[..., None])
     rho = np.matmul(r, coeffs[..., None])
     flux = np.sum(np.abs(gamma) ** 2 + np.abs(rho) ** 2, axis=(1, 2))
@@ -121,7 +122,7 @@ def criterion_singlet_transparency() -> CriterionResult:
         states.append(compose_state(raw / np.linalg.norm(raw), bell_pair(-1)).amplitudes)
     chi = np.asarray(states)
     t, r = amplitudes(u, theta)
-    table = observable_table(t, r, chi @ coupled_basis().matrix.conj(), u, theta)
+    table = observable_table(t, r, coupled_basis().to_coupled(chi), u, theta)
     transmitted = table[:, 3:19].view(complex)  # the amplitude columns
     fid = np.abs(np.sum(chi.conj() * transmitted, axis=1)) ** 2
     worst_t = float(np.min(table[:, 0]))
@@ -234,8 +235,8 @@ def criterion_recoupling_values() -> CriterionResult:
 
 def criterion_entanglement_generation() -> CriterionResult:
     chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, pair down-down
-    _, rows = _sweep_rows("fig7")  # u from 0.01 to 10 at theta = pi, impurities dd
-    u, t_down = rows[:, 1], rows[:, 4]  # columns theta, u, T, T_up, T_down, ...
+    table = _preset("fig7")  # u from 0.01 to 10 at theta = pi, impurities dd
+    u, t_down = table["u"], table["T_down"]
     best = int(np.argmax(t_down))  # the first of equal maxima
     best_t = float(t_down[best])
     best_u = float(u[best])
@@ -256,22 +257,29 @@ def criterion_entanglement_generation() -> CriterionResult:
     )
 
 
-def _sweep_rows(scenario: str) -> tuple[float, np.ndarray]:
-    cfg = build_config({"scenario": scenario})
-    if cfg.kind == "theta":
-        step = cfg.theta_values[1] - cfg.theta_values[0]
-    else:
-        step = 0.0
-    return step, run_sweep(cfg).rows
+def _preset(scenario: str) -> dict[str, np.ndarray]:
+    """A figure preset's sweep table, one array per column name."""
+    result = run_sweep(build_config({"scenario": scenario}))
+    return dict(zip(result.columns, result.rows.T))
+
+
+def _curves_by_u(scenario: str) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Phase step of a theta preset and its curve (theta, T) at u = 1, 2 and 10."""
+    table = _preset(scenario)
+    curves = [
+        (table["theta"][table["u"] == u], table["T"][table["u"] == u])
+        for u in (1.0, 2.0, 10.0)
+    ]
+    thetas = curves[0][0]
+    return thetas[1] - thetas[0], curves
 
 
 def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
-    """Grid step and the distance of each u's argmax of T from the nearest n pi."""
-    step, rows = _sweep_rows(scenario)
+    """Phase step and the distance of each u's argmax of T from the nearest n pi."""
+    step, curves = _curves_by_u(scenario)
     offsets = []
-    for u in (1.0, 2.0, 10.0):
-        sel = rows[rows[:, 1] == u]
-        peak = sel[np.argmax(sel[:, 2]), 0]
+    for thetas, t_vals in curves:
+        peak = thetas[np.argmax(t_vals)]
         offsets.append(abs(peak - math.pi * round(peak / math.pi)))
     return step, offsets
 
@@ -284,11 +292,10 @@ def _curve(impurity_specs, thetas, u) -> np.ndarray:
     theta = np.asarray(thetas, dtype=float)
     u = np.broadcast_to(u, theta.shape)
     t, r = amplitudes(u, theta)
-    to_coupled = coupled_basis().to_coupled
-    return np.array([
-        observable_table(t, r, to_coupled(incident_state("u", spec))[None, :], u, theta)[:, 0]
-        for spec in impurity_specs
-    ])
+    coeffs = coupled_basis().to_coupled(
+        [incident_state("u", spec).amplitudes for spec in impurity_specs]
+    )
+    return np.array([observable_table(t, r, c[None], u, theta)[:, 0] for c in coeffs])
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901
@@ -312,12 +319,9 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append("fig2b |argmax - n pi| = " + ", ".join(f"{o:.4f}" for o in offsets_b))
 
     # singlet curves: unit peaks exactly at n pi that narrow with coupling
-    step, rows = _sweep_rows("fig3b")
+    step, curves = _curves_by_u("fig3b")
     widths = []
-    for u in (1.0, 2.0, 10.0):
-        sel = rows[rows[:, 1] == u]
-        thetas = sel[:, 0]
-        t_vals = sel[:, 2]
+    for thetas, t_vals in curves:
         window = (thetas >= math.pi / 2) & (thetas <= 3 * math.pi / 2)
         widths.append(float(np.count_nonzero(t_vals[window] >= 0.5) * step))
     # the 2001-point grid straddles pi, so probe the resonances directly
@@ -331,8 +335,8 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append("fig3b half-height widths = " + ", ".join(f"{w:.4f}" for w in widths))
 
     # entanglement-controlled map over the one-excitation family
-    _, rows = _sweep_rows("fig4")
-    vt, ph, t_tot = rows[:, 0], rows[:, 1], rows[:, 3]
+    table = _preset("fig4")
+    vt, ph, t_tot = table["vartheta"], table["phi"], table["T"]
 
     def at_point(a: float, b: float) -> float:
         mask = (np.abs(vt - a) < 1e-12) & (np.abs(ph - b) < 1e-12)
@@ -349,8 +353,8 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append(f"fig4 T(singlet) = {t_singlet:.12f}, T(triplet) = {t_triplet:.6f}")
 
     # spin-filtered map: T_up <= T with equality on the singlet
-    _, rows = _sweep_rows("fig5")
-    vt, ph, t_tot, t_up = rows[:, 0], rows[:, 1], rows[:, 3], rows[:, 4]
+    table = _preset("fig5")
+    vt, ph, t_tot, t_up = table["vartheta"], table["phi"], table["T"], table["T_up"]
     gap = float(np.max(t_up - t_tot))
     if gap > 1e-12:
         problems.append(f"fig5 T_up exceeds T by {gap:.3e}")

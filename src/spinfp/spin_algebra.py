@@ -191,9 +191,14 @@ class CoupledBasis:
         return SpinVector(self.matrix[:, self.index(s_e2, s, m)])
 
     def to_coupled(self, v) -> np.ndarray:
-        """Coefficients <s_e2; s, m | v> in label order."""
+        """Coefficients <s_e2; s, m | v> in label order.
+
+        ``v`` is one state (a ``SpinVector`` or 8 amplitudes) or a stack of
+        product-basis states (..., 8); each state is converted on its own,
+        so a stacked row has the bits of the single-state call.
+        """
         amps = v.amplitudes if isinstance(v, SpinVector) else np.asarray(v, dtype=complex)
-        return self.matrix.conj().T @ amps
+        return np.matmul(self.matrix.conj().T, amps[..., None])[..., 0]
 
     def to_product(self, coeffs) -> np.ndarray:
         return self.matrix @ np.asarray(coeffs, dtype=complex)
@@ -312,13 +317,18 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     Racah's closed formula (Phys. Rev. 62, 438 (1942)) over exact rationals,
     in doubled angular momenta so every quantity is an integer.
     """
+    return _signed_sqrt(_wigner_6j_signed_square(j1, j2, j3, j4, j5, j6))
+
+
+def _wigner_6j_signed_square(j1, j2, j3, j4, j5, j6) -> Fraction:
+    """sign(W) W^2 of the 6j symbol W, exactly."""
     js = [_doubled(j, f"j{i + 1}") for i, j in enumerate((j1, j2, j3, j4, j5, j6))]
     if any(j < 0 for j in js):
         raise DomainError("angular momenta must be nonnegative")
     a, b, c, d, e, f = js
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
     if any(x > y + z or y > z + x or z > x + y or (x + y + z) % 2 for x, y, z in triads):
-        return 0.0
+        return Fraction(0)
     fact = math.factorial
     delta = math.prod(
         Fraction(
@@ -336,28 +346,33 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
         )
         for t in range(max(lows), min(highs) + 1)
     )
-    return _signed_sqrt(total * abs(total) * delta)
+    return total * abs(total) * delta
 
 
-def coupling_scheme_overlap(s_e2: int, s_e1: int, s: float = 0.5) -> float:
-    """Overlap between the two pairing schemes of the three spins.
-
-    Bra: impurity 1 coupled with the (electron, impurity 2) pair of spin
-    s_e2 to total s.  Ket: the (electron, impurity 1) pair of spin s_e1
-    coupled with impurity 2 to the same total s.  The first phase undoes
-    the reordering of the electron inside its pair, the second comes from
-    the standard regrouping identity for three angular momenta.
-    """
+def _overlap_signed_square(s_e2: int, s_e1: int) -> Fraction:
+    """sign(c) c^2 of the overlap c = ``coupling_scheme_overlap``, exactly."""
     if s_e2 not in (0, 1) or s_e1 not in (0, 1):
         raise DomainError("pair spins must be 0 or 1")
-    reorder = (-1.0) ** (1 - s_e1)
-    regroup = (-1.0) ** int(round(1.5 + s))
+    reorder = (-1) ** (1 - s_e1)
+    # the regrouping phase (-1)^(3/2 + s) is +1 at total spin s = 1/2
     return (
         reorder
-        * regroup
-        * np.sqrt((2 * s_e1 + 1) * (2 * s_e2 + 1))
-        * wigner_6j(0.5, 0.5, s_e1, 0.5, s, s_e2)
+        * (2 * s_e1 + 1)
+        * (2 * s_e2 + 1)
+        * _wigner_6j_signed_square(0.5, 0.5, s_e1, 0.5, 0.5, s_e2)
     )
+
+
+def coupling_scheme_overlap(s_e2: int, s_e1: int) -> float:
+    """Overlap between the two pairing schemes of the three spins, at total spin 1/2.
+
+    Bra: impurity 1 coupled with the (electron, impurity 2) pair of spin
+    s_e2 to total 1/2.  Ket: the (electron, impurity 1) pair of spin s_e1
+    coupled with impurity 2 to the same total.  One phase undoes the
+    reordering of the electron inside its pair; the phase of the standard
+    regrouping identity for three angular momenta is +1 at total spin 1/2.
+    """
+    return _signed_sqrt(_overlap_signed_square(s_e2, s_e1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,9 +382,18 @@ def recoupling_matrix_elements() -> np.ndarray:
     Computed by expanding each s_e2 state over the electron+impurity-1
     pairing scheme (where the operator is diagonal with eigenvalues
     s_e1 (s_e1 + 1)) via 6j recoupling.  Independent of m by construction.
+    Each term, an eigenvalue times two overlaps, is formed from the exact
+    signed squares and rounded once, so rational entries come out exact.
     """
-    overlap = np.array(
-        [[coupling_scheme_overlap(s_e2, s_e1) for s_e1 in (0, 1)] for s_e2 in (0, 1)]
-    )
-    eigenvalues = np.array([0.0, 2.0])  # s_e1 (s_e1 + 1)
-    return _readonly(overlap @ np.diag(eigenvalues) @ overlap.T)
+
+    def element(row: int, col: int) -> float:
+        return sum(
+            _signed_sqrt(
+                (s_e1 * (s_e1 + 1)) ** 2
+                * _overlap_signed_square(row, s_e1)
+                * _overlap_signed_square(col, s_e1)
+            )
+            for s_e1 in (0, 1)
+        )
+
+    return _readonly(np.array([[element(row, col) for col in (0, 1)] for row in (0, 1)]))

@@ -214,9 +214,8 @@ class TestDerivation:
         z = 1 / (1 + ring)
         root3 = sp.sqrt(3)
 
-        def exact(value):  # the site strengths carry rounding from the recoupling
-            parts = [sp.nsimplify(v, [root3]) if abs(v) > 1e-12 else sp.S.Zero
-                     for v in (value.real, value.imag)]
+        def exact(value):
+            parts = [sp.nsimplify(v, [root3]) for v in (value.real, value.imag)]
             assert complex(parts[0] + sp.I * parts[1]) == pytest.approx(value, abs=1e-15)
             return parts[0] + sp.I * parts[1]
 

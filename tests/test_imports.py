@@ -38,6 +38,22 @@ def test_import_loads_no_heavy_dependency(module):
     assert _run(script) == "[]"
 
 
+def test_verify_and_figure_sweeps_load_no_heavy_dependency():
+    # a heavy module imported inside a criterion or a sweep would pass the
+    # import-time check above
+    script = (
+        "import io, sys\n"
+        "from spinfp.scenarios.config import build_config\n"
+        "from spinfp.scenarios.sweeps import render_csv, run_sweep\n"
+        "from spinfp.scenarios.verify import run_verification\n"
+        "assert run_verification(io.StringIO()) == 0\n"
+        "for name in ('fig3b', 'fig4', 'fig7'):\n"
+        "    render_csv(run_sweep(build_config({'scenario': name})))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {HEAVY!r}))"
+    )
+    assert _run(script) == "[]"
+
+
 def test_import_builds_no_format_table():
     # the formatter's 10^k, digit and exponent tables cost set-up time; they
     # are built for the first rendered CSV, not at import

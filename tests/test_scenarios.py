@@ -637,8 +637,30 @@ class TestCli:
         assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0))  # T
         np.testing.assert_allclose(rows[:, 2] + rows[:, -1], 1.0, rtol=0, atol=1e-10)
 
-    def test_numeric_failure_is_located(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario,key", [("fig3b", "u_list"), ("fig7", "u_max")])
+    def test_coupling_above_the_bound_rejected_at_parse_time(
+        self, tmp_path, capsys, scenario, key
+    ):
+        out_file = tmp_path / "strong.csv"
+        cfg_file = tmp_path / "strong.cfg"
+        cfg_file.write_text(f"scenario = {scenario}\n{key} = 1e77\noutput = {out_file}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        message = capsys.readouterr().err
+        assert f"{key} = 1e+77" in message and "1e+76" in message
+        assert not out_file.exists()
+
+    def test_theta_sweep_at_the_coupling_bound(self, tmp_path):
+        cfg_file = tmp_path / "strong.cfg"
+        cfg_file.write_text(
+            f"scenario = fig3b\nu_list = {config_mod._LARGEST_COUPLING!r}\n"
+            f"output = {tmp_path / 'strong.csv'}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+
+    def test_numeric_failure_is_located(self, tmp_path, capsys, monkeypatch):
         # g^4 overflows beyond u of about 1e76; the nan reaches the flux check
+        # once the parse-time bound on u is lifted
+        monkeypatch.setattr(config_mod, "_LARGEST_COUPLING", math.inf)
         cfg_file = tmp_path / "strong.cfg"
         cfg_file.write_text(
             "scenario = fig7\nu_min = 1e100\nu_max = 1.00001e100\nu_steps = 3\n"

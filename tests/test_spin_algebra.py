@@ -193,12 +193,22 @@ class TestBasisChange:
             back = coupled_basis().to_product(coeffs)
             np.testing.assert_allclose(back, v.amplitudes, atol=1e-12)
 
+    def test_stack_matches_single_states_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        states = rng.standard_normal((200, 8)) + 1j * rng.standard_normal((200, 8))
+        basis = coupled_basis()
+        stacked = basis.to_coupled(states)
+        assert stacked.shape == (200, 8)
+        assert np.array_equal(stacked, [basis.to_coupled(v) for v in states])
+        assert np.array_equal(basis.to_coupled(states.reshape(20, 10, 8)),
+                              stacked.reshape(20, 10, 8))
+
 
 class TestRecoupling:
     def test_matrix_bytes_unchanged(self):
-        # the values the sympy-based 6j gave, bit for bit
+        # the exact values, bit for bit: 3/2 and 1/2, and sqrt(3)/2 correctly rounded
         assert recoupling_matrix_elements().tobytes().hex() == (
-            "fffffffffffff73faa4c58e87ab6eb3faa4c58e87ab6eb3f000000000000e03f"
+            "000000000000f83faa4c58e87ab6eb3faa4c58e87ab6eb3f000000000000e03f"
         )
 
     def test_matrix_values(self):
