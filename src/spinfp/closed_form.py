@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, check
 
 _FLUX_TOL = 1e-9
 
@@ -182,16 +182,12 @@ def _check_flux(t: np.ndarray, r: np.ndarray, u, theta, sector: str) -> None:
     """|sum |t|^2 + |r|^2 - 1| <= 1e-9 for every point and incident channel.
 
     ``t`` and ``r`` are one sector's blocks (N, n, n), indexed (out, in).  A
-    failure, nan included, names the first offending point.
+    failure, nan included, names the first offending point and channel.
     """
     flux = np.sum(np.abs(t) ** 2 + np.abs(r) ** 2, axis=1)
-    ok = np.abs(flux - 1.0) <= _FLUX_TOL
-    if not ok.all():
-        i, c = np.argwhere(~ok)[0]
-        raise NumericError(
-            f"flux not conserved in the {_where(sector, u, theta, i, c)}: "
-            f"sum |t|^2 + |r|^2 = {float(flux[i, c])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"
-        )
+    check(np.abs(flux - 1.0), _FLUX_TOL, lambda i: (
+        f"flux not conserved in the {_where(sector, u, theta, *i)}: "
+        f"sum |t|^2 + |r|^2 = {float(flux[i])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"))
 
 
 def _coupled(quartet: np.ndarray, doublet: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import DimensionlessParams, amplitudes
-from .errors import DomainError, NumericError
+from .errors import DomainError, check
 from .spin_algebra import SpinVector, coupled_basis, spin_operators
 from .transfer_oracle import oracle_scattering, two_impurity_chain
 
@@ -31,11 +31,20 @@ OBSERVABLE_COLUMNS = (
     *(f"{part}_t_{ket}" for ket in _KETS for part in ("re", "im")),
     "R",
 )
+COLUMN_OF = {name: i for i, name in enumerate(OBSERVABLE_COLUMNS)}
+# the transmitted product-basis state, (re, im) per ket; a row's slice views as complex
+AMPLITUDE_COLUMNS = slice(COLUMN_OF["re_t_uuu"], COLUMN_OF["im_t_ddd"] + 1)
 
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Row-wise products: matrices (N or 1, n, n) times vectors (N or 1, n)."""
     return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def _point(u, theta, rows: np.ndarray, i) -> str:
+    """Names the (u, theta) point of row i, u and theta broadcast over the rows."""
+    u_i, theta_i = np.broadcast_arrays(u, theta, rows)[:2]
+    return f"u = {float(u_i[i])!r}, theta = {float(theta_i[i])!r}"
 
 
 def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
@@ -59,24 +68,14 @@ def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
     t_up = np.sum(weights[:, :4], axis=-1)
     t_down = np.sum(weights[:, 4:], axis=-1)
     reflected = np.sum(rho.real ** 2 + rho.imag ** 2, axis=-1)
-
-    def fail(i: int, message: str):
-        u_i, theta_i = np.broadcast_arrays(u, theta, t_total)[:2]
-        raise NumericError(
-            f"{message} at u = {float(u_i[i])!r}, theta = {float(theta_i[i])!r}"
-        )
-
+    # sums of squares: only the upper edge of [0, 1] can fail, and nan fails it
     for name, value in (("T", t_total), ("T_up", t_up), ("T_down", t_down)):
-        ok = (-_PROB_TOL <= value) & (value <= 1.0 + _PROB_TOL)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            fail(i, f"{name} = {float(value[i])!r} outside [0, 1] by more than "
-                    f"{_PROB_TOL!r}")
-    ok = np.abs(t_total + reflected - 1.0) <= _BALANCE_TOL
-    if not ok.all():
-        i = int(np.argmin(ok))
-        fail(i, f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more "
-                f"than {_BALANCE_TOL!r}")
+        check(value, 1.0 + _PROB_TOL, lambda i: (
+            f"{name} = {float(value[i])!r} outside [0, 1] by more than {_PROB_TOL!r} "
+            f"at {_point(u, theta, t_total, i)}"))
+    check(np.abs(t_total + reflected - 1.0), _BALANCE_TOL, lambda i: (
+        f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more than "
+        f"{_BALANCE_TOL!r} at {_point(u, theta, t_total, i)}"))
     return np.column_stack(
         (t_total, t_up, t_down, np.ascontiguousarray(product).view(np.float64), reflected)
     )
@@ -110,8 +109,8 @@ def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
         raise DomainError("incident state must be normalized")
     t, r = amplitudes([p.u], [p.theta])
     row = observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], p.u, p.theta)[0]
-    t_total, t_up, t_down, r_total = (float(row[i]) for i in (0, 1, 2, 19))
-    return ScatteredState(chi, p, row[3:19].view(complex), t_total, t_up, t_down, r_total)
+    scalars = row[[COLUMN_OF[name] for name in ("T", "T_up", "T_down", "R")]].tolist()
+    return ScatteredState(chi, p, row[AMPLITUDE_COLUMNS].view(complex), *scalars)
 
 
 @dataclass(frozen=True)

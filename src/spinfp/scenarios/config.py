@@ -132,12 +132,10 @@ def _check_coupling(value: float, key: str) -> float:
 
 
 def _parse_u_list(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    try:  # an empty entry, and so an empty list, is not a number
+        values = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad u_list: {raw!r}") from exc
-    if not values:
-        raise ConfigError("u_list is empty")
     if any(v < 0 or not math.isfinite(v) for v in values):
         raise ConfigError("u values must be finite and >= 0")
     return tuple(_check_coupling(v, "u_list") for v in values)

@@ -88,6 +88,8 @@ def _parse_family_args(tokens: list[str], spec: str) -> tuple[float, float]:
             values[key] = float(raw)
         except ValueError as exc:
             raise DomainError(f"bad number in {tok!r}") from exc
+        if not math.isfinite(values[key]):
+            raise DomainError(f"family parameter {tok!r} must be finite in {spec!r}")
     missing = {"theta", "phi"} - values.keys()
     if missing:
         raise DomainError(f"missing {sorted(missing)} in {spec!r}")

@@ -21,6 +21,8 @@ import numpy as np
 
 from ..closed_form import DimensionlessParams, amplitudes, det_t_minus_identity
 from ..observables import (
+    AMPLITUDE_COLUMNS,
+    COLUMN_OF,
     fixed_point_subspace,
     observable_table,
     postselect,
@@ -123,9 +125,9 @@ def criterion_singlet_transparency() -> CriterionResult:
     chi = np.asarray(states)
     t, r = amplitudes(u, theta)
     table = observable_table(t, r, coupled_basis().to_coupled(chi), u, theta)
-    transmitted = table[:, 3:19].view(complex)  # the amplitude columns
+    transmitted = table[:, AMPLITUDE_COLUMNS].view(complex)
     fid = np.abs(np.sum(chi.conj() * transmitted, axis=1)) ** 2
-    worst_t = float(np.min(table[:, 0]))
+    worst_t = float(np.min(table[:, COLUMN_OF["T"]]))
     worst_fid = float(np.min(fid))
     passed = worst_t > 1.0 - 1e-10 and worst_fid > 1.0 - 1e-10
     return CriterionResult(
@@ -295,7 +297,7 @@ def _curve(impurity_specs, thetas, u) -> np.ndarray:
     coeffs = coupled_basis().to_coupled(
         [incident_state("u", spec).amplitudes for spec in impurity_specs]
     )
-    return np.array([observable_table(t, r, c[None], u, theta)[:, 0] for c in coeffs])
+    return np.array([observable_table(t, r, c[None], u, theta)[:, COLUMN_OF["T"]] for c in coeffs])
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901

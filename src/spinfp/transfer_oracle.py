@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import DimensionlessParams
-from .errors import DomainError, NumericError
+from .errors import DomainError, check
 from .spin_algebra import spin_operators
 
 _UNITARITY_TOL = 1e-10
@@ -90,13 +90,10 @@ class FullScatteringMatrix:
         s = self.s_matrix()
         gram = s.conj().swapaxes(-1, -2) @ s
         defect = np.max(np.abs(gram - np.eye(2 * _DIM)), axis=(-2, -1))
-        if np.any(defect > _UNITARITY_TOL):
-            i = np.unravel_index(np.argmax(defect), defect.shape)
-            k = np.broadcast_to(np.asarray(self.wave_number, dtype=float), defect.shape)[i]
-            raise NumericError(
-                f"scattering matrix not unitary at wave number {float(k)!r}: defect "
-                f"{float(defect[i]):.3e} > {_UNITARITY_TOL!r}"
-            )
+        check(defect, _UNITARITY_TOL, lambda i: (
+            "scattering matrix not unitary at wave number "
+            f"{float(np.broadcast_to(np.asarray(self.wave_number, float), defect.shape)[i])!r}: "
+            f"defect {float(defect[i]):.3e} > {_UNITARITY_TOL!r}"))
 
     def s_matrix(self) -> np.ndarray:
         """Combined 16x16 unitary, ordered (left in, right in) x (left out, right out)."""
@@ -130,9 +127,10 @@ def oracle_scattering(chain: ImpurityChain) -> FullScatteringMatrix:
     eye = np.eye(_DIM, dtype=complex)
     free = np.broadcast_to(eye, k.shape[:-2] + eye.shape)  # the empty wire, per chain
     blocks = (free, 0 * free, free, 0 * free)
-    for site in chain.sites:
-        t = np.linalg.inv(eye + 0.5j * _site_potential(site))
-        r = t - eye
-        phase = np.exp(2j * k * site.position)  # reflections at x pick up e^{+-2ikx}
-        blocks = _star(blocks, (t, r * phase, t, r / phase))
+    with np.errstate(over="ignore", invalid="ignore"):  # 2kx overflows: nan fails unitarity
+        for site in chain.sites:
+            t = np.linalg.inv(eye + 0.5j * _site_potential(site))
+            r = t - eye
+            phase = np.exp(2j * k * site.position)  # reflections at x pick up e^{+-2ikx}
+            blocks = _star(blocks, (t, r * phase, t, r / phase))
     return FullScatteringMatrix(*blocks, wave_number=chain.wave_number)

@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from .closed_form import _check_flux, _coupled, _stack, _where
-from .errors import NumericError
+from .errors import NumericError, check
 from .spin_algebra import recoupling_matrix_elements
 
 _RESIDUAL_RTOL = 1e-8
@@ -130,14 +130,9 @@ def _solve(
         np.linalg.norm(matrix, axis=(1, 2))[:, None] * np.linalg.norm(x, axis=1)
         + np.linalg.norm(rhs, axis=1)
     )
-    ok = residual <= _RESIDUAL_RTOL * scale
-    if not ok.all():
-        i, c = np.argwhere(~ok)[0]
-        raise NumericError(
-            f"large residual in the {_where(sector, u, theta, i, c)}: "
-            f"|A x - b| / (|A| |x| + |b|) = "
-            f"{float(residual[i, c] / scale[i, c])!r} > {_RESIDUAL_RTOL!r}"
-        )
+    check(residual, _RESIDUAL_RTOL * scale, lambda i: (
+        f"large residual in the {_where(sector, u, theta, *i)}: "
+        f"|A x - b| / (|A| |x| + |b|) = {float(residual[i] / scale[i])!r} > {_RESIDUAL_RTOL!r}"))
 
     # per channel block the reflected amplitude is slot 0 and the transmitted slot 3
     _check_flux(x[:, 3::4], x[:, 0::4], u, theta, sector)

@@ -5,11 +5,17 @@ Random token strings may be rejected, but only with ``ConfigError`` or
 to an equal ``SweepConfig``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import spinfp  # noqa: E402
 from spinfp.errors import DomainError  # noqa: E402
 from spinfp.scenarios.config import (  # noqa: E402
     ConfigError,
@@ -73,11 +79,41 @@ def reparsed_from_echo(cfg):
 
 @RUNS
 @given(TOKEN_STRINGS)
+@example("family2 theta=1e400 phi=2")  # the float overflows to inf
 def test_impurity_state_raises_only_domain_error(spec):
     try:
         impurity_state(spec)
     except DomainError:
         pass
+
+
+@pytest.mark.parametrize("spec,token", [
+    ("uu_dd theta=nan phi=0", "theta=nan"),
+    ("uu_dd theta=0.3 phi=inf", "phi=inf"),
+])
+def test_non_finite_family_parameter_is_a_domain_error(spec, token):
+    with pytest.raises(DomainError) as info:
+        impurity_state(spec)
+    assert repr(token) in str(info.value) and repr(spec) in str(info.value)
+
+
+def test_non_finite_family_parameter_on_the_cli(tmp_path):
+    # a fresh interpreter with the default warning filters, so a leaked
+    # RuntimeWarning would reach stderr
+    out_file = tmp_path / "rows.csv"
+    cfg_file = tmp_path / "inf.cfg"
+    cfg_file.write_text(f"impurity_state = family2 theta=inf phi=0\noutput = {out_file}\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    source = str(Path(spinfp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinfp.scenarios.cli", "sweep", "--config", str(cfg_file)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "'theta=inf'" in proc.stderr
+    assert not out_file.exists()
 
 
 @RUNS

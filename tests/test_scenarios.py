@@ -283,6 +283,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="coupling sweep does not read u_steps; "):
             build_config({"scenario": "fig7", "u_list": "1,3", "u_steps": "5"})
 
+    @pytest.mark.parametrize("raw", ["1,,2", "1,"])
+    def test_empty_u_list_entry_rejected(self, raw):
+        with pytest.raises(ConfigError) as info:
+            build_config({"scenario": "fig3b", "u_list": raw})
+        assert "u_list" in str(info.value) and repr(raw) in str(info.value)
+
     @pytest.mark.parametrize(
         "settings,unread",
         [
