@@ -31,10 +31,11 @@ from . import states
 
 # Largest accepted grid, in rows.  Marginal cost per row of a whole sweep
 # (config to CSV on disk), measured between 3e4 and 3e5 rows on a 2-vCPU,
-# 8.2 GB machine: theta 14.6 us and 0.68 kB, coupling 16.3 us and 0.75 kB,
-# family 7.4 us and 0.71 kB.  Memory binds: a quarter of the machine (2 GB)
-# holds 2.6e6 rows at 0.75 kB, a minute holds 3.7e6 at 16.3 us.  Rounded
-# down, 2e6 rows run in at most about 35 s and peak near 1.5 GB.
+# 8.2 GB machine: theta 7.1 us and 0.21 kB, coupling 7.8 us and 0.23 kB,
+# family 5.8 us and 0.18 kB.  Time binds: a minute holds 7.7e6 rows at
+# 7.8 us, a quarter of the machine (2 GB) 8.7e6 at 0.23 kB.  2e6 rows run
+# in about 16 s and peak near 0.5 GB; the cap dates from when the whole CSV
+# text was held in memory (about 0.7 kB per row) and has not been raised.
 GRID_CAP = 2 * 10**6
 # Smallest accepted phase: the smallest normal double.  The kernel does not
 # need it: the closed forms and the solver both pass at the subnormal phases

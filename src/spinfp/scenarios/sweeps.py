@@ -20,12 +20,15 @@ Every sweep kind reads its phases from ``SweepConfig.theta_values``, which
 holds one phase for family and coupling sweeps, so theta and coupling
 sweeps are the same grid of points (u, theta).
 
-``render_csv`` formats that table ``CHUNK`` rows at a time with
-``_format.format_rows``: every value reads exactly as ``format_float``
-(``%.17g``) prints it, but numpy computes the digits of the whole chunk.
-Only nan, +-inf, values outside (1e-280, 1e280) and values within 1e-6 of a
-rounding tie go through ``format_float`` one by one (2 of the 985,976 values
-of the figure presets).
+The CSV is produced ``CHUNK`` rows at a time, as bytes: the header block in
+UTF-8 (the echo may hold any path), then ``_format.format_rows`` of each
+chunk in ASCII.  Every value reads exactly as ``format_float`` (``%.17g``)
+prints it, but numpy computes the digits of the whole chunk.  Only nan,
++-inf, values outside (1e-280, 1e280) and values within 1e-6 of a rounding
+tie go through ``format_float`` one by one (2 of the 985,976 values of the
+figure presets).  ``write_csv`` streams those chunks to disk as they are
+formatted, so a write holds O(CHUNK) bytes of text, never the whole file;
+``render_csv`` joins the same chunks into one string.
 """
 
 from __future__ import annotations
@@ -111,30 +114,39 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(header=header, columns=columns, rows=rows)
 
 
+def _csv_chunks(result: SweepResult):
+    """The CSV as bytes: the header block in UTF-8, then ``CHUNK`` rows at a time."""
+    lines = [*result.header, ",".join(result.columns)]
+    yield ("\n".join(lines) + "\n").encode("utf-8")
+    for s in _chunks(len(result.rows)):
+        yield format_rows(result.rows[s])
+
+
 def render_csv(result: SweepResult) -> str:
     """The CSV text: the header lines, the column names, then one line per row.
 
     Every value reads exactly as ``format_float`` (``%.17g``) prints it; numpy
     computes the digits ``CHUNK`` rows at a time, and only the fallback set of
-    the module docstring goes through ``format_float`` value by value.
+    the module docstring goes through ``format_float`` value by value.  The
+    text is the bytes ``write_csv`` writes, decoded.
     """
-    parts = ["\n".join([*result.header, ",".join(result.columns)]) + "\n"]
-    for s in _chunks(len(result.rows)):
-        parts.append(format_rows(result.rows[s]).decode("ascii"))
-    return "".join(parts)
+    return b"".join(_csv_chunks(result)).decode("utf-8")
 
 
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the table atomically: a failed write leaves any earlier file intact.
 
-    Identical results produce byte-identical files.
+    The bytes are streamed to a temporary sibling one chunk at a time, as
+    they are formatted, so the whole file never exists in memory; the
+    sibling then replaces ``path``.  Identical results produce byte-identical
+    files.
     """
-    text = render_csv(result)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")  # replaced into place
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as f:
+            f.writelines(_csv_chunks(result))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

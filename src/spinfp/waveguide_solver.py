@@ -121,7 +121,8 @@ def _solve(
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
-        i = int(np.argmin(np.abs(np.linalg.det(matrix))))
+        with np.errstate(invalid="ignore"):  # a nan entry must not leak a warning
+            i = int(np.argmin(np.abs(np.linalg.det(matrix))))
         where = _where(sector, u, theta, i)
         raise NumericError(f"singular linear system in the {where}") from None
 

@@ -3,7 +3,8 @@
 The five invariants (the kernel's flux, the solver's residual, the row
 builder's [0, 1] and T + R = 1 checks, the oracle's unitarity) all compare
 through ``errors.check``; each case drives a nan into one of them and reads
-the point and the bound back from the message.
+the point and the bound back from the message.  The solver's singular-system
+path has no bound, but it too names the point of a nan, without a warning.
 """
 
 import math
@@ -20,12 +21,13 @@ from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import _solve, _system, quartet_site_strengths
 
 
-def _residual_with_a_nan_row():
+def _solve_with_a_nan_row(row):
+    """The quartet solve at u = (1, 2), theta = (1, 1.5), one row of point 1 nan."""
     u, theta = np.array([1.0, 2.0]), np.array([1.0, 1.5])
     w1, w2 = quartet_site_strengths()
     matrix, rhs = _system(np.exp(-2j * theta), math.pi * u, np.array([[w1]]),
                           np.array([[w2]]))
-    matrix[1, 3] = np.nan  # point 1's derivative jump at x0
+    matrix[1, row] = np.nan
     _solve(matrix, rhs, u, theta, "quartet")
 
 
@@ -45,7 +47,7 @@ BEYOND_THE_PHASE = DimensionlessParams(1.0, 1e308)  # 2 k x overflows in the ora
 CASES = {
     "flux": (lambda mp: amplitudes([1.0, 1e100], [1.0, 1.0]),
              ["doublet sector (incident channel 0) at u = 1e+100, theta = 1.0", "1e-09"]),
-    "residual": (lambda mp: _residual_with_a_nan_row(),
+    "residual": (lambda mp: _solve_with_a_nan_row(3),  # the derivative jump at x0
                  ["quartet sector at u = 2.0, theta = 1.5", "nan > 1e-08"]),
     "rows": (lambda mp: _row_with(mp, "t"),
              ["T = nan outside [0, 1] by more than 1e-12 at u = 2.0, theta = 1.5"]),
@@ -67,6 +69,15 @@ def test_nan_fails_every_check_at_its_point(case, monkeypatch):
     assert "nan" in message and "np.float64" not in message
     for part in expected:
         assert part in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_in_a_singular_system_is_located_without_a_warning():
+    # a nan first row makes np.linalg.solve report a singular system; locating
+    # the point takes a determinant, which must not warn on the nan
+    with pytest.raises(NumericError, match=r"^singular linear system in the "
+                       r"quartet sector at u = 2\.0, theta = 1\.5$"):
+        _solve_with_a_nan_row(0)
 
 
 def test_check_names_the_first_failing_index_in_c_order():

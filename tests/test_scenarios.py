@@ -1,6 +1,9 @@
+import io
 import math
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from spinfp.errors import DomainError
 from spinfp.scenarios import cli
 from spinfp.scenarios.config import (
+    SCENARIO_PRESETS,
     ConfigError,
     build_config,
     load_config,
@@ -416,14 +420,56 @@ class TestSweeps:
             {"scenario": "fig2a", "theta_steps": "40", "u_list": "1,2"},
             {"scenario": "fig7", "u_steps": "45"},
             {"scenario": "fig4", "vartheta_steps": "9", "phi_steps": "5", "u_list": "2,10"},
+            {"scenario": "fig6", "theta_steps": "30", "u_list": "3", "output": "θ-süß.csv"},
         ],
     )
-    def test_output_independent_of_chunk_size(self, monkeypatch, settings):
-        cfg = build_config(settings)
+    def test_output_independent_of_chunk_size(self, tmp_path, monkeypatch, settings):
+        name = settings.get("output", "sweep.csv")
+        cfg = build_config({**settings, "output": str(tmp_path / name)})
         reference = render_csv(run_sweep(cfg))
-        for chunk in (1, 7, 4096):
+        for chunk in (1, 7, 256, 4096):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
-            assert render_csv(run_sweep(cfg)) == reference
+            result = run_sweep(cfg)
+            assert render_csv(result) == reference
+            assert write_csv(result, cfg.output).read_bytes() == reference.encode("utf-8")
+        # the header echoes the output path in UTF-8; every data line is ASCII
+        lines = (tmp_path / name).read_bytes().splitlines()
+        header = [ln for ln in lines if ln.startswith(b"#")]
+        assert f"# output = {tmp_path / name}".encode("utf-8") in header
+        for line in lines[len(header):]:
+            line.decode("ascii")
+
+    @pytest.mark.parametrize(
+        "scenario", [name for name in SCENARIO_PRESETS if name.startswith("fig")]
+    )
+    def test_written_file_is_the_rendered_text(self, tmp_path, scenario):
+        cfg = build_config({"scenario": scenario, "output": str(tmp_path / "sweep.csv")})
+        result = run_sweep(cfg)
+        path = write_csv(result, cfg.output)
+        assert path.read_bytes() == render_csv(result).encode("utf-8")
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        """The write holds O(CHUNK) bytes: a family table of 3e4 rows (8 MB of
+        CSV) and one of 6e4 rows (16 MB) write within the same small peak."""
+        def family(u_list):
+            return run_sweep(build_config({
+                "sweep": "family", "impurity_state": "family2", "electron_spin": "u",
+                "u_list": u_list, "vartheta_steps": "241", "phi_steps": "125"}))
+
+        write_csv(family("2"), tmp_path / "warm.csv")  # builds the format tables
+        peaks, sizes = [], []
+        for u_list in ("2", "2,5"):
+            result = family(u_list)
+            tracemalloc.start()
+            try:
+                path = write_csv(result, tmp_path / "sweep.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert sizes[0] > 7.5e6 and sizes[1] > 15e6
+        assert max(peaks) < 4e6
+        assert peaks[1] < peaks[0] + 0.25e6
 
     def test_render_matches_format_float(self):
         rng = np.random.default_rng(7)
@@ -465,17 +511,26 @@ class TestSweeps:
                             "output": str(tmp_path / "sweep.csv")})
         path = write_csv(run_sweep(cfg), cfg.output)
         earlier = path.read_bytes()
-        real_write_text = type(path).write_text
+        on_disk = []
 
-        def fail_partway(self, data, *args, **kwargs):
-            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise OSError(28, "No space left on device")
+        class FullAfterFirstChunk(io.FileIO):
+            """The disk fills once the header and the first row chunk are written."""
 
-        monkeypatch.setattr(type(path), "write_text", fail_partway)
+            def write(self, data):
+                if len(on_disk) == 2:
+                    on_disk.append(Path(self.name).read_bytes())
+                    raise OSError(28, "No space left on device")
+                on_disk.append(data)
+                return super().write(data)
+
+        monkeypatch.setattr(sweeps, "open", FullAfterFirstChunk, raising=False)
+        monkeypatch.setattr(sweeps, "CHUNK", 3)
         wider = build_config({"scenario": "fig2a", "theta_steps": "9", "u_list": "2",
                               "output": str(tmp_path / "sweep.csv")})
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match="No space left"):
             write_csv(run_sweep(wider), wider.output)
+        header, first_rows, partial = on_disk
+        assert partial == header + first_rows and first_rows.count(b"\n") == 3
         assert path.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == [path]
 
