@@ -2,9 +2,10 @@
 
 ``observable_table`` alone turns the closed-form kernel's coupled-basis
 scattering matrices into observables; sweeps, ``scatter`` and the acceptance
-harness all read it.  Its callers convert incident states with
-``CoupledBasis.to_coupled``, and ``OBSERVABLE_COLUMNS`` names its columns in
-the order it writes them, so the sweep tables take their names from here.
+harness all read it, one broadcast call per grid of points times states.
+Its callers convert incident states with ``CoupledBasis.to_coupled``, and
+``OBSERVABLE_COLUMNS`` names its columns in the order it writes them, so
+the sweep tables take their names from here.
 The star-product oracle serves only the symmetry report, which needs both
 incidence directions and takes a stack of points.
 """
@@ -37,7 +38,7 @@ AMPLITUDE_COLUMNS = slice(COLUMN_OF["re_t_uuu"], COLUMN_OF["im_t_ddd"] + 1)
 
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Row-wise products: matrices (N or 1, n, n) times vectors (N or 1, n)."""
+    """Products of matrices (..., n, n) and vectors (..., n), leading axes broadcast."""
     return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
@@ -48,16 +49,16 @@ def _point(u, theta, rows: np.ndarray, i) -> str:
 
 
 def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
-    """The ``OBSERVABLE_COLUMNS`` of each point, one row per point.
+    """The ``OBSERVABLE_COLUMNS`` of each row, as an array (..., columns).
 
-    T, T_up and T_down come first, then the 16 amplitude columns and R.
-    ``t`` and ``r`` are coupled-basis matrices (N, 8, 8) and ``coeffs`` the
-    coupled-basis incident states (N, 8), as ``CoupledBasis.to_coupled``
-    gives them; any of them may have a leading axis of length 1, which is
-    shared by every row.  The amplitude columns are the real and imaginary
-    parts of the transmitted state in the product basis.  T, T_up and T_down
-    must lie in [0, 1] and T + R must equal 1; a failure names its
-    (u, theta) point, broadcast from ``u`` and ``theta``.
+    T, T_up and T_down come first, then the 16 amplitude columns (the real
+    and imaginary parts of the transmitted product-basis state) and R.
+    ``t`` and ``r`` are coupled-basis matrices (..., 8, 8) and ``coeffs``
+    coupled-basis incident states (..., 8), as ``CoupledBasis.to_coupled``
+    gives them; any leading axes broadcast, so (P, 1, 8, 8) matrices and
+    (S, 8) states give (P, S) rows, each with the bits of its own call.
+    T, T_up and T_down must lie in [0, 1] and T + R must equal 1; a failure
+    names its (u, theta) point, ``u`` and ``theta`` broadcast to the rows.
     """
     basis = coupled_basis().matrix
     gamma = _matvec(t, coeffs)
@@ -65,8 +66,8 @@ def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
     product = _matvec(basis, gamma)
     weights = product.real ** 2 + product.imag ** 2
     t_total = np.sum(weights, axis=-1)
-    t_up = np.sum(weights[:, :4], axis=-1)
-    t_down = np.sum(weights[:, 4:], axis=-1)
+    t_up = np.sum(weights[..., :4], axis=-1)
+    t_down = np.sum(weights[..., 4:], axis=-1)
     reflected = np.sum(rho.real ** 2 + rho.imag ** 2, axis=-1)
     # sums of squares: only the upper edge of [0, 1] can fail, and nan fails it
     for name, value in (("T", t_total), ("T_up", t_up), ("T_down", t_down)):
@@ -76,9 +77,9 @@ def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
     check(np.abs(t_total + reflected - 1.0), _BALANCE_TOL, lambda i: (
         f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more than "
         f"{_BALANCE_TOL!r} at {_point(u, theta, t_total, i)}"))
-    return np.column_stack(
-        (t_total, t_up, t_down, np.ascontiguousarray(product).view(np.float64), reflected)
-    )
+    return np.concatenate((t_total[..., None], t_up[..., None], t_down[..., None],
+                           np.ascontiguousarray(product).view(np.float64),
+                           reflected[..., None]), axis=-1)
 
 
 @dataclass(frozen=True)

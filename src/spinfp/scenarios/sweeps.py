@@ -6,19 +6,19 @@ printed with 17 significant digits, so identical configs give byte-identical
 files.  The data section carries no timestamps; the ``#`` header block echoes
 the resolved configuration.
 
-Grids are evaluated in chunks of ``CHUNK`` points: one call of the
-production kernel, ``closed_form.amplitudes``, per chunk, then the row
-builder ``observables.observable_table`` for all three sweep kinds, whose
-rows are written into one float64 table beside the lead columns (the
-config's grid values).  This module names only those lead columns; the
-rest are ``observables.OBSERVABLE_COLUMNS``.  Incident states reach the
-row builder through ``CoupledBasis.to_coupled``; a family sweep converts
-its whole grid of states once, before the first kernel call.  Every value
-of a row is computed from its own point only, so the output does not
-depend on the chunk size.
-Every sweep kind reads its phases from ``SweepConfig.theta_values``, which
-holds one phase for family and coupling sweeps, so theta and coupling
-sweeps are the same grid of points (u, theta).
+Every sweep kind is one grid of points (u, theta), the outer axis, times
+incident product-basis states, the inner one: theta and coupling sweeps
+have one state, a family sweep its grid of states at the fixed phase.  One
+grid builder converts the states once, through ``CoupledBasis.to_coupled``,
+calls the production kernel ``closed_form.amplitudes`` on up to ``CHUNK``
+points at a time and ``observables.observable_table`` on up to ``CHUNK``
+rows, and writes them into one float64 table beside the lead columns (the
+config's grid values).  This module names only those lead columns; the rest
+are ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed
+from its own point and state only, so the output does not depend on the
+chunk size.  Every sweep kind reads its phases from
+``SweepConfig.theta_values``, which holds one phase for family and coupling
+sweeps.
 
 The CSV is produced ``CHUNK`` rows at a time, as bytes: the header block in
 UTF-8 (the echo may hold any path), then ``_format.format_rows`` of each
@@ -46,7 +46,7 @@ from ._format import format_float, format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
 
-# points per kernel call; keeps the kernel's temporary arrays near 1 MB
+# rows per row-builder call and points per kernel call; temporaries near 1 MB
 CHUNK = 256
 
 
@@ -66,52 +66,42 @@ def _chunks(n: int):
     return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
 
 
-def _point_table(cfg: SweepConfig) -> np.ndarray:
-    """Theta and coupling sweeps: one incident state over the points (u, theta)."""
-    u = np.repeat(cfg.u_values, len(cfg.theta_values))  # u is the outer axis
-    theta = np.tile(cfg.theta_values, len(cfg.u_values))
-    chi = incident_state(cfg.electron_spin, cfg.impurity_state)
-    coeffs = coupled_basis().to_coupled(chi)[None, :]
-    out = np.empty((len(u), 2 + len(OBSERVABLE_COLUMNS)))
-    out[:, 0], out[:, 1] = theta, u
-    for s in _chunks(len(u)):
-        t, r = amplitudes(u[s], theta[s])
-        out[s, 2:] = observable_table(t, r, coeffs, u[s], theta[s])
-    return out
-
-
-def _family_table(cfg: SweepConfig) -> np.ndarray:
-    """Family sweeps: one kernel point per u, a grid of incident states each."""
-    builder = family_builder(cfg.impurity_state)
-    vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
-    pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
-    chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
+def _table(u, theta, chi, lead: dict) -> np.ndarray:
+    """Rows over the points (u[i], theta[i]), the outer axis, and the incident
+    product-basis states chi[j], the inner one: the ``lead`` columns, each
+    broadcast to (points, states), then ``OBSERVABLE_COLUMNS``."""
     coeffs = coupled_basis().to_coupled(chi)
-    u = np.asarray(cfg.u_values)
-    theta = cfg.theta_values[0]
-    out = np.empty((len(u), len(pairs), 3 + len(OBSERVABLE_COLUMNS)))
-    out[..., 0], out[..., 1], out[..., 2] = vartheta.ravel(), phi.ravel(), u[:, None]
-    for k in _chunks(len(u)):
-        t_block, r_block = amplitudes(u[k], np.full(len(u[k]), theta))
-        for block, u_i, t, r in zip(out[k], u[k], t_block, r_block):
-            for s in _chunks(len(pairs)):
-                block[s, 3:] = observable_table(
-                    t[None], r[None], coeffs[s], u_i, theta
-                )
+    out = np.empty((len(u), len(chi), len(lead) + len(OBSERVABLE_COLUMNS)))
+    for k, values in enumerate(lead.values()):
+        out[..., k] = values
+    step = max(1, CHUNK // len(chi))  # points per kernel call
+    for start in range(0, len(u), step):
+        p = slice(start, start + step)
+        t, r = amplitudes(u[p], theta[p])
+        for s in _chunks(len(chi)):
+            out[p, s, len(lead):] = observable_table(
+                t[:, None], r[:, None], coeffs[s], u[p, None], theta[p, None]
+            )
     return out.reshape(-1, out.shape[-1])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate the configured grid and return the result table."""
+    u = np.repeat(cfg.u_values, len(cfg.theta_values))  # u is the outer axis
+    theta = np.tile(cfg.theta_values, len(cfg.u_values))
     if cfg.kind == "family":
-        columns = ("vartheta", "phi", "u", *OBSERVABLE_COLUMNS)
-        rows = _family_table(cfg)
+        builder = family_builder(cfg.impurity_state)
+        vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
+        pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
+        chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
+        lead = {"vartheta": vartheta.ravel(), "phi": phi.ravel(), "u": u[:, None]}
     else:
-        columns = ("theta", "u", *OBSERVABLE_COLUMNS)
-        rows = _point_table(cfg)
+        chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]
+        lead = {"theta": theta[:, None], "u": u[:, None]}
+    rows = _table(u, theta, chi, lead)
     rows.flags.writeable = False
     header = tuple(f"# {key} = {value}" for key, value in cfg.echo)
-    return SweepResult(header=header, columns=columns, rows=rows)
+    return SweepResult(header=header, columns=(*lead, *OBSERVABLE_COLUMNS), rows=rows)
 
 
 def _csv_chunks(result: SweepResult):

@@ -96,6 +96,6 @@ def convert_units(phys: PhysicalParams) -> DimensionlessParams:
 
 def spacing_for_phase(effective_mass: float, energy_mev: float, theta: float) -> float:
     """Impurity spacing in nm that realizes a given phase theta = k x0."""
-    if theta <= 0:
-        raise DomainError("theta must be > 0")
+    if not (math.isfinite(theta) and theta > 0):
+        raise DomainError(f"phase theta must be finite and > 0, got {theta}")
     return theta / wave_number(effective_mass, energy_mev) / _NM

@@ -297,7 +297,8 @@ def _curve(impurity_specs, thetas, u) -> np.ndarray:
     coeffs = coupled_basis().to_coupled(
         [incident_state("u", spec).amplitudes for spec in impurity_specs]
     )
-    return np.array([observable_table(t, r, c[None], u, theta)[:, COLUMN_OF["T"]] for c in coeffs])
+    table = observable_table(t[:, None], r[:, None], coeffs, u[:, None], theta[:, None])
+    return table[..., COLUMN_OF["T"]].T
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901

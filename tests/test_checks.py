@@ -16,6 +16,9 @@ from spinfp import observables
 from spinfp.closed_form import DimensionlessParams, amplitudes
 from spinfp.errors import NumericError, check
 from spinfp.observables import scatter, symmetry_report
+from spinfp.scenarios import sweeps
+from spinfp.scenarios.config import build_config
+from spinfp.scenarios.sweeps import run_sweep
 from spinfp.spin_algebra import compose_state
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import _solve, _system, quartet_site_strengths
@@ -42,6 +45,18 @@ def _row_with(monkeypatch, part):
     scatter(compose_state([1, 0], [0, 1, 0, 0]), DimensionlessParams(2.0, 1.5))
 
 
+def _family_sweep_with_a_nan_at_u2(monkeypatch):
+    """A family sweep at u = 1, 2 with a nan written into t at u = 2."""
+    def poisoned(u, theta):
+        t, r = amplitudes(u, theta)
+        t[np.asarray(u) == 2.0] = np.nan
+        return t, r
+
+    monkeypatch.setattr(sweeps, "amplitudes", poisoned)
+    run_sweep(build_config({"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
+                            "u_list": "1,2"}))
+
+
 BEYOND_THE_PHASE = DimensionlessParams(1.0, 1e308)  # 2 k x overflows in the oracle
 
 CASES = {
@@ -53,6 +68,9 @@ CASES = {
              ["T = nan outside [0, 1] by more than 1e-12 at u = 2.0, theta = 1.5"]),
     "balance": (lambda mp: _row_with(mp, "r"),
                 ["T + R = nan differs from 1 by more than 1e-10 at u = 2.0, theta = 1.5"]),
+    "family_rows": (_family_sweep_with_a_nan_at_u2,
+                    [f"T = nan outside [0, 1] by more than 1e-12 at u = 2.0, "
+                     f"theta = {math.pi!r}"]),
     "oracle": (lambda mp: oracle_scattering(two_impurity_chain(BEYOND_THE_PHASE)),
                ["wave number 1e+308: defect nan > 1e-10"]),
     "symmetry_report": (lambda mp: symmetry_report(BEYOND_THE_PHASE),

@@ -9,6 +9,7 @@ from spinfp.errors import DomainError, NumericError
 from spinfp.observables import (
     concurrence,
     fixed_point_subspace,
+    observable_table,
     postselect,
     scatter,
     symmetry_report,
@@ -115,6 +116,21 @@ class TestScatter:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             scatter(SpinVector(np.ones(8), normalized=False), DimensionlessParams(1, 1))
+
+
+class TestObservableTable:
+    def test_broadcast_grid_matches_single_row_calls(self):
+        # matrices (P, 1, 8, 8) by states (S, 8): a (P, S) grid, bit for bit
+        rng = np.random.default_rng(7)
+        u, theta = rng.uniform(0.01, 20, 5), rng.uniform(0.1, 4 * math.pi, 5)
+        t, r = amplitudes(u, theta)
+        coeffs = coupled_basis().to_coupled([random_state(rng).amplitudes for _ in range(3)])
+        grid = observable_table(t[:, None], r[:, None], coeffs, u[:, None], theta[:, None])
+        assert grid.shape == (5, 3, len(observables.OBSERVABLE_COLUMNS))
+        for p in range(5):
+            for s in range(3):
+                row = observable_table(t[p:p + 1], r[p:p + 1], coeffs[s:s + 1], u[p], theta[p])
+                assert row[0].tobytes() == grid[p, s].tobytes()
 
 
 class TestPolarized:

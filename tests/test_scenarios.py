@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinfp.errors import DomainError
+from spinfp.observables import observable_table
 from spinfp.scenarios import cli
 from spinfp.scenarios.config import (
     SCENARIO_PRESETS,
@@ -72,8 +73,9 @@ class TestUnits:
             PhysicalParams(0.0, 2.0, 1.0, 50.0)
         with pytest.raises(DomainError):
             PhysicalParams(0.067, -2.0, 1.0, 50.0)
-        with pytest.raises(DomainError):
-            spacing_for_phase(0.067, 2.0, 0.0)
+        for theta in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="phase theta must be finite and > 0"):
+                spacing_for_phase(0.067, 2.0, theta)
         for quantity in (units.wave_number, units.density_of_states):
             with pytest.raises(DomainError, match="mass and energy must be positive"):
                 quantity(-1.0, 2.0)
@@ -421,6 +423,9 @@ class TestSweeps:
             {"scenario": "fig7", "u_steps": "45"},
             {"scenario": "fig4", "vartheta_steps": "9", "phi_steps": "5", "u_list": "2,10"},
             {"scenario": "fig6", "theta_steps": "30", "u_list": "3", "output": "θ-süß.csv"},
+            # several points per row-builder call: 1, 1, 42 and 682 at the chunk sizes
+            {"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
+             "u_list": "0.5,1,2,3,5,8,10"},
         ],
     )
     def test_output_independent_of_chunk_size(self, tmp_path, monkeypatch, settings):
@@ -438,6 +443,21 @@ class TestSweeps:
         assert f"# output = {tmp_path / name}".encode("utf-8") in header
         for line in lines[len(header):]:
             line.decode("ascii")
+
+    def test_family_points_share_row_builder_calls(self, monkeypatch):
+        # 600 u values of one state each: CHUNK points share each row-builder call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return observable_table(*args)
+
+        monkeypatch.setattr(sweeps, "observable_table", counted)
+        u_list = ",".join(repr(0.01 * k) for k in range(1, 601))
+        result = run_sweep(build_config({
+            "scenario": "fig5", "vartheta_steps": "1", "phi_steps": "1", "u_list": u_list}))
+        assert len(result.rows) == 600
+        assert len(calls) == math.ceil(600 / sweeps.CHUNK)
 
     @pytest.mark.parametrize(
         "scenario", [name for name in SCENARIO_PRESETS if name.startswith("fig")]
