@@ -19,20 +19,29 @@ every value whose fraction lies within 1e-6 of 1/2, which covers true ties
 such as 2^50 + 0.25, are formatted one by one by ``format_float``, which is
 exact by definition.  Zero stays on the fast path ("0", "-0").
 
-Layout.  Every value owns ``_SLOTS`` byte slots, stored slot-major (one
-contiguous plane of n bytes per slot): the sign, the "0.000" prefix of
--4 <= e < 0, 17 (digit, point) pairs, "e", the exponent's sign and three
-exponent digits, then the separator.  Unused slots hold NUL, which
-``bytes.translate`` removes.  Planes are filled by multiplying a byte by a
-0/1 condition; the digits come four at a time from a table of the ASCII of
-0000..9999 viewed as uint32, and the five exponent slots from a table of
-their text viewed as uint64.  The tables are built on first use, not at
-import.
+Constant columns.  Within one call, a column whose float64 bit patterns
+are all equal (so 0.0 beside -0.0 is not constant, and one nan repeated
+is) is formatted once and its bytes are copied into every row; only the
+other columns' values go through the digit path row by row.  In the sweep
+tables these are the amplitudes that conservation of total S_z makes
+exactly 0, and u.  The one value of a constant column goes through the same
+numpy path, so ``format_float`` still sees only the fallback set.
+
+Layout.  A value's text fills ``_SLOTS`` = 32 byte slots, four int64 words:
+word 0 holds the sign, the "0.000" prefix of -4 <= e < 0, the lead digit d0
+and the point after it; words 1 and 2 the 16 digits after d0, four at a
+time from a table of the ASCII of 0000..9999, masked to NUL past the last
+digit printed; word 3 the exponent ("e", its sign, up to three digits) and
+the separator in its last slot.  Words 0 and 3 come from tables indexed by
+e.  For 1 <= e <= 16 the point follows digit e, so for those values alone
+the digit and point slots are permuted.  ``bytes.translate`` removes the
+NUL slots.  The tables are built on first use, not at import.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -40,18 +49,29 @@ import numpy as np
 _FLOAT_SPEC = ".17g"
 
 _DIGITS = 17
-_DIGIT0 = 6                      # digit i in slot _DIGIT0 + 2 i, its point after it
-_EXP0 = _DIGIT0 + 2 * _DIGITS    # "e", exponent sign, hundreds, tens, ones
-_SLOTS = _EXP0 + 6               # ... and the separator
+_SLOTS = 32                      # bytes per value: four int64 words
+_DIGIT0 = 6                      # d0's slot; the point after it, then digits 1..16
 _LIMIT = 1e280                   # for 1/_LIMIT < |x| < _LIMIT every partial product is normal
 _K_MIN, _K_MAX = -270, 300       # 10^k for k = 16 - e, e = floor(log10 |x|) +- 1
 _E_MAX = 300                     # the exponent table; the fast path needs |e| <= 281
 _TIE = 1e-6
 _SPLITTER = 134217729.0          # 2^27 + 1
 
-_INDEX = np.arange(_DIGITS)[:, None]
-_RANK = np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]
-_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+
+def _word(text: bytes) -> int:
+    """Eight byte slots, the first at the low end, as one int64 value."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little", signed=True)
+
+
+# masks[w, keep]: the slots of word 1 + w that hold digits 1..keep
+_MASKS = np.array([[_word(b"\xff" * min(max(keep - 8 * w, 0), 8)) for keep in range(_DIGITS)]
+                   for w in (0, 1)], dtype=np.int64)
+_NO_POINT = ~_word(b"\0" * 7 + b".")
+_COMMA = _word(b"\0" * 7 + b",")
+_NEWLINE = _word(b"\0" * 7 + b"\n")
+# for 1 <= e <= 16, the source of each slot of d0, the point and digits 1..16:
+# digits 1..e move back over the point's slot, and the point (source 18) follows them
+_MOVES = np.array([[0, *range(2, e + 2), 18, *range(e + 2, 18)][:18] for e in range(_DIGITS)])
 
 
 def format_float(value: float) -> str:
@@ -77,27 +97,42 @@ def _powers() -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _quads() -> np.ndarray:
-    """The ASCII of 0000..9999, four bytes per uint32 entry."""
+    """The ASCII of 0000..9999, four bytes in the low half of each int64 entry."""
     text = b"".join(b"%04d" % q for q in range(10_000))
-    return np.frombuffer(text, dtype=np.uint32)
+    return np.frombuffer(text, dtype=np.uint32).astype(np.int64)
 
 
 @functools.cache
-def _exponents() -> np.ndarray:
-    """The exponent slots of e = -_E_MAX.._E_MAX at e + _E_MAX + 1, NUL-padded
-    to eight bytes per uint64 entry; entry 0 is all NUL."""
-    text = [bytes(8)]
+def _ends() -> np.ndarray:
+    """``_ends()[k, q]``: the index 4k+1..4k+4 of the last nonzero digit among
+    digits 4k+1..4k+4 when they read q, or 0 when q = 0."""
+    q = np.arange(10_000)
+    rank = 4 - (q % 10 == 0) - (q % 100 == 0) - (q % 1000 == 0)
+    return ((4 * np.arange(4)[:, None] + rank) * (q != 0)).astype(np.uint8)
+
+
+@functools.cache
+def _notations() -> tuple[np.ndarray, np.ndarray]:
+    """Words 0 and 3 of e = -_E_MAX.._E_MAX at e + _E_MAX: word 0 with a "0" as
+    the lead digit, no sign, and the point after it unless fixed notation puts
+    the point elsewhere; word 3 with the exponent, if any, and the comma."""
+    heads, tails = [], []
     for e in range(-_E_MAX, _E_MAX + 1):
+        fixed = -4 <= e < _DIGITS
+        prefix = b"0.000"[:1 - e] if fixed and e < 0 else b""
+        point = b"." if not fixed or e == 0 else b""
+        heads.append(_word(b"\0" + prefix.ljust(5, b"\0") + b"0" + point))
         sign, magnitude = "-+"[e >= 0], abs(e)
         hundreds = chr(ord("0") + magnitude // 100) if magnitude >= 100 else "\0"
-        text.append(f"e{sign}{hundreds}{magnitude % 100:02d}\0\0\0".encode("ascii"))
-    return np.frombuffer(b"".join(text), dtype=np.uint64)
+        exponent = f"e{sign}{hundreds}{magnitude % 100:02d}".encode("ascii")
+        tails.append(_word(b"" if fixed else exponent) | _COMMA)
+    return np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer part and fraction of a 10^(16 - e), from a double-double product."""
     k = 16 - _K_MIN - e
-    hi, lo, hi_hi, hi_lo = (table[k] for table in _powers())
+    hi, lo, hi_hi, hi_lo = (table.take(k) for table in _powers())
     p = a * hi
     a_hi, a_lo = _split(a)
     error = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
@@ -136,42 +171,75 @@ def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d * keep, e * keep, fallback
 
 
-def format_rows(rows: np.ndarray) -> bytes:
-    """``",".join(format(v, ".17g") for v in row) + "\\n"`` for every row, as bytes."""
-    rows = np.asarray(rows, dtype=np.float64)
-    x = rows.ravel()
-    n = x.size
+def _words(x: np.ndarray) -> np.ndarray:
+    """The text of each value of a 1-D array and a comma, NUL-padded to
+    ``_SLOTS`` bytes: an (n, 4) int64 array."""
     d, e, fallback = _significands(x)
-    out = np.empty((_SLOTS, n), dtype=np.uint8)
+    lead = d // 10 ** (_DIGITS - 1)
+    rest = d - lead * 10 ** (_DIGITS - 1)
+    high = rest // 10**8
+    low = rest - high * 10**8
+    first, third = high // 10**4, low // 10**4
+    quads = (first, high - first * 10**4, third, low - third * 10**4)  # digits 1-4, ..., 13-16
 
-    digits = out[_DIGIT0:_EXP0:2]
-    lead, rest = np.divmod(d, 10 ** (_DIGITS - 1))
-    digits[0] = lead + ord("0")
-    quads = _quads()
-    for start in range(1, _DIGITS, 4):
-        quad, rest = np.divmod(rest, 10 ** (_DIGITS - 4 - start))
-        digits[start:start + 4] = quads[quad].view(np.uint8).reshape(n, 4).T
-    last = (digits != ord("0")) * _RANK
-    last = last.max(axis=0, initial=0).astype(np.int64) - 1  # -1 for a zero
+    heads, tails = _notations()
+    text, ends = _quads(), _ends()
+    last = np.maximum(np.maximum(ends[0].take(quads[0]), ends[1].take(quads[1])),
+                      np.maximum(ends[2].take(quads[2]), ends[3].take(quads[3])))  # 0: none
+    inner = (e > 0) & (e < _DIGITS)  # fixed notation with the point after digit e
+    keep = np.maximum(last, e * inner)  # the digits before the point stay
 
-    fixed = (e >= -4) & (e < _DIGITS)
-    point = fixed * np.maximum(e, -1)  # digit the point follows; -1: "0." prefix
-    np.multiply(digits, _INDEX <= np.maximum(last, point), out=digits)
-    dot = (last > point) * np.uint8(ord("."))
-    np.multiply(_INDEX == point, dot, out=out[_DIGIT0 + 1:_EXP0:2])
+    out = np.empty((x.size, 4), dtype=np.int64)
+    out[:, 0] = (
+        heads.take(e + _E_MAX) & np.where(last > 0, -1, _NO_POINT)
+        | x.view(np.int64) >> 63 & ord("-")
+        | lead << 48  # the "0" in d0's slot becomes the lead digit
+    )
+    out[:, 1] = (text.take(quads[0]) | text.take(quads[1]) << 32) & _MASKS[0].take(keep)
+    out[:, 2] = (text.take(quads[2]) | text.take(quads[3]) << 32) & _MASKS[1].take(keep)
+    out[:, 3] = tails.take(e + _E_MAX)
 
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    np.multiply(_INDEX[:5] < fixed * (e < 0) * (1 - e), _PREFIX, out=out[1:_DIGIT0])
-
-    exponents = _exponents()[~fixed * (e + _E_MAX + 1)]  # row 0 for fixed notation
-    out[_EXP0:-1] = exponents.view(np.uint8).reshape(n, 8)[:, :5].T
-
-    separators = np.full(rows.shape[-1:], ord(","), dtype=np.uint8)
-    separators[-1:] = ord("\n")
-    out[-1].reshape(rows.shape)[:] = separators
+    slots = out.view(np.uint8)
+    inner = np.flatnonzero(inner)
+    if inner.size:  # the point moves from after d0 to after digit e
+        span = slice(_DIGIT0, _DIGIT0 + _DIGITS + 1)  # d0, the point, digits 1..16
+        point = (last[inner] > e[inner]) * np.uint8(ord("."))
+        window = np.concatenate([slots[inner, span], point[:, None]], axis=1)
+        slots[inner, span] = np.take_along_axis(window, _MOVES[e[inner]], axis=1)
 
     for i in np.flatnonzero(fallback):
-        text = np.frombuffer(format_float(float(x[i])).encode("ascii"), dtype=np.uint8)
-        out[:-1, i] = 0
-        out[:len(text), i] = text
-    return out.T.tobytes().translate(None, b"\0")
+        text = format_float(float(x[i])).encode("ascii")
+        slots[i] = np.frombuffer(text.ljust(_SLOTS - 1, b"\0") + b",", dtype=np.uint8)
+    return out
+
+
+def format_rows(rows: np.ndarray) -> bytes:
+    """``",".join(format(v, ".17g") for v in row) + "\\n"`` for every row, as bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if not rows.size:
+        return b""
+    bits = rows.view(np.uint64)
+    varying = (bits != bits[0]).any(axis=0)
+    count = np.count_nonzero(varying)
+    n = rows.shape[0] * count
+    words = _words(np.concatenate([rows[:, varying].ravel(), rows[0, ~varying]]))
+    # the last column ends its rows: its value in every row, or its one constant
+    ends = words[count - 1:n:count] if varying[-1] else words[-1:]
+    ends[:, 3] ^= _COMMA ^ _NEWLINE
+
+    per_row = words[:n].view(np.uint8).reshape(rows.shape[0], -1)
+    constant = words[n:].tobytes()
+    runs, taken, width = [], [0, 0], 0  # bytes of per_row and constant used so far
+    for varies, run in itertools.groupby(varying.tolist()):
+        start = taken[not varies]
+        taken[not varies] += len(list(run)) * _SLOTS
+        if varies:
+            piece = per_row[:, start:taken[0]]
+        else:  # a constant run is the same text in every row
+            piece = np.frombuffer(constant[start:taken[1]].translate(None, b"\0"), np.uint8)
+        runs.append((width, piece))
+        width += piece.shape[-1]
+    out = np.empty((rows.shape[0], width), dtype=np.uint8)
+    for start, piece in runs:
+        out[:, start:start + piece.shape[-1]] = piece
+    return out.tobytes().translate(None, b"\0")

@@ -55,14 +55,15 @@ def test_verify_and_figure_sweeps_load_no_heavy_dependency():
 
 
 def test_import_builds_no_format_table():
-    # the formatter's 10^k, digit and exponent tables cost set-up time; they
-    # are built for the first rendered CSV, not at import
+    # the formatter's 10^k, digit, last-digit and exponent tables cost set-up
+    # time; they are built for the first rendered CSV, not at import
     script = (
         "import spinfp.scenarios.cli\n"
         "from spinfp.scenarios import _format as fmt\n"
-        "print([t.cache_info().currsize for t in (fmt._powers, fmt._quads, fmt._exponents)])"
+        "tables = (fmt._powers, fmt._quads, fmt._ends, fmt._notations)\n"
+        "print([t.cache_info().currsize for t in tables])"
     )
-    assert _run(script) == "[0, 0, 0]"
+    assert _run(script) == "[0, 0, 0, 0]"
 
 
 # names the benchmark harness (perfbench/) looks up; a deletion that breaks

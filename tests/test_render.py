@@ -1,7 +1,9 @@
 """``render_csv`` prints every value exactly as ``format_float`` (``%.17g``) does.
 
 The rows are formatted by numpy (``scenarios._format``); the reference is the
-one-value formatter joined per row.
+one-value formatter joined per row.  A column whose bits repeat in every row
+of a chunk is formatted once, so the tables here also mix such constant
+columns with free ones.
 """
 
 import math
@@ -10,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinfp.scenarios import _format
-from spinfp.scenarios.config import build_config
+from spinfp.scenarios import _format, sweeps
+from spinfp.scenarios.config import SCENARIO_PRESETS, build_config
 from spinfp.scenarios.sweeps import SweepResult, format_float, render_csv, run_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -47,6 +49,25 @@ def test_any_bit_pattern(patterns):
     assert_renders_exactly(np.array(patterns, dtype=np.uint64).view(np.float64))
 
 
+@st.composite
+def tables_with_constant_columns(draw):
+    """A table in which each column is either free or one drawn float repeated."""
+    rows, width = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    columns = []
+    for _ in range(width):
+        if draw(st.booleans()):
+            columns.append(np.full(rows, draw(st.floats())))
+        else:
+            columns.append(np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows))))
+    return np.column_stack(columns)
+
+
+@RUNS
+@given(tables_with_constant_columns())
+def test_constant_columns(table):
+    assert_renders_exactly(table, table.shape[1])
+
+
 def _powers_of_ten_and_neighbours():
     powers = np.array([10.0**k for k in range(-300, 301)])
     return np.concatenate(
@@ -77,6 +98,30 @@ def test_explicit_values(values):
     assert_renders_exactly(values)
 
 
+def _column(value, rows=5):
+    return np.full(rows, value)
+
+
+CONSTANT_COLUMNS = {
+    # one row: every column is constant
+    "one row": np.array([[0.0, -0.0, 1.5, math.nan, 1e-300, 2.0**50 + 0.25, 12.5]]),
+    # equal as floats, not as bits: the column varies
+    "zero with one -0.0": np.column_stack([[0.0, 0.0, -0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]),
+    "specials": np.column_stack([
+        _column(-0.0), np.linspace(0.1, 0.5, 5), _column(math.nan), _column(math.inf),
+        _column(-math.inf), _column(1e-300), _column(2.0**50 + 0.25),
+    ]),
+    "all constant": np.column_stack([
+        _column(v) for v in (0.0, 3.0, 1e-5, 123.456, -1e22, 0.1, 1e16)
+    ]),
+}
+
+
+@pytest.mark.parametrize("table", CONSTANT_COLUMNS.values(), ids=CONSTANT_COLUMNS.keys())
+def test_constant_column_cases(table):
+    assert_renders_exactly(table, table.shape[1])
+
+
 def test_only_the_fallback_set_is_formatted_one_by_one(monkeypatch):
     calls = []
 
@@ -92,9 +137,24 @@ def test_only_the_fallback_set_is_formatted_one_by_one(monkeypatch):
     # a carry to 10^17 stays on the fast path
     assert_renders_exactly([*np.linspace(-3.0, 7.0, 99), *EXPLICIT["decade carries"]])
     assert calls == []
+    # a constant column is formatted once, through the same path as the others
+    table = np.column_stack([_column(0.1, 4), np.arange(4.0) / 3, _column(1e-300, 4)])
+    assert_renders_exactly(table, 3)
+    assert calls == [1e-300]
 
 
-@pytest.mark.parametrize("scenario", ["fig2a", "fig4"])
+FIGURES = [name for name in SCENARIO_PRESETS if name.startswith("fig")]
+
+
+@pytest.mark.parametrize("scenario", FIGURES)
 def test_preset_tables(scenario):
     result = run_sweep(build_config({"scenario": scenario}))
+    assert render_csv(result) == reference(result.header, result.columns, result.rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_preset_table_in_small_chunks(monkeypatch, chunk):
+    # at one row per chunk every column is constant
+    monkeypatch.setattr(sweeps, "CHUNK", chunk)
+    result = run_sweep(build_config({"scenario": "fig7"}))
     assert render_csv(result) == reference(result.header, result.columns, result.rows)
