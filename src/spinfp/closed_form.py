@@ -15,8 +15,13 @@ it is written 2i sin(theta) e^{i theta} instead, from one e^{-i theta}, so
 the formulas keep full precision at any coupling and any finite phase.
 
 These closed forms serve production: ``amplitudes`` evaluates them on a
-stack of points and places them into the coupled-basis t and r matrices that
-sweeps, ``scatter`` and verify read.  They are never trusted alone: the
+stack of points and returns product-basis t and r, the matrices that sweeps,
+``scatter`` and verify read.  Total spin and S_z are conserved, so each
+matrix is the quartet amplitude and the four doublet amplitudes times five
+constant operators, ``spin_algebra.sector_operators``, which are built
+exactly from the spin operators.  ``_product`` sums them with no BLAS and
+no diagonalised basis, and the boundary-value solver shares it: only this
+sum knows the sectors.  They are never trusted alone: the
 waveguide_solver re-derives the same amplitudes from the boundary-value
 problem, the transfer_oracle from the star product of per-site scattering
 matrices, and verify and the test suite keep all three in 1e-10 agreement.
@@ -27,18 +32,16 @@ arrays, and the amplitudes then carry their shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, check
+from .spin_algebra import sector_operators
 
 _FLUX_TOL = 1e-9
-
-# doublet blocks of the coupled basis: labels 4, 6 share m = +1/2 and labels
-# 5, 7 share m = -1/2; position c in a pair is the s_e2 = c channel
-_DOUBLET_BLOCKS = (np.ix_((4, 6), (4, 6)), np.ix_((5, 7), (5, 7)))
 
 
 def _validated(raw, valid, message: str) -> float | np.ndarray:
@@ -101,10 +104,10 @@ def _quartet(g, ring):
 
 
 def _doublet(g, ring):
-    """(t, r) of the doublet sector, each (..., 2, 2) and indexed (out, in)."""
+    """t and r of the doublet sector, shape (4, 2, ...): entry (out, in) of t and r
+    at 2 out + in, the order of ``sector_operators``."""
     rg = ring * g
-    den = np.expand_dims(4096.0 + g * (-2048.0j + rg * (-128.0 + 96.0j * g + 9.0 * rg * g)),
-                         (-2, -1))
+    den = 4096.0 + g * (-2048.0j + rg * (-128.0 + 96.0j * g + 9.0 * rg * g))
     root3 = math.sqrt(3.0)
     mixed = -8.0j * root3 * g * (rg + 8.0j) * (3.0 * rg - 8.0j)
     t = [
@@ -116,7 +119,13 @@ def _doublet(g, ring):
          mixed],
         [mixed, -g * (rg * (9.0 * rg * g + 96.0j * g + 64.0) + 512.0j * (ring - 1.0))],
     ]
-    return tuple(np.moveaxis(np.array(m), (0, 1), (-2, -1)) / den for m in (t, r))
+    return np.array([[t[out][in_], r[out][in_]] for out in (0, 1) for in_ in (0, 1)]) / den
+
+
+def _block(doublet, which: int) -> np.ndarray:
+    """t (which = 0) or r (1) of ``_doublet``'s array as (..., 2, 2) blocks, indexed (out, in)."""
+    entries = doublet[:, which]
+    return np.moveaxis(np.reshape(entries, (2, 2, *np.shape(entries)[1:])), (0, 1), (-2, -1))
 
 
 def t_quartet(p: DimensionlessParams) -> complex | np.ndarray:
@@ -141,7 +150,7 @@ def t_doublet(p: DimensionlessParams) -> np.ndarray:
     incident one; both channels share a common denominator.  Independent of
     m, so one matrix serves both m = +-1/2 blocks.
     """
-    return _doublet(p.g, _ring(p.theta))[0]
+    return _block(_doublet(p.g, _ring(p.theta)), 0)
 
 
 def r_doublet(p: DimensionlessParams) -> np.ndarray:
@@ -149,7 +158,7 @@ def r_doublet(p: DimensionlessParams) -> np.ndarray:
 
     Symmetric (r01 = r10), over the denominator of t.
     """
-    return _doublet(p.g, _ring(p.theta))[1]
+    return _block(_doublet(p.g, _ring(p.theta)), 1)
 
 
 def det_t_minus_identity(p: DimensionlessParams) -> complex | np.ndarray:
@@ -178,50 +187,83 @@ def _where(sector: str, u: np.ndarray, theta: np.ndarray, i, c=None) -> str:
     return f"{name} at u = {float(u[i])!r}, theta = {float(theta[i])!r}"
 
 
-def _check_flux(t: np.ndarray, r: np.ndarray, u, theta, sector: str) -> None:
+def _check_flux(sectors: np.ndarray, u, theta) -> None:
     """|sum |t|^2 + |r|^2 - 1| <= 1e-9 for every point and incident channel.
 
-    ``t`` and ``r`` are one sector's blocks (N, n, n), indexed (out, in).  A
-    failure, nan included, names the first offending point and channel.
+    ``sectors`` holds the (5, 2, N) sector amplitudes in the order of
+    ``sector_operators`` (q, D00, D01, D10, D11), t then r, per point.  The
+    quartet sector is checked first, then the doublet; a failure, nan
+    included, names the first offending point and channel.
     """
-    flux = np.sum(np.abs(t) ** 2 + np.abs(r) ** 2, axis=1)
-    check(np.abs(flux - 1.0), _FLUX_TOL, lambda i: (
-        f"flux not conserved in the {_where(sector, u, theta, *i)}: "
-        f"sum |t|^2 + |r|^2 = {float(flux[i])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"))
+    squares = np.abs(sectors) ** 2
+    weights = squares[:, 0] + squares[:, 1]  # |t|^2 + |r|^2, (5, N)
+    # operator 1 + 2 out + in: incident channel c sums outgoing 0 (1 + c) and 1 (3 + c)
+    for sector, flux in (("quartet", weights[0]), ("doublet", (weights[1:3] + weights[3:]).T)):
+        check(np.abs(flux - 1.0), _FLUX_TOL, lambda i: (
+            f"flux not conserved in the {_where(sector, u, theta, *i)}: "
+            f"sum |t|^2 + |r|^2 = {float(flux[i])!r}, tolerance |sum - 1| <= {_FLUX_TOL!r}"))
 
 
-def _coupled(quartet: np.ndarray, doublet: np.ndarray) -> np.ndarray:
-    """The (N, 8, 8) coupled-basis matrix of the sector blocks.
+@functools.lru_cache(maxsize=1)
+def _sector_plan():
+    """How ``_product`` sums the ``sector_operators``.
 
-    ``quartet`` is (N, 1, 1) and ``doublet`` (N, 2, 2), indexed (out, in).
-    The quartet amplitude sits on each |1; 3/2, m> channel, one copy of the
-    doublet block on each m = +-1/2 pair, and every entry between different
-    (s, m) sectors is exactly zero.
+    Positions whose five operator weights are the same hold the same value:
+    S_z conservation leaves 20 nonzero positions of 64, and the global spin
+    flip i -> 7 - i pairs them into 10 groups.  Returns the distinct
+    products (operator, |weight|); per group, its nonzero terms in operator
+    order as (product index, ``np.add`` or ``np.subtract``); and the group
+    of each position, counted from 1, with 0 where every operator is zero.
     """
-    out = np.zeros((len(doublet), 8, 8), dtype=complex)
-    diag = np.arange(4)  # quartet channels come first in the label order
-    out[:, diag, diag] = quartet[:, 0]
-    for rows, cols in _DOUBLET_BLOCKS:
-        out[:, rows, cols] = doublet
-    return out
+    products: dict[tuple[int, float], int] = {}
+    groups: dict[tuple, int] = {}
+    position_group = np.zeros(64, dtype=np.intp)
+    for position, weights in enumerate(sector_operators().reshape(5, 64).T.tolist()):
+        terms = tuple((products.setdefault((k, abs(w)), len(products)),
+                       np.add if w > 0 else np.subtract)
+                      for k, w in enumerate(weights) if w)
+        if terms:
+            position_group[position] = groups.setdefault(terms, len(groups) + 1)
+    return tuple(products), tuple(groups), position_group
+
+
+def _product(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product-basis t and r, each (N, 8, 8), from the (5, 2, N) sector amplitudes.
+
+    Each matrix is q P + D00 M00 + D01 M01 + D10 M10 + D11 M11
+    (``sector_operators``).  Each nonzero entry is 0.0 plus its nonzero
+    terms in operator order, for the real and the imaginary part apart: no
+    BLAS, a point's bits depend on that point alone, and no entry is -0.0.
+    Entries between different S_z sectors are exactly zero.
+    """
+    n = sectors.shape[-1]
+    # (operator, t or r, point, re or im), and likewise (group, ...) for the values
+    x = np.ascontiguousarray(sectors).view(np.float64).reshape(5, 4 * n)
+    products, groups, position_group = _sector_plan()
+    products = [x[k] * w for k, w in products]
+    values = np.zeros((len(groups) + 1, 4 * n))
+    for row, terms in zip(values[1:], groups):
+        for product, combine in terms:
+            combine(row, products[product], out=row)
+    values = np.moveaxis(values.view(complex).reshape(len(values), 2, n), 0, -1)
+    t, r = np.take(values, position_group, axis=-1).reshape(2, n, 8, 8)
+    return t, r
 
 
 def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission and reflection matrices, each (N, 8, 8), in the coupled basis.
+    """Transmission and reflection matrices, each (N, 8, 8), in the product basis.
 
     ``u`` and ``theta`` are arrays of length N; point i is (u[i], theta[i]).
-    Every matrix is block diagonal: the quartet amplitude on each
-    |1; 3/2, m> channel and one copy of the 2x2 doublet block, indexed
-    (out, in), per m = +-1/2 pair; exactly zero between different (s, m)
-    sectors.  Flux is checked on every point and incident channel; an
-    overflow (g^4 exceeds the largest double from u of about 1e76) reaches
-    that check as nan and is reported with its point.
+    Each matrix is ``_product`` of the quartet amplitude and the 2x2
+    doublet block: it commutes with S^2, S_z and S_-, and entries between
+    different S_z sectors are exactly zero.  Flux is checked on every point
+    and incident channel; an overflow (g^4 exceeds the largest double from
+    u of about 1e76) reaches that check as nan and is reported with its
+    point.
     """
     p = _stack(u, theta)
     g, ring = p.g, _ring(p.theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        tq, rq = (a[:, None, None] for a in _quartet(g, ring))
-        td, rd = _doublet(g, ring)
-        _check_flux(tq, rq, p.u, p.theta, "quartet")
-        _check_flux(td, rd, p.u, p.theta, "doublet")
-    return _coupled(tq, td), _coupled(rq, rd)
+        sectors = np.concatenate(([_quartet(g, ring)], _doublet(g, ring)))
+        _check_flux(sectors, p.u, p.theta)
+    return _product(sectors)

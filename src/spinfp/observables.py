@@ -1,11 +1,11 @@
 """Physics-facing quantities: transmittivity, post-selection, symmetries.
 
-``observable_table`` alone turns the closed-form kernel's coupled-basis
-scattering matrices into observables; sweeps, ``scatter`` and the acceptance
-harness all read it, one broadcast call per grid of points times states.
-Its callers convert incident states with ``CoupledBasis.to_coupled``, and
-``OBSERVABLE_COLUMNS`` names its columns in the order it writes them, so
-the sweep tables take their names from here.
+``observable_table`` alone turns the closed-form kernel's product-basis
+scattering matrices and product-basis incident states into observables;
+sweeps, ``scatter`` and the acceptance harness all read it, one broadcast
+call per grid of points times states.  ``OBSERVABLE_COLUMNS`` names its
+columns in the order it writes them, so the sweep tables take their names
+from here.
 The star-product oracle serves only the symmetry report, which needs both
 incidence directions and takes a stack of points.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_form import DimensionlessParams, amplitudes
 from .errors import DomainError, check
-from .spin_algebra import SpinVector, coupled_basis, spin_operators
+from .spin_algebra import SpinVector, spin_operators
 from .transfer_oracle import oracle_scattering, two_impurity_chain
 
 _PROB_TOL = 1e-12
@@ -48,23 +48,21 @@ def _point(u, theta, rows: np.ndarray, i) -> str:
     return f"u = {float(u_i[i])!r}, theta = {float(theta_i[i])!r}"
 
 
-def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
+def observable_table(t, r, chi, u, theta) -> np.ndarray:
     """The ``OBSERVABLE_COLUMNS`` of each row, as an array (..., columns).
 
     T, T_up and T_down come first, then the 16 amplitude columns (the real
-    and imaginary parts of the transmitted product-basis state) and R.
-    ``t`` and ``r`` are coupled-basis matrices (..., 8, 8) and ``coeffs``
-    coupled-basis incident states (..., 8), as ``CoupledBasis.to_coupled``
-    gives them; any leading axes broadcast, so (P, 1, 8, 8) matrices and
-    (S, 8) states give (P, S) rows, each with the bits of its own call.
-    T, T_up and T_down must lie in [0, 1] and T + R must equal 1; a failure
-    names its (u, theta) point, ``u`` and ``theta`` broadcast to the rows.
+    and imaginary parts of the transmitted state) and R.  ``t`` and ``r``
+    are the kernel's matrices (..., 8, 8) and ``chi`` incident states
+    (..., 8), all in the product basis; any leading axes broadcast, so
+    (P, 1, 8, 8) matrices and (S, 8) states give (P, S) rows, each with the
+    bits of its own call.  T, T_up and T_down must lie in [0, 1] and T + R
+    must equal 1; a failure names its (u, theta) point, ``u`` and ``theta``
+    broadcast to the rows.
     """
-    basis = coupled_basis().matrix
-    gamma = _matvec(t, coeffs)
-    rho = _matvec(r, coeffs)
-    product = _matvec(basis, gamma)
-    weights = product.real ** 2 + product.imag ** 2
+    gamma = _matvec(t, chi)
+    rho = _matvec(r, chi)
+    weights = gamma.real ** 2 + gamma.imag ** 2
     t_total = np.sum(weights, axis=-1)
     t_up = np.sum(weights[..., :4], axis=-1)
     t_down = np.sum(weights[..., 4:], axis=-1)
@@ -78,7 +76,7 @@ def observable_table(t, r, coeffs, u, theta) -> np.ndarray:
         f"T + R = {float(t_total[i] + reflected[i])!r} differs from 1 by more than "
         f"{_BALANCE_TOL!r} at {_point(u, theta, t_total, i)}"))
     return np.concatenate((t_total[..., None], t_up[..., None], t_down[..., None],
-                           np.ascontiguousarray(product).view(np.float64),
+                           np.ascontiguousarray(gamma).view(np.float64),
                            reflected[..., None]), axis=-1)
 
 
@@ -109,7 +107,7 @@ def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
     if not chi.normalized:
         raise DomainError("incident state must be normalized")
     t, r = amplitudes([p.u], [p.theta])
-    row = observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], p.u, p.theta)[0]
+    row = observable_table(t, r, chi.amplitudes[None, :], p.u, p.theta)[0]
     scalars = row[[COLUMN_OF[name] for name in ("T", "T_up", "T_down", "R")]].tolist()
     return ScatteredState(chi, p, row[AMPLITUDE_COLUMNS].view(complex), *scalars)
 
@@ -191,9 +189,8 @@ def fixed_point_subspace(
     give an int array of dimensions and a list of those arrays, one per
     point (the dimensions differ, so the list is ragged).
     """
-    basis = coupled_basis().matrix
     t_mat, _ = amplitudes(np.atleast_1d(p.u), np.atleast_1d(p.theta))
-    _, svals, vh = np.linalg.svd(basis @ t_mat @ basis.conj().T - np.eye(8))
+    _, svals, vh = np.linalg.svd(t_mat - np.eye(8))
     hits = svals < FIXED_POINT_TOL
     dims = np.count_nonzero(hits, axis=-1)
     vectors = [v.conj().T[:, hit] for v, hit in zip(vh, hits)]

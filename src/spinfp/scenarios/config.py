@@ -31,12 +31,13 @@ from . import states
 
 # Largest accepted grid, in rows.  Marginal cost per row of a whole sweep
 # (config to CSV on disk), measured between 3e4 and 3e5 rows on a 2-vCPU,
-# 8.2 GB machine: theta 5.8 us and 0.23 kB, coupling 5.8 us and 0.23 kB,
-# family (states at one u) 5.7 us and 0.52 kB.  A minute holds 1.0e7 rows
-# at 5.8 us, a quarter of the machine (2 GB) 8.7e6 at 0.23 kB and 3.8e6 at
-# 0.52 kB.  2e6 rows run in about 12 s and peak near 0.5 GB, or 1 GB for a
-# family sweep; the cap dates from when the whole CSV text was held in
-# memory (about 0.7 kB per row) and has not been raised.
+# 8.2 GB machine: theta 6.0 us and 0.23 kB, coupling 5.2 us and 0.23 kB,
+# family (states at one u) 3.5 us and 0.39 kB; the times vary by about 20%
+# from run to run.  A minute holds 1.0e7 rows at 6.0 us, a quarter of the
+# machine (2 GB) 8.7e6 at 0.23 kB and 5.1e6 at 0.39 kB.  2e6 rows run in
+# about 12 s and peak near 0.5 GB, or 0.8 GB for a family sweep; the cap
+# dates from when the whole CSV text was held in memory (about 0.7 kB per
+# row) and has not been raised.
 GRID_CAP = 2 * 10**6
 # Smallest accepted phase: the smallest normal double.  The kernel does not
 # need it: the closed forms and the solver both pass at the subnormal phases

@@ -9,11 +9,11 @@ the resolved configuration.
 Every sweep kind is one grid of points (u, theta), the outer axis, times
 incident product-basis states, the inner one: theta and coupling sweeps
 have one state, a family sweep its grid of states at the fixed phase.  One
-grid builder converts the states once, through ``CoupledBasis.to_coupled``,
-calls the production kernel ``closed_form.amplitudes`` on up to ``CHUNK``
-points at a time and ``observables.observable_table`` on up to ``CHUNK``
-rows, and writes them into one float64 table beside the lead columns (the
-config's grid values).  This module names only those lead columns; the rest
+grid builder calls the production kernel ``closed_form.amplitudes`` on up to
+``CHUNK`` points at a time and ``observables.observable_table`` on up to
+``CHUNK`` rows, states and matrices alike in the product basis, and writes
+them into one float64 table beside the lead columns (the config's grid
+values).  This module names only those lead columns; the rest
 are ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed
 from its own point and state only, so the output does not depend on the
 chunk size.  Every sweep kind reads its phases from
@@ -44,7 +44,6 @@ import numpy as np
 
 from ..closed_form import amplitudes
 from ..observables import OBSERVABLE_COLUMNS, observable_table
-from ..spin_algebra import coupled_basis
 from ._format import format_float, format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
@@ -73,7 +72,6 @@ def _table(u, theta, chi, lead: dict) -> np.ndarray:
     """Rows over the points (u[i], theta[i]), the outer axis, and the incident
     product-basis states chi[j], the inner one: the ``lead`` columns, each
     broadcast to (points, states), then ``OBSERVABLE_COLUMNS``."""
-    coeffs = coupled_basis().to_coupled(chi)
     out = np.empty((len(u), len(chi), len(lead) + len(OBSERVABLE_COLUMNS)))
     for k, values in enumerate(lead.values()):
         out[..., k] = values
@@ -83,7 +81,7 @@ def _table(u, theta, chi, lead: dict) -> np.ndarray:
         t, r = amplitudes(u[p], theta[p])
         for s in _chunks(len(chi)):
             out[p, s, len(lead):] = observable_table(
-                t[:, None], r[:, None], coeffs[s], u[p, None], theta[p, None]
+                t[:, None], r[:, None], chi[s], u[p, None], theta[p, None]
             )
     return out.reshape(-1, out.shape[-1])
 

@@ -10,14 +10,18 @@ where e, a, b are the projections of the electron, impurity 1 and impurity 2,
 so the electron occupies the most significant bit.  All spin operators are
 dimensionless (units of hbar).
 
-Besides the operator set, this module builds the coupled basis
-|s_e2; s, m> of simultaneous eigenvectors of the electron+impurity-2 pair
-spin squared, the total spin squared and its z component.  The basis is
-constructed by simultaneous diagonalization plus ladder operators, not from
-coefficient tables.  The 6j symbols behind the recoupling matrix elements
-come from Racah's closed formula instead, so the two routes are independent:
-verify criterion 6 checks the 6j matrix elements against operator sandwiches
-in the diagonalized basis.
+Besides the operator set, this module builds the five sector operators
+that carry a spin-conserving scattering matrix's quartet amplitude and
+doublet block into the product basis, exactly and from the spin operators
+alone; they are all that production knows of the spin sectors.  It also
+builds the coupled basis |s_e2; s, m> of simultaneous eigenvectors of the
+electron+impurity-2 pair spin squared, the total spin squared and its z
+component, by simultaneous diagonalization plus ladder operators, not from
+coefficient tables; that basis is evidence, read by verify criterion 6 and
+the tests.  The 6j symbols behind the recoupling matrix elements come from
+Racah's closed formula instead, so the two routes are independent: verify
+criterion 6 checks the 6j matrix elements against operator sandwiches in the
+diagonalized basis.
 """
 
 from __future__ import annotations
@@ -112,6 +116,37 @@ def spin_operators() -> SpinOperatorSet:
 
 
 @functools.lru_cache(maxsize=1)
+def sector_operators() -> np.ndarray:
+    """The five real product-basis operators (P, M00, M01, M10, M11), shape (5, 8, 8).
+
+    A scattering matrix that conserves total spin and S_z is
+    q P + sum_ab D_ab M_ab, for the quartet amplitude q and the doublet block
+    D indexed by the electron+impurity-2 pair spin (out, in):
+    P = sum_m |1; 3/2, m><1; 3/2, m| and M_ab = sum_m |a; 1/2, m><b; 1/2, m|.
+    Built from the spin operators alone, with no diagonalisation:
+
+        P = (S^2 - 3/4) / 3,        Q1 = (sigma + S_2)^2 / 2,
+        M00 = 1 - Q1,               M11 = Q1 - P,
+        M01 = (2 / sqrt 3) M00 (sigma + S_1)^2 Q1,   M10 = M01^T.
+
+    The phase of M01 is that of the 6j recoupling element
+    <0; 1/2 | (sigma + S_1)^2 | 1; 1/2> = +sqrt(3)/2.  Every numerator is a
+    sum of small dyadic rationals, so it is exact, and each operator is
+    rounded once (M11 as (3 Q1 - (S^2 - 3/4)) / 3): every entry is its
+    exact value (k/3, k/6, +-1/sqrt 3 or +-1/(2 sqrt 3)) correctly rounded.
+    """
+    ops = spin_operators()
+    one = np.eye(8)
+    shifted = ops.total_spin_sq.real - 0.75 * one   # 3 P, exact
+    pair2 = ops.electron_imp2_sq.real                # 2 Q1, exact
+    q1 = pair2 / 2.0
+    m00 = one - q1
+    m01 = _signed_sqrt(Fraction(4, 3)) * (m00 @ ops.electron_imp1_sq.real @ q1)
+    stack = np.array([shifted / 3.0, m00, m01, m01.T, (1.5 * pair2 - shifted) / 3.0])
+    return _readonly(stack + 0.0)  # + 0.0 turns any -0.0 into 0.0
+
+
+@functools.lru_cache(maxsize=1)
 def total_lowering() -> np.ndarray:
     """Total spin lowering operator S_- = S_x - i S_y (sum over all spins)."""
     return _readonly(sum(_embed(_LOWER, slot) for slot in range(_SLOTS)))
@@ -201,7 +236,10 @@ class CoupledBasis:
         return np.matmul(self.matrix.conj().T, amps[..., None])[..., 0]
 
     def to_product(self, coeffs) -> np.ndarray:
-        return self.matrix @ np.asarray(coeffs, dtype=complex)
+        """The product-basis state of coefficients in label order, the inverse of
+        ``to_coupled``, for one state (8,) or a stack (..., 8)."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        return np.matmul(self.matrix, coeffs[..., None])[..., 0]
 
 
 def _first_sign_fixed(vec: np.ndarray) -> np.ndarray:

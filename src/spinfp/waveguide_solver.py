@@ -24,8 +24,8 @@ The solver is evidence, not production: sweeps read the closed forms
 (u, theta) point, and runs one stacked solve.  The system matrix does not
 depend on the incident channel, so the n channels are n right-hand sides of
 one factorisation.  The residual and flux checks run on every point and
-channel, and the blocks go into the coupled basis through the same placement
-as the closed forms.
+channel, and the sector blocks become product-basis t and r through the
+closed forms' own assembly, ``closed_form._product``.
 """
 
 
@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from .closed_form import _check_flux, _coupled, _stack, _where
+from .closed_form import _check_flux, _product, _stack, _where
 from .errors import NumericError, check
 from .spin_algebra import recoupling_matrix_elements
 
@@ -113,7 +113,7 @@ def _system(
 def _solve(
     matrix: np.ndarray, rhs: np.ndarray, u: np.ndarray, theta: np.ndarray, sector: str
 ) -> np.ndarray:
-    """One stacked solve; residual and flux are checked on every point and column.
+    """One stacked solve; the residual is checked on every point and column.
 
     Returns the solutions (N, 4n, n).  A failure names the first offending
     point.
@@ -135,13 +135,11 @@ def _solve(
         f"large residual in the {_where(sector, u, theta, *i)}: "
         f"|A x - b| / (|A| |x| + |b|) = {float(residual[i] / scale[i])!r} > {_RESIDUAL_RTOL!r}"))
 
-    # per channel block the reflected amplitude is slot 0 and the transmitted slot 3
-    _check_flux(x[:, 3::4], x[:, 0::4], u, theta, sector)
     return x
 
 
 def solver_amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission and reflection matrices, each (N, 8, 8), in the coupled basis.
+    """Transmission and reflection matrices, each (N, 8, 8), in the product basis.
 
     The same contract as closed_form.amplitudes, from the boundary-value
     problem: ``u`` and ``theta`` are arrays of length N, and point i is
@@ -154,5 +152,9 @@ def solver_amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
     quartet_system = _system(phase, g, np.array([[w1]]), np.array([[w2]]))
     quartet = _solve(*quartet_system, u, theta, "quartet")
     doublet = _solve(*_system(phase, g, *doublet_site_matrices()), u, theta, "doublet")
-    return (_coupled(quartet[:, 3::4], doublet[:, 3::4]),
-            _coupled(quartet[:, 0::4], doublet[:, 0::4]))
+    # per channel block the reflected amplitude is slot 0 and the transmitted slot 3;
+    # the doublet blocks (t or r, point, out, in) go to the order (2 out + in, t or r, point)
+    blocks = np.array([doublet[:, 3::4], doublet[:, 0::4]]).transpose(2, 3, 0, 1)
+    sectors = np.concatenate(([[quartet[:, 3, 0], quartet[:, 0, 0]]], blocks.reshape(4, 2, -1)))
+    _check_flux(sectors, u, theta)
+    return _product(sectors)

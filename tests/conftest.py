@@ -1,0 +1,26 @@
+import numpy as np
+import pytest
+
+from spinfp.spin_algebra import coupled_basis
+
+
+def _rotated(quartet, doublet):
+    """The product-basis matrices (N, 8, 8) of sector blocks, B blocks B^T.
+
+    ``quartet`` is (N,) and ``doublet`` (N, 2, 2), indexed (out, in).  The
+    quartet amplitude sits on each |1; 3/2, m> and the doublet block on each
+    m = +-1/2 pair of the diagonalised basis B; this is the expected side
+    of a comparison, never applied to a kernel's output.
+    """
+    coupled = np.zeros((len(quartet), 8, 8), dtype=complex)
+    coupled[:, range(4), range(4)] = np.asarray(quartet)[:, None]
+    for labels in ((4, 6), (5, 7)):  # m = +1/2, then m = -1/2
+        coupled[:, np.array(labels)[:, None], labels] = doublet
+    b = coupled_basis().matrix
+    return b @ coupled @ b.conj().T
+
+
+@pytest.fixture
+def rotated():
+    """``_rotated``: sector blocks rotated to the product basis, for expected sides."""
+    return _rotated

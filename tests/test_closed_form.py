@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from spinfp.closed_form import (
     t_quartet,
 )
 from spinfp.errors import DomainError, NumericError
-from spinfp.spin_algebra import coupled_basis
+from spinfp.spin_algebra import coupled_basis, sector_operators
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
     _system,
@@ -22,8 +23,6 @@ from spinfp.waveguide_solver import (
     quartet_site_strengths,
     solver_amplitudes,
 )
-
-DOUBLET = np.ix_((4, 6), (4, 6))  # the m = +1/2 block of the kernel's matrices
 
 
 def reference_determinant(p):
@@ -121,13 +120,13 @@ class TestDoublet:
         b = t_doublet(DimensionlessParams(4.0, 0.9 + math.pi))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_matches_solver_on_random_draws(self):
+    def test_matches_solver_on_random_draws(self, rotated):
         rng = np.random.default_rng(11)
         for _ in range(200):
             p = DimensionlessParams(rng.uniform(1e-6, 20), rng.uniform(1e-6, 2 * math.pi))
-            solver_t = solver_amplitudes([p.u], [p.theta])[0][0]
-            np.testing.assert_allclose(t_doublet(p), solver_t[DOUBLET], atol=1e-10)
-            assert abs(t_quartet(p) - solver_t[0, 0]) < 1e-10
+            solver_t = solver_amplitudes([p.u], [p.theta])[0]
+            expected = rotated([t_quartet(p)], t_doublet(p)[None])
+            np.testing.assert_allclose(solver_t, expected, atol=1e-10)
 
 
 class TestDeterminant:
@@ -163,16 +162,15 @@ class TestStacks:
 
 
 class TestChannelAmplitudes:
-    def test_assembled_amplitudes_subunitary(self):
-        # closed-form t together with the kernel's r
+    def test_assembled_amplitudes_subunitary(self, rotated):
+        # closed-form t together with the kernel's r, both in the product basis
         rng = np.random.default_rng(9)
         for _ in range(25):
             p = DimensionlessParams(rng.uniform(0, 20), rng.uniform(0.01, 6))
             r = amplitudes([p.u], [p.theta])[1][0]
             tq = t_quartet(p)
-            quartet = math.hypot(abs(tq), abs(r[0, 0]))
-            stacked = np.vstack([t_doublet(p), r[DOUBLET]])
-            largest = max(quartet, float(np.linalg.svd(stacked, compute_uv=False)[0]))
+            stacked = np.vstack([rotated([tq], t_doublet(p)[None])[0], r])
+            largest = float(np.linalg.svd(stacked, compute_uv=False)[0])
             assert abs(tq) <= 1 + 1e-12
             assert largest <= 1 + 1e-12
             # flux conservation makes every singular value exactly one
@@ -253,12 +251,14 @@ class TestDerivation:
 
     def test_production_matches_50_digits_near_resonance(self):
         # theta = n pi + N(0, 1) / g^2 lies within the resonance width; the
-        # reference evaluates the exact blocks at 50 digits at the same float theta
+        # reference evaluates the exact blocks at 50 digits at the same float
+        # theta and rotates them to the product basis with the exact B
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 50
         rng = np.random.default_rng(28)
         root3, i = mp.sqrt(3), mp.mpc(0, 1)
+        terms = exact_rotation(mp)
         for u_value in (1e2, 1e4, 1e6, 1e8):
             g_float = math.pi * u_value
             theta = rng.integers(1, 1000, 25) * math.pi + rng.standard_normal(25) / g_float**2
@@ -266,18 +266,36 @@ class TestDerivation:
             for k in range(len(theta)):
                 g = mp.pi * mp.mpf(u_value)
                 quartet, doublet = exact_blocks(g, mp.expj(2 * mp.mpf(theta[k])) - 1, root3, i)
-                expected = [np.zeros((8, 8), dtype=object) for _ in range(2)]
-                for m, (q, d) in zip(expected, zip(quartet, doublet)):
-                    for j in range(4):
-                        m[j, j] = q
-                    for rows in ((4, 6), (5, 7)):
+                for got, q, d in zip((t[k], r[k]), quartet, doublet):
+                    coupled = {(a, a): q for a in range(4)}
+                    for labels in ((4, 6), (5, 7)):
                         for a in (0, 1):
                             for b in (0, 1):
-                                m[rows[a], rows[b]] = d[a][b]
-                for got, want in zip((t[k], r[k]), expected):
-                    worst = max(abs(complex(got[a, b]) - want[a, b])
-                                for a in range(8) for b in range(8))
+                                coupled[labels[a], labels[b]] = d[a][b]
+                    worst = max(
+                        abs(complex(got[row, col])
+                            - mp.fsum(c * coupled[key] for c, key in terms[row, col]))
+                        for row in range(8) for col in range(8))
                     assert worst <= 1e-15, (u_value, theta[k], worst)
+
+
+def exact_rotation(mp):
+    """B (.) B^T at the precision of ``mp``, for the exact coupled basis B.
+
+    Each entry of the diagonalised basis is sign(b) sqrt(b^2), with b^2 a
+    rational of denominator at most 6; returns, for each product-basis
+    position (row, col), the terms (B[row, a] B[col, b], (a, b)) over the
+    coupled-basis positions (a, b) that a kernel matrix can fill.
+    """
+    b = coupled_basis().matrix.real
+    exact = [[mp.sign(v) * mp.sqrt(mp.mpf(f.numerator) / f.denominator)
+              for v, f in ((v, Fraction(v * v).limit_denominator(12)) for v in row)]
+             for row in b]
+    filled = [(a, a) for a in range(4)]
+    filled += [(x, y) for labels in ((4, 6), (5, 7)) for x in labels for y in labels]
+    return {(row, col): [(exact[row][a] * exact[col][c], (a, c)) for a, c in filled
+                         if exact[row][a] and exact[col][c]]
+            for row in range(8) for col in range(8)}
 
 
 def kernel_draws(n=500):
@@ -295,22 +313,30 @@ class TestAmplitudes:
         t, r = amplitudes(u, theta)
         t_solver, r_solver = solver_amplitudes(u, theta)
         full = oracle_scattering(two_impurity_chain(DimensionlessParams(u, theta)))
-        b = coupled_basis().matrix
         assert max(np.max(np.abs(t - t_solver)), np.max(np.abs(r - r_solver))) < 1e-13
-        assert np.max(np.abs(b.conj().T @ full.transmission @ b - t)) < 1e-13
-        assert np.max(np.abs(b.conj().T @ full.reflection @ b - r)) < 1e-13
+        assert np.max(np.abs(full.transmission - t)) < 1e-13
+        assert np.max(np.abs(full.reflection - r)) < 1e-13
 
     def test_blocks_are_the_closed_forms(self):
+        # each entry is the sum, in operator order, of the closed forms times
+        # the sector operators' nonzero weights, real and imaginary parts apart
         u, theta = kernel_draws(50)
         p = DimensionlessParams(u, theta)
         t, r = amplitudes(u, theta)
+        operators = sector_operators()
         for matrix, quartet, doublet in ((t, t_quartet(p), t_doublet(p)),
                                          (r, r_quartet(p), r_doublet(p))):
+            amps = [quartet, *(doublet[:, a, b] for a in (0, 1) for b in (0, 1))]
             expected = np.zeros_like(matrix)
-            expected[:, range(4), range(4)] = quartet[:, None]
-            expected[:, DOUBLET[0], DOUBLET[1]] = doublet
-            expected[:, [[5], [7]], [5, 7]] = doublet
+            for row, col in np.ndindex(8, 8):
+                terms = [(c, w[row, col]) for c, w in zip(amps, operators) if w[row, col]]
+                for part, plane in ((np.real, expected.real), (np.imag, expected.imag)):
+                    if terms:
+                        first, *rest = (part(c) * w for c, w in terms)
+                        plane[:, row, col] = sum(rest, first) + 0.0
             assert np.array_equal(matrix, expected)
+            bits = matrix.view(np.float64)
+            assert not np.any(np.signbit(bits) & (bits == 0.0))  # no -0.0
 
     def test_single_point_matches_batch(self):
         u, theta = kernel_draws(60)

@@ -117,3 +117,26 @@ def test_production_binds_the_closed_form_kernel():
     kernel = closed_form.amplitudes
     assert sweeps.amplitudes is observables.amplitudes is spinfp.amplitudes is kernel
     assert verify.amplitudes is kernel and not hasattr(spinfp, "solver_amplitudes")
+
+
+def test_production_never_builds_the_diagonalised_basis(monkeypatch):
+    # only the kernel knows the sector structure, through the exact sector
+    # operators: every bound coupled_basis and both basis changes raise here
+    from spinfp.closed_form import DimensionlessParams
+    from spinfp.observables import fixed_point_subspace, scatter
+    from spinfp.scenarios.config import build_config
+    from spinfp.scenarios.sweeps import render_csv, run_sweep
+    from spinfp.spin_algebra import CoupledBasis, compose_state
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production touched the diagonalised coupled basis")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spinfp" and hasattr(module, "coupled_basis"):
+            monkeypatch.setattr(module, "coupled_basis", forbidden)
+    monkeypatch.setattr(CoupledBasis, "to_coupled", forbidden)
+    monkeypatch.setattr(CoupledBasis, "to_product", forbidden)
+    assert render_csv(run_sweep(build_config({"scenario": "fig3b"})))
+    state = scatter(compose_state([1, 0], [0, 1, -1, 0]), DimensionlessParams(2.0, 3.0))
+    assert 0.0 < state.transmittivity < 1.0
+    assert fixed_point_subspace(DimensionlessParams(2.0, 3.0))[0] == 0

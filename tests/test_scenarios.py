@@ -840,7 +840,7 @@ class TestVerify:
 
     def test_fig7_table_is_the_entanglement_scan(self):
         from spinfp.observables import observable_table
-        from spinfp.spin_algebra import compose_state, coupled_basis
+        from spinfp.spin_algebra import compose_state
         from spinfp.closed_form import amplitudes
 
         rows = run_sweep(build_config({"scenario": "fig7"})).rows
@@ -848,6 +848,6 @@ class TestVerify:
         theta = np.full(len(u), math.pi)
         chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, dd
         t, r = amplitudes(u, theta)
-        table = observable_table(t, r, coupled_basis().to_coupled(chi)[None, :], u, theta)
+        table = observable_table(t, r, chi.amplitudes[None, :], u, theta)
         assert rows[:, 1].tobytes() == u.tobytes()
         assert rows[:, 4].tobytes() == table[:, 2].tobytes()  # T_down

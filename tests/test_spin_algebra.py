@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from spinfp.spin_algebra import (
     SpinVector,
     compose_state,
     coupled_basis,
+    _signed_sqrt,
     coupling_scheme_overlap,
     recoupling_matrix_elements,
+    sector_operators,
     spin_operators,
     wigner_6j,
 )
@@ -202,6 +205,82 @@ class TestBasisChange:
         assert np.array_equal(stacked, [basis.to_coupled(v) for v in states])
         assert np.array_equal(basis.to_coupled(states.reshape(20, 10, 8)),
                               stacked.reshape(20, 10, 8))
+
+
+    @pytest.mark.parametrize("shape", [(), (8,), (3,), (2, 3)])
+    def test_to_product_inverts_to_coupled(self, shape):
+        rng = np.random.default_rng(12)
+        states = rng.standard_normal((*shape, 8)) + 1j * rng.standard_normal((*shape, 8))
+        basis = coupled_basis()
+        back = basis.to_product(basis.to_coupled(states))
+        assert back.shape == states.shape
+        np.testing.assert_allclose(back, states, rtol=0, atol=1e-14)
+        if shape:  # each state of a stack converts as it would alone
+            assert np.array_equal(back[(0,) * len(shape)],
+                                  basis.to_product(basis.to_coupled(states[(0,) * len(shape)])))
+
+
+def exact_sector_operators():
+    """(P, M00, M01, M10, M11) as exact rationals, with M01 and M10 over 2/sqrt(3).
+
+    The spin operators' entries are small dyadic rationals, so Fraction
+    holds them exactly.  Returns five 8x8 nested lists and, per operator,
+    whether its entries carry the factor 2/sqrt(3).
+    """
+    ops = spin_operators()
+
+    def exact(matrix):
+        return [[Fraction(float(v.real)) for v in row] for row in matrix]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(8)) for j in range(8)] for i in range(8)]
+
+    one = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    total, pair2, pair1 = (exact(m) for m in (ops.total_spin_sq, ops.electron_imp2_sq,
+                                              ops.electron_imp1_sq))
+    p = [[(total[i][j] - Fraction(3, 4) * one[i][j]) / 3 for j in range(8)] for i in range(8)]
+    q1 = [[v / 2 for v in row] for row in pair2]
+    m00 = [[one[i][j] - q1[i][j] for j in range(8)] for i in range(8)]
+    m11 = [[q1[i][j] - p[i][j] for j in range(8)] for i in range(8)]
+    m01 = mul(mul(m00, pair1), q1)  # times 2/sqrt(3)
+    m10 = [list(col) for col in zip(*m01)]
+    return (p, m00, m01, m10, m11), (False, False, True, True, False)
+
+
+class TestSectorOperators:
+    def test_entries_are_the_correctly_rounded_exact_values(self):
+        exact, irrational = exact_sector_operators()
+        expected = np.array([
+            [[_signed_sqrt(Fraction(4, 3) * v * abs(v)) if root else float(v) for v in row]
+             for row in matrix]
+            for matrix, root in zip(exact, irrational)
+        ])
+        operators = sector_operators()
+        assert operators.shape == (5, 8, 8) and not operators.flags.writeable
+        assert operators.tobytes() == expected.tobytes()  # bit for bit, so no -0.0 either
+        rationals = {v for matrix, root in zip(exact, irrational) if not root
+                     for row in matrix for v in row}
+        assert all(6 % v.denominator == 0 for v in rationals)  # k/3 and k/6
+        roots = {abs(v) for v in operators[2:4].ravel() if v}
+        assert roots == {_signed_sqrt(Fraction(1, 3)), _signed_sqrt(Fraction(1, 12))}
+
+    def test_outer_products_of_the_diagonalised_basis(self):
+        basis = coupled_basis()
+
+        def block(s_e2_out, s_e2_in, s):
+            return sum(np.outer(basis.vector(s_e2_out, s, m).amplitudes,
+                                basis.vector(s_e2_in, s, m).amplitudes.conj())
+                       for m in np.arange(s, -s - 1, -1))
+
+        expected = [block(1, 1, 1.5), block(0, 0, 0.5), block(0, 1, 0.5), block(1, 0, 0.5),
+                    block(1, 1, 0.5)]
+        assert np.max(np.abs(sector_operators() - np.array(expected))) <= 2e-15
+
+    def test_projector_identities_hold_exactly(self):
+        p, m00, m01, m10, m11 = sector_operators()
+        assert np.array_equal(p @ p, p)
+        assert np.array_equal((p + m11) + m00, np.eye(8))  # P + M11 = Q1, Q1 + M00 = 1
+        assert np.array_equal(m10, m01.T)
 
 
 class TestRecoupling:
