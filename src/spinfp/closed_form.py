@@ -19,9 +19,11 @@ stack of points and returns product-basis t and r, the matrices that sweeps,
 ``scatter`` and verify read.  Total spin and S_z are conserved, so each
 matrix is the quartet amplitude and the four doublet amplitudes times five
 constant operators, ``spin_algebra.sector_operators``, which are built
-exactly from the spin operators.  ``_product`` sums them with no BLAS and
-no diagonalised basis, and the boundary-value solver shares it: only this
-sum knows the sectors.  They are never trusted alone: the
+exactly from the spin operators.  ``_product`` sums them: one ``np.unique``
+finds the 10 distinct nonzero entries, and one ``np.einsum`` forms each from
+0.0 in operator order, with no BLAS, no fused multiply-add (numpy's X86_V2
+baseline) and no diagonalised basis.  The boundary-value solver shares it:
+only this sum knows the sectors.  They are never trusted alone: the
 waveguide_solver re-derives the same amplitudes from the boundary-value
 problem, the transfer_oracle from the star product of per-site scattering
 matrices, and verify and the test suite keep all three in 1e-10 agreement.
@@ -205,48 +207,38 @@ def _check_flux(sectors: np.ndarray, u, theta) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _sector_plan():
-    """How ``_product`` sums the ``sector_operators``.
+def _sector_plan() -> tuple[np.ndarray, np.ndarray]:
+    """How ``_product`` sums the ``sector_operators``: one ``np.unique``.
 
     Positions whose five operator weights are the same hold the same value:
     S_z conservation leaves 20 nonzero positions of 64, and the global spin
-    flip i -> 7 - i pairs them into 10 groups.  Returns the distinct
-    products (operator, |weight|); per group, its nonzero terms in operator
-    order as (product index, ``np.add`` or ``np.subtract``); and the group
-    of each position, counted from 1, with 0 where every operator is zero.
+    flip i -> 7 - i pairs them into 10 columns.  Returns the distinct weight
+    columns, (11, 5) with the all-zero one, and the column of each position.
     """
-    products: dict[tuple[int, float], int] = {}
-    groups: dict[tuple, int] = {}
-    position_group = np.zeros(64, dtype=np.intp)
-    for position, weights in enumerate(sector_operators().reshape(5, 64).T.tolist()):
-        terms = tuple((products.setdefault((k, abs(w)), len(products)),
-                       np.add if w > 0 else np.subtract)
-                      for k, w in enumerate(weights) if w)
-        if terms:
-            position_group[position] = groups.setdefault(terms, len(groups) + 1)
-    return tuple(products), tuple(groups), position_group
+    weights, column = np.unique(sector_operators().reshape(5, 64).T, axis=0,
+                                return_inverse=True)
+    return weights, column.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
 
 
 def _product(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Product-basis t and r, each (N, 8, 8), from the (5, 2, N) sector amplitudes.
 
     Each matrix is q P + D00 M00 + D01 M01 + D10 M10 + D11 M11
-    (``sector_operators``).  Each nonzero entry is 0.0 plus its nonzero
-    terms in operator order, for the real and the imaginary part apart: no
-    BLAS, a point's bits depend on that point alone, and no entry is -0.0.
-    Entries between different S_z sectors are exactly zero.
+    (``sector_operators``).  One ``np.einsum``, without ``optimize`` and so
+    without BLAS, forms each distinct entry as 0.0 plus its five weighted
+    terms in operator order, for the real and the imaginary part apart (a
+    zero weight adds a zero, which moves no bit); its loop has no fused
+    multiply-add at numpy's X86_V2 baseline.  A point's bits depend on that
+    point alone, no entry is -0.0, and entries between different S_z
+    sectors are exactly zero.
     """
     n = sectors.shape[-1]
-    # (operator, t or r, point, re or im), and likewise (group, ...) for the values
+    # (operator, t or r, point, re or im), and likewise (column, ...) for the values
     x = np.ascontiguousarray(sectors).view(np.float64).reshape(5, 4 * n)
-    products, groups, position_group = _sector_plan()
-    products = [x[k] * w for k, w in products]
-    values = np.zeros((len(groups) + 1, 4 * n))
-    for row, terms in zip(values[1:], groups):
-        for product, combine in terms:
-            combine(row, products[product], out=row)
+    weights, column = _sector_plan()
+    values = np.einsum("gk,kn->gn", weights, x)
     values = np.moveaxis(values.view(complex).reshape(len(values), 2, n), 0, -1)
-    t, r = np.take(values, position_group, axis=-1).reshape(2, n, 8, 8)
+    t, r = np.take(values, column, axis=-1).reshape(2, n, 8, 8)
     return t, r
 
 

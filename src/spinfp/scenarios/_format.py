@@ -229,17 +229,13 @@ def format_rows(rows: np.ndarray) -> bytes:
 
     per_row = words[:n].view(np.uint8).reshape(rows.shape[0], -1)
     constant = words[n:].tobytes()
-    runs, taken, width = [], [0, 0], 0  # bytes of per_row and constant used so far
+    runs, taken = [], [0, 0]  # bytes of per_row and constant used so far
     for varies, run in itertools.groupby(varying.tolist()):
         start = taken[not varies]
         taken[not varies] += len(list(run)) * _SLOTS
         if varies:
-            piece = per_row[:, start:taken[0]]
+            runs.append(per_row[:, start:taken[0]])
         else:  # a constant run is the same text in every row
-            piece = np.frombuffer(constant[start:taken[1]].translate(None, b"\0"), np.uint8)
-        runs.append((width, piece))
-        width += piece.shape[-1]
-    out = np.empty((rows.shape[0], width), dtype=np.uint8)
-    for start, piece in runs:
-        out[:, start:start + piece.shape[-1]] = piece
-    return out.tobytes().translate(None, b"\0")
+            text = constant[start:taken[1]].translate(None, b"\0") * rows.shape[0]
+            runs.append(np.frombuffer(text, np.uint8).reshape(rows.shape[0], -1))
+    return np.concatenate(runs, axis=1).tobytes().translate(None, b"\0")

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 verification failure.
+3 verification failure (``verify.EXIT_VERIFY``, which ``run_verification``
+returns).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-EXIT_VERIFY = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

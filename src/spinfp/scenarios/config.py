@@ -92,9 +92,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep plan: scenario id, grids, states and output."""
+    """Fully resolved sweep plan: grids, states, output and header echo."""
 
-    scenario: str
     kind: str                       # theta | family | coupling
     electron_spin: str
     impurity_state: str
@@ -204,6 +203,8 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     resolved = dict(SCENARIO_PRESETS[scenario])
     resolved.update({k: v for k, v in settings.items() if k != "scenario"})
     resolved.setdefault("output", f"{scenario}.csv")
+    if not Path(resolved["output"]).name:
+        raise ConfigError(f"output must name a file, got {resolved['output']!r}")
 
     kind = resolved["sweep"]  # every preset sets it
     if kind not in _GRID_DEFAULTS:
@@ -286,7 +287,6 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         for k in sorted(_COMMON_KEYS | grid_keys)
     )
     return SweepConfig(
-        scenario=scenario,
         kind=kind,
         electron_spin=electron,
         impurity_state=impurity,
@@ -302,7 +302,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
 def load_config(path: str | Path) -> SweepConfig:
     """Read and resolve a sweep configuration file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return build_config(parse_config_text(text))

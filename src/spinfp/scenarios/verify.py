@@ -43,6 +43,7 @@ from .states import bell_pair, incident_state
 from .sweeps import _chunks, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
+EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
 _SEED = 20240817
 
 
@@ -420,7 +421,7 @@ def verify_figures() -> list[CriterionResult]:
 
 
 def run_verification(stream=None) -> int:
-    """Print one line per criterion; exit status 0 iff everything passed."""
+    """Print one line per criterion; exit status 0 iff all passed, else ``EXIT_VERIFY``."""
     import sys
 
     stream = stream or sys.stdout
@@ -429,4 +430,4 @@ def run_verification(stream=None) -> int:
         print(res.line(), file=stream)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed", file=stream)
-    return 0 if not failed else 3
+    return 0 if not failed else EXIT_VERIFY

@@ -25,7 +25,8 @@ The solver is evidence, not production: sweeps read the closed forms
 depend on the incident channel, so the n channels are n right-hand sides of
 one factorisation.  The residual and flux checks run on every point and
 channel, and the sector blocks become product-basis t and r through the
-closed forms' own assembly, ``closed_form._product``.
+closed forms' own sum, ``closed_form._product``: one ``np.einsum`` over the
+sector operators' distinct weight columns, with no BLAS.
 """
 
 

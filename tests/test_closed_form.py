@@ -7,6 +7,7 @@ import pytest
 
 from spinfp.closed_form import (
     DimensionlessParams,
+    _sector_plan,
     amplitudes,
     det_t_minus_identity,
     r_doublet,
@@ -15,7 +16,7 @@ from spinfp.closed_form import (
     t_quartet,
 )
 from spinfp.errors import DomainError, NumericError
-from spinfp.spin_algebra import coupled_basis, sector_operators
+from spinfp.spin_algebra import coupled_basis, sector_operators, spin_operators
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
     _system,
@@ -305,6 +306,29 @@ def kernel_draws(n=500):
     theta = 4 * math.pi - rng.uniform(0.0, 4 * math.pi, n)  # (0, 4 pi]
     resonant = np.arange(1, 5) * math.pi
     return np.concatenate([u, [0.5, 3.0, 20.0, 1e-6]]), np.concatenate([theta, resonant])
+
+
+class TestSectorPlan:
+    def test_eleven_weight_columns_one_of_them_zero(self):
+        weights, column = _sector_plan()
+        assert weights.shape == (11, 5) and column.shape == (64,)
+        assert np.count_nonzero(~weights.any(axis=1)) == 1
+
+    def test_columns_rebuild_the_operators(self):
+        weights, column = _sector_plan()
+        assert np.array_equal(weights[column].T.reshape(5, 8, 8), sector_operators())
+
+    def test_nonzero_positions_conserve_sz(self):
+        weights, column = _sector_plan()
+        nonzero = weights.any(axis=1)[column].reshape(8, 8)
+        assert np.count_nonzero(nonzero) == 20
+        sz = np.diag(spin_operators().total_sz).real
+        assert not np.any(nonzero & (sz[:, None] != sz[None, :]))
+
+    def test_spin_flip_shares_a_column(self):
+        # (i, j) and (7 - i, 7 - j) hold the same value
+        column = _sector_plan()[1].reshape(8, 8)
+        assert np.array_equal(column, column[::-1, ::-1])
 
 
 class TestAmplitudes:

@@ -1,19 +1,26 @@
-"""The same bytes under every x86-64 OpenBLAS core type.
+"""The same bytes under every x86-64 OpenBLAS core type and numpy dispatch.
 
 Each child interpreter runs under one ``OPENBLAS_CORETYPE`` and hashes the
-kernel's t and r on a fixed stack of points and the fig3b and fig7 CSVs;
-every core type must give one hash per artefact.  Only the core types whose
-instructions this CPU's /proc/cpuinfo flags list are run: Prescott needs
-SSE3 (``pni``), Haswell ``avx2`` and SkylakeX ``avx512f``; the test
-prints the ones left out, and so does a failure.  On a CPU that lists none
-of them, one child runs with the environment unchanged.  An OpenBLAS built
-without DYNAMIC_ARCH ignores the variable, and the children then all run
-the same kernels.
+kernel's sector sum (``closed_form._product``) on a fixed stack of random
+sector amplitudes, the kernel's t and r on a fixed stack of points, and
+the fig3b and fig7 CSVs; every core type must give one hash per artefact.
+Only the core types whose instructions this CPU's /proc/cpuinfo flags list
+are run: Prescott needs SSE3 (``pni``), Haswell ``avx2`` and SkylakeX
+``avx512f``; the test prints the ones left out, and so does a failure.  On
+a CPU that lists none of them, one child runs with the environment
+unchanged.  An OpenBLAS built without DYNAMIC_ARCH ignores the variable,
+and the children then all run the same kernels.
+
+One more child runs with ``NPY_DISABLE_CPU_FEATURES`` set to every numpy
+dispatch target this CPU supports, so numpy runs its baseline loops
+(numpy refuses to disable the baseline itself).  It hashes the sector sum
+alone, which must match the other children's: that sum is real products
+and sums in a fixed order.  The closed forms' complex arithmetic, and so
+the kernel's t and r and fig3b, still change bits under that setting.
 
 fig4 is left out.  Its rows apply one matrix to many states, and that
 ``np.matmul`` in the row builder changes bits between Prescott and Haswell,
-although the kernel's t and r and the incident states do not.  numpy's own
-SIMD dispatch of complex arithmetic is not varied here.
+although the kernel's t and r and the incident states do not.
 """
 
 import os
@@ -23,11 +30,25 @@ from pathlib import Path
 
 import spinfp
 
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
+
 CORE_TYPES = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
 
-CHILD = """
+SECTOR_SUM = """
 import hashlib
 import numpy as np
+from spinfp.closed_form import _product
+
+rng = np.random.default_rng(11)
+sectors = rng.standard_normal((5, 2, 300)) + 1j * rng.standard_normal((5, 2, 300))
+t, r = _product(sectors)
+print("sector_sum", hashlib.sha256(t.tobytes() + r.tobytes()).hexdigest())
+"""
+
+CHILD = SECTOR_SUM + """
 from spinfp.closed_form import amplitudes
 from spinfp.scenarios.config import build_config
 from spinfp.scenarios.sweeps import render_csv, run_sweep
@@ -54,23 +75,32 @@ def test_kernel_and_theta_presets_are_the_same_bytes_on_every_core_type():
     flags = _cpu_flags()
     run = [core for core, flag in CORE_TYPES.items() if flag in flags]
     left_out = [core for core in CORE_TYPES if core not in run]
+    targets = [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
+    skipped = [t for t in _umath.__cpu_dispatch__ if t not in targets]
     print(f"OPENBLAS_CORETYPE run: {run}; not supported by this CPU: {left_out}")
+    print(f"NPY_DISABLE_CPU_FEATURES: {targets}; not supported by this CPU: {skipped}; "
+          f"baseline, which cannot be disabled: {_umath.__cpu_baseline__}")
     source = str(Path(spinfp.__file__).resolve().parents[1])
+    variants = {core: ({"OPENBLAS_CORETYPE": core} if core else {}, CHILD)
+                for core in run or [None]}
+    dispatch = f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)}"
+    variants[dispatch] = ({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}, SECTOR_SUM)
     children = {}
-    for core in run or [None]:
-        env = dict(os.environ, **({"OPENBLAS_CORETYPE": core} if core else {}))
+    for name, (setting, script) in variants.items():
+        env = dict(os.environ, **setting)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        children[core] = subprocess.Popen([sys.executable, "-c", CHILD], env=env, text=True,
+        children[name] = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     hashes: dict[str, dict[str, str]] = {}
-    for core, child in children.items():
+    for name, child in children.items():
         out, err = child.communicate(timeout=300)
         assert child.returncode == 0, err
         for line in out.splitlines():
             artefact, digest = line.split()
-            hashes.setdefault(artefact, {})[core] = digest
-    assert set(hashes) == {"amplitudes", "fig3b", "fig7"}
-    for artefact, by_core in hashes.items():
-        assert len(set(by_core.values())) == 1, (
-            f"{artefact} differs across core types {by_core} "
-            f"(not run on this CPU: {left_out or 'none'})")
+            hashes.setdefault(artefact, {})[name] = digest
+    assert set(hashes) == {"sector_sum", "amplitudes", "fig3b", "fig7"}
+    assert set(hashes["sector_sum"]) == set(variants)
+    for artefact, by_child in hashes.items():
+        assert len(set(by_child.values())) == 1, (
+            f"{artefact} differs across {by_child} (core types not run on this CPU: "
+            f"{left_out or 'none'}; dispatch targets not disabled: {skipped or 'none'})")

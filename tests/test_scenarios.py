@@ -335,6 +335,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("output", ["", ".", "/"])
+    def test_output_must_name_a_file(self, output):
+        with pytest.raises(ConfigError, match=f"output must name a file, got {output!r}"):
+            build_config({"scenario": "fig7", "output": output})
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "scenario = fig7\nu_steps = 3\n"
+        (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbfscenario")
+        assert load_config(tmp_path / "bom.cfg") == load_config(tmp_path / "plain.cfg")
+
 
 class TestSweeps:
     def test_theta_sweep_rows_and_columns(self):
@@ -573,6 +585,15 @@ class TestCli:
 
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
+
+    @pytest.mark.parametrize("output", ["", ".", "/"])
+    def test_output_naming_no_file_exit_code(self, tmp_path, monkeypatch, capsys, output):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {output}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == f"error: output must name a file, got {output!r}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg_file]
 
     @pytest.mark.parametrize("electron", ["nan,1", "inf,1"])
     @pytest.mark.parametrize("kind", ["family", "theta"])
