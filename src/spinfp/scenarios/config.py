@@ -32,10 +32,10 @@ from . import states
 # Largest accepted grid, in rows.  Marginal cost per row of a whole sweep
 # (config to CSV on disk), measured between 3e4 and 3e5 rows on a 2-vCPU,
 # 8.2 GB machine: theta 6.0 us and 0.23 kB, coupling 5.2 us and 0.23 kB,
-# family (states at one u) 3.5 us and 0.39 kB; the times vary by about 20%
+# family (states at one u) 3.5 us and 0.33 kB; the times vary by about 20%
 # from run to run.  A minute holds 1.0e7 rows at 6.0 us, a quarter of the
-# machine (2 GB) 8.7e6 at 0.23 kB and 5.1e6 at 0.39 kB.  2e6 rows run in
-# about 12 s and peak near 0.5 GB, or 0.8 GB for a family sweep; the cap
+# machine (2 GB) 8.7e6 at 0.23 kB and 6.1e6 at 0.33 kB.  2e6 rows run in
+# about 12 s and peak near 0.5 GB, or 0.7 GB for a family sweep; the cap
 # dates from when the whole CSV text was held in memory (about 0.7 kB per
 # row) and has not been raised.
 GRID_CAP = 2 * 10**6
@@ -111,7 +111,7 @@ def _parse_float(raw: str, key: str) -> float:
     except ValueError as exc:
         raise ConfigError(f"bad number for {key}: {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite")
+        raise ConfigError(f"{key} = {raw!r} must be finite")
     return value
 
 
@@ -121,7 +121,7 @@ def _parse_int(raw: str, key: str) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad integer for {key}: {raw!r}") from exc
     if value <= 0:
-        raise ConfigError(f"{key} must be positive")
+        raise ConfigError(f"{key} = {raw!r} must be positive")
     return value
 
 
@@ -138,17 +138,17 @@ def _parse_u_list(raw: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad u_list: {raw!r}") from exc
-    if any(v < 0 or not math.isfinite(v) for v in values):
-        raise ConfigError("u values must be finite and >= 0")
+    if bad := [v for v in values if v < 0 or not math.isfinite(v)]:
+        raise ConfigError(f"u values must be finite and >= 0, got {bad[0]!r} in u_list {raw!r}")
     return tuple(_check_coupling(v, "u_list") for v in values)
 
 
 def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, ...]:
     """Evenly spaced phases; a zero lower edge means the open interval (0, max]."""
     if theta_max <= theta_min:
-        raise ConfigError("theta_max must exceed theta_min")
+        raise ConfigError(f"theta_max = {theta_max!r} must exceed theta_min = {theta_min!r}")
     if theta_min < 0:
-        raise ConfigError("theta_min must be >= 0")
+        raise ConfigError(f"theta_min = {theta_min!r} must be >= 0")
     with np.errstate(over="ignore"):  # an overflow is reported below
         if theta_min == 0.0:
             pts = theta_max * np.arange(1, steps + 1) / steps
@@ -203,7 +203,9 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     resolved = dict(SCENARIO_PRESETS[scenario])
     resolved.update({k: v for k, v in settings.items() if k != "scenario"})
     resolved.setdefault("output", f"{scenario}.csv")
-    if not Path(resolved["output"]).name:
+    output = Path(resolved["output"])  # checked before anything is computed
+    ancestor = next((p for p in output.parents if p.exists()), output.parent)
+    if output.name in ("", "..") or output.is_dir() or not ancestor.is_dir():
         raise ConfigError(f"output must name a file, got {resolved['output']!r}")
 
     kind = resolved["sweep"]  # every preset sets it
@@ -247,7 +249,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
         u_hi = _check_coupling(_parse_float(resolved["u_max"], "u_max"), "u_max")
         u_count = _parse_int(resolved["u_steps"], "u_steps")
         if not 0 <= u_lo < u_hi:
-            raise ConfigError("need 0 <= u_min < u_max")
+            raise ConfigError(f"need 0 <= u_min < u_max, got u_min = {u_lo!r}, u_max = {u_hi!r}")
 
     if kind == "theta":
         theta_min = _parse_float(resolved["theta_min"], "theta_min")

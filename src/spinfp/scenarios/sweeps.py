@@ -93,8 +93,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if cfg.kind == "family":
         builder = family_builder(cfg.impurity_state)
         vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
-        pairs = builder(vartheta, phi).reshape(-1, 4)  # phi is the inner axis
-        chi = (electron_state(cfg.electron_spin)[:, None] * pairs[:, None, :]).reshape(-1, 8)
+        # one state per (vartheta, phi), phi the inner axis; no pair grid is kept
+        chi = np.kron([electron_state(cfg.electron_spin)], builder(vartheta, phi).reshape(-1, 4))
         lead = {"vartheta": vartheta.ravel(), "phi": phi.ravel(), "u": u[:, None]}
     else:
         chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]

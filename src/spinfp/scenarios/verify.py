@@ -2,7 +2,8 @@
 
 Each criterion evaluates one falsifiable claim of the model at a fixed
 tolerance and reports the measured quantity, so a failure is directly
-actionable.  Everything is deterministic (seeded random draws).
+actionable.  Everything is deterministic: seeded draws, taken as arrays in
+a fixed order, with every random state normalised at once.
 
 Every check runs on stacks of points: the production kernel (the closed
 forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
@@ -15,6 +16,7 @@ same grids again.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,6 @@ from ..observables import (
     symmetry_report,
 )
 from ..spin_algebra import (
-    SpinVector,
     compose_state,
     coupled_basis,
     recoupling_matrix_elements,
@@ -64,9 +65,12 @@ def _random_points(rng, n) -> np.ndarray:
     return rng.uniform((1e-6, 1e-6), (20.0, 2 * math.pi), size=(n, 2))
 
 
-def _random_state(rng) -> SpinVector:
-    raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return SpinVector(raw / np.linalg.norm(raw))
+def _unit_rows(normals: np.ndarray) -> np.ndarray:
+    """Unit complex rows from rows of normals: the real parts, then the imaginary."""
+    norm = np.sqrt(np.sum(normals**2, axis=1, keepdims=True))
+    rows = np.empty((len(normals), normals.shape[1] // 2), dtype=complex)
+    rows.real, rows.imag = np.split(normals / norm, 2, axis=1)
+    return rows
 
 
 def criterion_triple_agreement() -> CriterionResult:
@@ -98,15 +102,12 @@ def criterion_triple_agreement() -> CriterionResult:
 
 def criterion_flux_conservation() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
-    points, states = [], []
-    for _ in range(1000):  # draw order: point, then its state
-        points.append(_random_points(rng, 1)[0])
-        states.append(_random_state(rng).amplitudes)
-    t, r = amplitudes(*np.transpose(points))
-    chi = np.asarray(states)[..., None]
-    gamma = np.matmul(t, chi)
-    rho = np.matmul(r, chi)
-    flux = np.sum(np.abs(gamma) ** 2 + np.abs(rho) ** 2, axis=(1, 2))
+    # draw order: a point, then its state's 8 real and 8 imaginary parts
+    draws = [(_random_points(rng, 1)[0], rng.standard_normal(16)) for _ in range(1000)]
+    points, normals = map(np.array, zip(*draws))
+    t, r = amplitudes(*points.T)
+    chi = _unit_rows(normals)[..., None]
+    flux = np.sum(np.abs(t @ chi) ** 2 + np.abs(r @ chi) ** 2, axis=(1, 2))
     worst = float(np.max(np.abs(flux - 1.0)))
     return CriterionResult(
         2, "unitarity / flux conservation", worst < 1e-10,
@@ -118,13 +119,9 @@ def criterion_singlet_transparency() -> CriterionResult:
     rng = np.random.default_rng(_SEED + 2)
     points = [(u, n * math.pi) for n in (1, 2, 3) for u in (0.5, 1.0, 2.0, 10.0, 100.0)]
     u, theta = np.repeat(points, 20, axis=0).T  # 20 electron spins per point
-    states = []
-    for _ in u:
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        states.append(compose_state(raw / np.linalg.norm(raw), bell_pair(-1)).amplitudes)
-    chi = np.asarray(states)
-    t, r = amplitudes(u, theta)
-    table = observable_table(t, r, chi, u, theta)
+    # per state, the electron's 2 real then 2 imaginary parts, times the singlet
+    chi = np.kron(_unit_rows(rng.standard_normal((len(u), 4))), [bell_pair(-1)])
+    table = observable_table(*amplitudes(u, theta), chi, u, theta)
     transmitted = table[:, AMPLITUDE_COLUMNS].view(complex)
     fid = np.abs(np.sum(chi.conj() * transmitted, axis=1)) ** 2
     worst_t = float(np.min(table[:, COLUMN_OF["T"]]))
@@ -172,12 +169,11 @@ def criterion_transparency_uniqueness() -> CriterionResult:
     vecs = np.asarray(vecs)
     sines = np.linalg.svd(vecs - target @ (target.conj().T @ vecs), compute_uv=False)
     max_angle = float(np.max(np.arcsin(np.minimum(sines, 1.0))))
-    points = []
-    for _ in range(100):
-        theta = rng.uniform(0.05, math.pi - 0.05) + rng.integers(0, 2) * math.pi
-        u = rng.uniform(0.5, 20.0)
-        points.append((u, theta))
-    p = DimensionlessParams(*np.transpose(points))
+    offset, n, u = np.array([
+        (rng.uniform(0.05, math.pi - 0.05), rng.integers(0, 2), rng.uniform(0.5, 20.0))
+        for _ in range(100)
+    ]).T
+    p = DimensionlessParams(u, offset + n * math.pi)
     off_count = int(np.count_nonzero(fixed_point_subspace(p)[0] == 0))
     det = det_t_minus_identity(p)
     min_det = float(np.min(np.abs(det)))
@@ -260,8 +256,8 @@ def criterion_entanglement_generation() -> CriterionResult:
 
 
 def _preset(scenario: str) -> dict[str, np.ndarray]:
-    """A figure preset's sweep table, one array per column name."""
-    result = run_sweep(build_config({"scenario": scenario}))
+    """A figure preset's sweep table, one array per column name; no file is written."""
+    result = run_sweep(build_config({"scenario": scenario, "output": os.devnull}))
     return dict(zip(result.columns, result.rows.T))
 
 

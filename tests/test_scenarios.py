@@ -340,6 +340,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"output must name a file, got {output!r}"):
             build_config({"scenario": "fig7", "output": output})
 
+    @pytest.mark.parametrize(
+        "output", ["..", "out", "out/..", "file.txt/x.csv", "file.txt/sub/x.csv"]
+    )
+    def test_output_naming_a_directory_rejected(self, tmp_path, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        with pytest.raises(ConfigError, match="output") as info:
+            build_config({"scenario": "fig7", "output": output})
+        assert repr(output) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "settings,expected",
+        [
+            ({"theta_min": "abc"}, ["theta_min", "'abc'"]),
+            ({"theta_max": "inf"}, ["theta_max = 'inf'"]),
+            ({"theta_steps": "2.5"}, ["theta_steps", "'2.5'"]),
+            ({"theta_steps": "0"}, ["theta_steps = '0'"]),
+            ({"u_list": "1,x"}, ["u_list", "'1,x'"]),
+            ({"u_list": "1,-2"}, ["u_list '1,-2'", "-2.0"]),
+            ({"u_list": "1,nan"}, ["u_list '1,nan'", "nan"]),
+            ({"u_list": "1e77"}, ["u_list = 1e+77"]),
+            ({"theta_min": "2", "theta_max": "1"}, ["theta_max = 1.0", "theta_min = 2.0"]),
+            ({"theta_min": "-1", "theta_max": "1"}, ["theta_min = -1.0"]),
+            ({"theta_max": "1e308"}, ["theta_max = 1e+308"]),
+            ({"theta_min": "1e-320", "theta_max": "1"}, ["theta_min = 1e-320"]),
+            ({"scenario": "fig7", "u_min": "3", "u_max": "1"}, ["u_min = 3.0", "u_max = 1.0"]),
+        ],
+        ids=["float-syntax", "float-finite", "int-syntax", "int-positive", "u_list-syntax",
+             "u_list-negative", "u_list-nan", "u_list-bound", "theta-order", "theta-negative",
+             "theta-overflow", "theta-subnormal", "u-range"],
+    )
+    def test_numeric_error_names_key_and_value(self, settings, expected):
+        with pytest.raises(ConfigError) as info:
+            build_config({"scenario": "fig3b", **settings})
+        for text in expected:
+            assert text in str(info.value)
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         text = "scenario = fig7\nu_steps = 3\n"
         (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
@@ -594,6 +632,23 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err == f"error: output must name a file, got {output!r}\n"
         assert sorted(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("output", ["..", "out", "file.txt/x.csv"])
+    def test_output_naming_a_directory_exit_code(self, tmp_path, monkeypatch, capsys, output):
+        def refuse(cfg):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {output}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
+        assert sorted(tmp_path.rglob("*")) == sorted([*before, cfg_file])
 
     @pytest.mark.parametrize("electron", ["nan,1", "inf,1"])
     @pytest.mark.parametrize("kind", ["family", "theta"])
@@ -858,6 +913,81 @@ class TestVerify:
         result = verify_mod.criterion_figure_claims()
         assert result.passed, result.details
         assert calls == [6, 41]  # the fig3b resonances, then fig6c's 14 states at once
+
+    def test_criteria_2_to_4_draw_the_reference_inputs(self, monkeypatch):
+        # the reference draws each input one at a time, as the criteria once did
+        from spinfp.scenarios import verify as verify_mod
+        from spinfp.scenarios.states import bell_pair
+        from spinfp.spin_algebra import compose_state
+
+        def unit(rng, n):
+            raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return raw / np.linalg.norm(raw)
+
+        rng = np.random.default_rng(verify_mod._SEED + 1)
+        points, states = [], []
+        for _ in range(1000):
+            points.append(rng.uniform((1e-6, 1e-6), (20.0, 2 * math.pi), size=(1, 2))[0])
+            states.append(unit(rng, 8))
+        flux_u, flux_theta = np.transpose(points)
+        flux_chi = np.asarray(states)
+
+        rng = np.random.default_rng(verify_mod._SEED + 2)
+        points = [(u, n * math.pi) for n in (1, 2, 3) for u in (0.5, 1.0, 2.0, 10.0, 100.0)]
+        singlet_u, singlet_theta = np.repeat(points, 20, axis=0).T
+        singlet_chi = np.asarray(
+            [compose_state(unit(rng, 2), bell_pair(-1)).amplitudes for _ in singlet_u]
+        )
+
+        rng = np.random.default_rng(verify_mod._SEED + 3)
+        points = []
+        for _ in range(100):
+            theta = rng.uniform(0.05, math.pi - 0.05) + rng.integers(0, 2) * math.pi
+            points.append((rng.uniform(0.5, 20.0), theta))
+        det_u, det_theta = np.transpose(points)
+
+        handed = {}  # per patched name, each call's arguments and result
+
+        def capture(name):
+            function = getattr(verify_mod, name)
+
+            def wrapped(*args):
+                handed.setdefault(name, []).append((args, function(*args)))
+                return handed[name][-1][1]
+
+            monkeypatch.setattr(verify_mod, name, wrapped)
+
+        # criterion 2 hands its states to np.matmul alone, so its unit rows are read
+        for name in ("amplitudes", "observable_table", "det_t_minus_identity", "_unit_rows"):
+            capture(name)
+        for check in (verify_mod.criterion_flux_conservation,
+                      verify_mod.criterion_singlet_transparency,
+                      verify_mod.criterion_transparency_uniqueness):
+            result = check()
+            assert result.passed, result.details
+
+        ((u, theta), _), ((u3, theta3), _) = handed["amplitudes"]
+        (_, _, chi3, u3_table, theta3_table), _ = handed["observable_table"][0]
+        (p,), _ = handed["det_t_minus_identity"][0]
+        for got, want in [(u, flux_u), (theta, flux_theta), (u3, singlet_u),
+                          (theta3, singlet_theta), (u3_table, singlet_u),
+                          (theta3_table, singlet_theta), (p.u, det_u), (p.theta, det_theta)]:
+            assert np.asarray(got).tobytes() == want.tobytes()
+        for got, want in [(handed["_unit_rows"][0][1], flux_chi), (chi3, singlet_chi)]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-15
+
+    def test_presets_read_beside_a_directory_named_like_their_output(
+        self, tmp_path, monkeypatch
+    ):
+        # verify writes no CSV, so a preset's default output path cannot clash
+        from spinfp.scenarios import verify as verify_mod
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig7.csv").mkdir()
+        result = verify_mod.criterion_entanglement_generation()
+        assert result.passed, result.details
 
     def test_fig7_table_is_the_entanglement_scan(self):
         from spinfp.observables import observable_table
