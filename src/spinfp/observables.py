@@ -103,9 +103,7 @@ def _electron_slice(outcome: str) -> slice:
 
 
 def scatter(chi: SpinVector, p: DimensionlessParams) -> ScatteredState:
-    """Scatter a normalized incident spin state off the two-impurity wire."""
-    if not chi.normalized:
-        raise DomainError("incident state must be normalized")
+    """Scatter an incident spin state, a unit ``SpinVector``, off the two-impurity wire."""
     t, r = amplitudes([p.u], [p.theta])
     row = observable_table(t, r, chi.amplitudes[None, :], p.u, p.theta)[0]
     scalars = row[[COLUMN_OF[name] for name in ("T", "T_up", "T_down", "R")]].tolist()

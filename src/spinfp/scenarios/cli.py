@@ -12,8 +12,9 @@ import math
 import sys
 
 from ..errors import DomainError, NumericError
+from ._format import format_float
 from .config import ConfigError, load_config
-from .sweeps import format_float, run_sweep, write_csv
+from .sweeps import run_sweep, write_csv
 from .units import PhysicalParams, convert_units, spacing_for_phase
 from .verify import run_verification
 

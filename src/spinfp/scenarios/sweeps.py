@@ -1,10 +1,9 @@
 """Grid evaluation of the scattering pipeline and CSV emission.
 
 Output layout is deterministic: rows are emitted row-major over the grid
-with the coupling u as the outermost axis, and all floating point values are
-printed with 17 significant digits, so identical configs give byte-identical
-files.  The data section carries no timestamps; the ``#`` header block echoes
-the resolved configuration.
+with the coupling u as the outermost axis, so identical configs give
+byte-identical files.  The data section carries no timestamps; the ``#``
+header block echoes the resolved configuration.
 
 Every sweep kind is one grid of points (u, theta), the outer axis, times
 incident product-basis states, the inner one: theta and coupling sweeps
@@ -13,30 +12,23 @@ grid builder calls the production kernel ``closed_form.amplitudes`` on up to
 ``CHUNK`` points at a time and ``observables.observable_table`` on up to
 ``CHUNK`` rows, states and matrices alike in the product basis, and writes
 them into one float64 table beside the lead columns (the config's grid
-values).  This module names only those lead columns; the rest
-are ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed
-from its own point and state only, so the output does not depend on the
-chunk size.  Every sweep kind reads its phases from
-``SweepConfig.theta_values``, which holds one phase for family and coupling
-sweeps.
+values).  This module names only those lead columns; the rest are
+``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
+its own point and state only, so the output does not depend on the chunk
+size.  Every sweep kind reads its phases from ``SweepConfig.theta_values``,
+which holds one phase for family and coupling sweeps.
 
-The CSV is produced ``CHUNK`` rows at a time, as bytes: the header block in
-UTF-8 (the echo may hold any path), then ``_format.format_rows`` of each
-chunk in ASCII.  Every value reads exactly as ``format_float`` (``%.17g``)
-prints it, but numpy computes the digits of the whole chunk.  A column
-whose bits are the same in every row of the chunk is formatted once and
-copied into each row: the amplitudes that conservation of total S_z makes
-exactly 0, and u (48% of the values of the figure presets).  Only nan,
-+-inf, values outside (1e-280, 1e280) and values within 1e-6 of a rounding
-tie go through ``format_float`` one by one (2 of the 985,976 values of the
-figure presets, each called once).  ``write_csv`` streams those chunks to disk as they are
-formatted, so a write holds O(CHUNK) bytes of text, never the whole file;
-``render_csv`` joins the same chunks into one string.
+``write_csv`` lays out the CSV and streams it to disk ``CHUNK`` rows at a
+time, as bytes, so a write holds O(CHUNK) bytes of text, never the whole
+file: the header block in UTF-8 (the echo may hold any path), then
+``_format.format_rows`` of each chunk in ASCII, every value exactly as
+``%.17g`` prints it; ``_format`` says how numpy computes the digits.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +36,7 @@ import numpy as np
 
 from ..closed_form import amplitudes
 from ..observables import OBSERVABLE_COLUMNS, observable_table
-from ._format import format_float, format_rows
+from ._format import format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
 
@@ -105,39 +97,36 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(header=header, columns=(*lead, *OBSERVABLE_COLUMNS), rows=rows)
 
 
-def _csv_chunks(result: SweepResult):
-    """The CSV as bytes: the header block in UTF-8, then ``CHUNK`` rows at a time."""
-    lines = [*result.header, ",".join(result.columns)]
-    yield ("\n".join(lines) + "\n").encode("utf-8")
-    for s in _chunks(len(result.rows)):
-        yield format_rows(result.rows[s])
-
-
-def render_csv(result: SweepResult) -> str:
-    """The CSV text: the header lines, the column names, then one line per row.
-
-    Every value reads exactly as ``format_float`` (``%.17g``) prints it; numpy
-    computes the digits ``CHUNK`` rows at a time, and only the fallback set of
-    the module docstring goes through ``format_float`` value by value.  The
-    text is the bytes ``write_csv`` writes, decoded.
-    """
-    return b"".join(_csv_chunks(result)).decode("utf-8")
+def _sibling(out: Path) -> Path:
+    """``.{name}.{pid}.tmp`` beside ``out``, the name cut to whole characters
+    so that the sibling's name fits NAME_MAX, which counts bytes."""
+    suffix = f".{os.getpid()}.tmp"
+    try:
+        name_max = os.pathconf(out.parent, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, as on Windows
+        name_max = 255
+    stem = os.fsencode(out.name)[:name_max - 1 - len(suffix)]
+    return out.with_name(f".{stem.decode(sys.getfilesystemencoding(), 'ignore')}{suffix}")
 
 
 def write_csv(result: SweepResult, path: str | Path) -> Path:
-    """Write the table atomically: a failed write leaves any earlier file intact.
+    """Write the table as CSV atomically: a failed write leaves any earlier file intact.
 
-    The bytes are streamed to a temporary sibling one chunk at a time, as
-    they are formatted, so the whole file never exists in memory; the
-    sibling then replaces ``path``.  Identical results produce byte-identical
-    files.
+    The header lines, the column names, then one line per row, streamed to a
+    temporary sibling one chunk at a time; the sibling then replaces ``path``.
+    An existing ``path`` that is not a regular file (a FIFO, a socket, a
+    device or a directory) is refused before anything is written.
     """
     out = Path(path)
+    if out.exists() and not out.is_file():
+        raise OSError(f"output {str(out)!r} exists and is not a regular file; not replaced")
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")  # replaced into place
+    tmp = _sibling(out)  # replaced into place
     try:
         with open(tmp, "wb") as f:
-            f.writelines(_csv_chunks(result))
+            lines = [*result.header, ",".join(result.columns)]
+            f.write(("\n".join(lines) + "\n").encode("utf-8"))
+            f.writelines(format_rows(result.rows[s]) for s in _chunks(len(result.rows)))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -154,13 +154,9 @@ def total_lowering() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinVector:
-    """Normalized (by default) 8-component state over the product spin basis.
-
-    Unnormalized vectors must be flagged explicitly with ``normalized=False``.
-    """
+    """Unit 8-component state over the product spin basis; any other norm is refused."""
 
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -168,15 +164,9 @@ class SpinVector:
             raise DomainError(f"spin vector needs 8 amplitudes, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise DomainError("spin vector amplitudes must be finite")
-        if self.normalized and abs(np.vdot(arr, arr).real - 1.0) > NORM_TOL:
-            raise DomainError(
-                "vector is not normalized at 1e-12; pass normalized=False"
-            )
+        if abs(np.vdot(arr, arr).real - 1.0) > NORM_TOL:
+            raise DomainError("spin vector is not normalized at 1e-12")
         object.__setattr__(self, "amplitudes", _readonly(arr))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def compose_state(electron: Iterable[complex], impurities: Iterable[complex]) -> SpinVector:
@@ -221,9 +211,6 @@ class CoupledBasis:
 
     def index(self, s_e2: int, s: float, m: float) -> int:
         return self.labels.index(CoupledLabel(int(s_e2), float(s), float(m)))
-
-    def vector(self, s_e2: int, s: float, m: float) -> SpinVector:
-        return SpinVector(self.matrix[:, self.index(s_e2, s, m)])
 
     def to_coupled(self, v) -> np.ndarray:
         """Coefficients <s_e2; s, m | v> in label order.

@@ -84,7 +84,7 @@ class FullScatteringMatrix:
     reflection: np.ndarray
     transmission_right: np.ndarray
     reflection_right: np.ndarray
-    wave_number: float | np.ndarray | None = None
+    wave_number: float | np.ndarray
 
     def __post_init__(self):
         s = self.s_matrix()

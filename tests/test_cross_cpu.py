@@ -49,16 +49,21 @@ print("sector_sum", hashlib.sha256(t.tobytes() + r.tobytes()).hexdigest())
 """
 
 CHILD = SECTOR_SUM + """
+import tempfile
+from pathlib import Path
+
 from spinfp.closed_form import amplitudes
 from spinfp.scenarios.config import build_config
-from spinfp.scenarios.sweeps import render_csv, run_sweep
+from spinfp.scenarios.sweeps import run_sweep, write_csv
 
 rng = np.random.default_rng(5)
 t, r = amplitudes(rng.uniform(1e-3, 20.0, 300), rng.uniform(1e-3, 13.0, 300))
 print("amplitudes", hashlib.sha256(t.tobytes() + r.tobytes()).hexdigest())
-for name in ("fig3b", "fig7"):
-    text = render_csv(run_sweep(build_config({"scenario": name})))
-    print(name, hashlib.sha256(text.encode()).hexdigest())
+with tempfile.TemporaryDirectory() as directory:
+    for name in ("fig3b", "fig7"):
+        # the header echoes the config's output, not the path written to
+        path = write_csv(run_sweep(build_config({"scenario": name})), Path(directory) / "f.csv")
+        print(name, hashlib.sha256(path.read_bytes()).hexdigest())
 """
 
 

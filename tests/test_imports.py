@@ -1,10 +1,12 @@
 """The package imports on numpy alone: no sympy, scipy or mpmath at run time,
 and no lookup table is built at import.
 
-Also checks that the names the benchmark harness looks up still resolve.
+Also checks that the names the benchmark harness looks up still resolve,
+and runs its tracer (perfbench/spans.py) on this tree.
 """
 
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -42,13 +44,16 @@ def test_verify_and_figure_sweeps_load_no_heavy_dependency():
     # a heavy module imported inside a criterion or a sweep would pass the
     # import-time check above
     script = (
-        "import io, sys\n"
+        "import io, sys, tempfile\n"
+        "from pathlib import Path\n"
         "from spinfp.scenarios.config import build_config\n"
-        "from spinfp.scenarios.sweeps import render_csv, run_sweep\n"
+        "from spinfp.scenarios.sweeps import run_sweep, write_csv\n"
         "from spinfp.scenarios.verify import run_verification\n"
         "assert run_verification(io.StringIO()) == 0\n"
-        "for name in ('fig3b', 'fig4', 'fig7'):\n"
-        "    render_csv(run_sweep(build_config({'scenario': name})))\n"
+        "with tempfile.TemporaryDirectory() as directory:\n"
+        "    for name in ('fig3b', 'fig4', 'fig7'):\n"
+        "        result = run_sweep(build_config({'scenario': name}))\n"
+        "        write_csv(result, Path(directory) / 'f.csv')\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {HEAVY!r}))"
     )
     assert _run(script) == "[]"
@@ -74,7 +79,6 @@ BENCHMARK_NAMES = [
     ("spinfp.scenarios.verify", "_CRITERIA"),
     ("spinfp.scenarios.verify", "run_sweep"),
     ("spinfp.scenarios.sweeps", "run_sweep"),
-    ("spinfp.scenarios.sweeps", "render_csv"),
     ("spinfp.scenarios.sweeps", "write_csv"),
     ("spinfp.spin_algebra", "CoupledBasis.to_coupled"),
     ("spinfp.spin_algebra", "CoupledBasis.to_product"),
@@ -119,13 +123,13 @@ def test_production_binds_the_closed_form_kernel():
     assert verify.amplitudes is kernel and not hasattr(spinfp, "solver_amplitudes")
 
 
-def test_production_never_builds_the_diagonalised_basis(monkeypatch):
+def test_production_never_builds_the_diagonalised_basis(monkeypatch, tmp_path):
     # only the kernel knows the sector structure, through the exact sector
     # operators: every bound coupled_basis and both basis changes raise here
     from spinfp.closed_form import DimensionlessParams
     from spinfp.observables import fixed_point_subspace, scatter
     from spinfp.scenarios.config import build_config
-    from spinfp.scenarios.sweeps import render_csv, run_sweep
+    from spinfp.scenarios.sweeps import run_sweep, write_csv
     from spinfp.spin_algebra import CoupledBasis, compose_state
 
     def forbidden(*args, **kwargs):
@@ -136,7 +140,46 @@ def test_production_never_builds_the_diagonalised_basis(monkeypatch):
             monkeypatch.setattr(module, "coupled_basis", forbidden)
     monkeypatch.setattr(CoupledBasis, "to_coupled", forbidden)
     monkeypatch.setattr(CoupledBasis, "to_product", forbidden)
-    assert render_csv(run_sweep(build_config({"scenario": "fig3b"})))
+    result = run_sweep(build_config({"scenario": "fig3b"}))
+    assert write_csv(result, tmp_path / "f.csv").stat().st_size
     state = scatter(compose_state([1, 0], [0, 1, -1, 0]), DimensionlessParams(2.0, 3.0))
     assert 0.0 < state.transmittivity < 1.0
     assert fixed_point_subspace(DimensionlessParams(2.0, 3.0))[0] == 0
+
+
+def test_benchmark_tracer_runs_on_this_tree(tmp_path, capsys):
+    # the harness's tracer with its child's hooks: a small fig7 sweep through
+    # the CLI and one acceptance criterion must each leave spans behind
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from spinfp.scenarios import cli, verify
+
+    tracer = spans.Tracer()
+
+    def count_rows(result):
+        tracer.counters["scenarios.sweeps.rows"] += len(result.rows)
+
+    def count_bytes(path):
+        tracer.counters["scenarios.sweeps.bytes_written"] += os.path.getsize(path)
+
+    config, output = tmp_path / "fig7.cfg", tmp_path / "fig7.csv"
+    config.write_text(f"scenario = fig7\nu_steps = 7\noutput = {output}\n", encoding="utf-8")
+    criteria = verify._CRITERIA
+    tracer.install({"scenarios.sweeps.run_sweep": count_rows,
+                    "scenarios.sweeps.write_csv": count_bytes})
+    try:
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert verify._CRITERIA[2]().passed  # singlet transparency
+    finally:
+        tracer.uninstall()
+    assert verify._CRITERIA is criteria
+    assert capsys.readouterr().out.startswith("wrote 7 rows to ")
+    assert tracer.counters["scenarios.sweeps.rows"] == 7
+    assert tracer.counters["scenarios.sweeps.bytes_written"] == output.stat().st_size
+    layers, names = tracer.totals()
+    for layer in ("closed_form", "observables", "scenarios.sweeps", "scenarios.verify"):
+        assert layers[layer]["calls"] > 0, layer
+    assert names["scenarios.sweeps.write_csv"]["calls"] == 1
+    assert names["scenarios.verify.criterion_singlet_transparency"]["calls"] == 1

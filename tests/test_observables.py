@@ -115,7 +115,7 @@ class TestScatter:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
-            scatter(SpinVector(np.ones(8), normalized=False), DimensionlessParams(1, 1))
+            scatter(SpinVector(np.ones(8)), DimensionlessParams(1, 1))
 
 
 class TestObservableTable:

@@ -1,4 +1,4 @@
-"""``render_csv`` prints every value exactly as ``format_float`` (``%.17g``) does.
+"""``write_csv`` prints every value exactly as ``format_float`` (``%.17g``) does.
 
 The rows are formatted by numpy (``scenarios._format``); the reference is the
 one-value formatter joined per row.  A column whose bits repeat in every row
@@ -8,18 +8,27 @@ columns with free ones.
 
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinfp.scenarios import _format, sweeps
 from spinfp.scenarios.config import SCENARIO_PRESETS, build_config
-from spinfp.scenarios.sweeps import SweepResult, format_float, render_csv, run_sweep
+from spinfp.scenarios._format import format_float
+from spinfp.scenarios.sweeps import SweepResult, run_sweep, write_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 RUNS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def written(result) -> str:
+    """The text ``write_csv`` writes for ``result``, read back from disk."""
+    with tempfile.TemporaryDirectory() as directory:
+        return write_csv(result, Path(directory) / "table.csv").read_bytes().decode("utf-8")
 
 
 def reference(header, columns, rows) -> str:
@@ -34,7 +43,7 @@ def assert_renders_exactly(values, width=3):
     rows = values.reshape(-1, width)
     columns = tuple(f"c{i}" for i in range(width))
     result = SweepResult(header=("# scenario = x",), columns=columns, rows=rows)
-    assert render_csv(result) == reference(result.header, columns, rows)
+    assert written(result) == reference(result.header, columns, rows)
 
 
 @RUNS
@@ -149,7 +158,7 @@ FIGURES = [name for name in SCENARIO_PRESETS if name.startswith("fig")]
 @pytest.mark.parametrize("scenario", FIGURES)
 def test_preset_tables(scenario):
     result = run_sweep(build_config({"scenario": scenario}))
-    assert render_csv(result) == reference(result.header, result.columns, result.rows)
+    assert written(result) == reference(result.header, result.columns, result.rows)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -157,4 +166,4 @@ def test_preset_table_in_small_chunks(monkeypatch, chunk):
     # at one row per chunk every column is constant
     monkeypatch.setattr(sweeps, "CHUNK", chunk)
     result = run_sweep(build_config({"scenario": "fig7"}))
-    assert render_csv(result) == reference(result.header, result.columns, result.rows)
+    assert written(result) == reference(result.header, result.columns, result.rows)

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import stat
 import sys
 import tracemalloc
 import warnings
@@ -28,13 +30,8 @@ from spinfp.scenarios.states import (
 )
 from spinfp.scenarios import config as config_mod
 from spinfp.scenarios import sweeps
-from spinfp.scenarios.sweeps import (
-    SweepResult,
-    format_float,
-    render_csv,
-    run_sweep,
-    write_csv,
-)
+from spinfp.scenarios._format import format_float
+from spinfp.scenarios.sweeps import SweepResult, run_sweep, write_csv
 from spinfp.scenarios import units
 from spinfp.scenarios.units import (
     PhysicalParams,
@@ -147,8 +144,8 @@ class TestStates:
                 electron_state(spec)
 
     def test_incident_state_is_normalized(self):
-        chi = incident_state("0.6,0.8", "psi-")
-        assert chi.normalized
+        amps = incident_state("0.6,0.8", "psi-").amplitudes
+        assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConfig:
@@ -462,9 +459,10 @@ class TestSweeps:
         # the config's grid values, bit for bit
         assert rows[:, :expected.shape[1]].tobytes() == expected.tobytes()
 
-    def test_reruns_are_byte_identical(self):
+    def test_reruns_are_byte_identical(self, tmp_path):
         cfg = build_config({"scenario": "fig2a", "theta_steps": "15", "u_list": "2"})
-        assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))
+        first = write_csv(run_sweep(cfg), tmp_path / "first.csv").read_bytes()
+        assert write_csv(run_sweep(cfg), tmp_path / "second.csv").read_bytes() == first
 
     @pytest.mark.parametrize(
         "settings",
@@ -481,12 +479,10 @@ class TestSweeps:
     def test_output_independent_of_chunk_size(self, tmp_path, monkeypatch, settings):
         name = settings.get("output", "sweep.csv")
         cfg = build_config({**settings, "output": str(tmp_path / name)})
-        reference = render_csv(run_sweep(cfg))
+        reference = write_csv(run_sweep(cfg), cfg.output).read_bytes()
         for chunk in (1, 7, 256, 4096):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
-            result = run_sweep(cfg)
-            assert render_csv(result) == reference
-            assert write_csv(result, cfg.output).read_bytes() == reference.encode("utf-8")
+            assert write_csv(run_sweep(cfg), cfg.output).read_bytes() == reference
         # the header echoes the output path in UTF-8; every data line is ASCII
         lines = (tmp_path / name).read_bytes().splitlines()
         header = [ln for ln in lines if ln.startswith(b"#")]
@@ -512,11 +508,15 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "scenario", [name for name in SCENARIO_PRESETS if name.startswith("fig")]
     )
-    def test_written_file_is_the_rendered_text(self, tmp_path, scenario):
-        cfg = build_config({"scenario": scenario, "output": str(tmp_path / "sweep.csv")})
-        result = run_sweep(cfg)
-        path = write_csv(result, cfg.output)
-        assert path.read_bytes() == render_csv(result).encode("utf-8")
+    def test_written_file_is_the_rendered_text(self, tmp_path, scenario, capsys):
+        # the CLI writes what write_csv lays out for the same config, byte for byte
+        output = tmp_path / "sweep.csv"
+        (tmp_path / "sweep.cfg").write_text(f"scenario = {scenario}\noutput = {output}\n")
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.cfg")]) == 0
+        written = output.read_bytes()
+        result = run_sweep(build_config({"scenario": scenario, "output": str(output)}))
+        assert write_csv(result, output).read_bytes() == written
+        assert capsys.readouterr().out == f"wrote {len(result.rows)} rows to {output}\n"
 
     def test_write_memory_does_not_grow_with_rows(self, tmp_path):
         """The write holds O(CHUNK) bytes: a family table of 3e4 rows (8 MB of
@@ -541,7 +541,7 @@ class TestSweeps:
         assert max(peaks) < 4e6
         assert peaks[1] < peaks[0] + 0.25e6
 
-    def test_render_matches_format_float(self):
+    def test_render_matches_format_float(self, tmp_path):
         rng = np.random.default_rng(7)
         special = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1.0 / 3.0,
                    -1e300, math.inf, -math.inf, math.nan]
@@ -553,7 +553,8 @@ class TestSweeps:
         )
         expected = ["# scenario = x", "a,b,c"]
         expected += [",".join(format_float(v) for v in row) for row in rows]
-        assert render_csv(result) == "\n".join(expected) + "\n"
+        text = write_csv(result, tmp_path / "table.csv").read_bytes().decode("utf-8")
+        assert text == "\n".join(expected) + "\n"
 
     def test_csv_format(self, tmp_path):
         cfg = build_config(
@@ -649,6 +650,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
         assert sorted(tmp_path.rglob("*")) == sorted([*before, cfg_file])
+
+    def test_output_naming_a_fifo_is_left_alone(self, tmp_path, capsys):
+        # the CSV would be renamed over the FIFO, which stops being one
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {pipe}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(str(pipe)) in err
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_file, pipe])  # no *.tmp left
+
+    @pytest.mark.parametrize("char,lead", [("a", ""), ("é", ""), ("é", "a")],
+                             ids=["ascii", "multibyte", "multibyte-shifted"])
+    def test_output_name_near_name_max_is_written(
+        self, tmp_path, capsys, monkeypatch, char, lead
+    ):
+        # the temporary sibling adds ".", ".{pid}.tmp" to the name; it is cut
+        # to NAME_MAX bytes, which one of the two multibyte names splits mid-character
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        name = lead + char * ((name_max - len(lead) - 4) // len(char.encode())) + ".csv"
+        assert name_max - 2 < len(name.encode()) <= name_max
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "open", recording_open, raising=False)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {tmp_path / name}\n",
+                            encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([cfg_file.name, name])
+        [sibling] = opened
+        suffix = f".{os.getpid()}.tmp"
+        assert sibling.endswith(suffix) and ("." + name).startswith(sibling[:-len(suffix)])
+        assert name_max - len(char.encode()) < len(os.fsencode(sibling)) <= name_max
 
     @pytest.mark.parametrize("electron", ["nan,1", "inf,1"])
     @pytest.mark.parametrize("kind", ["family", "theta"])

@@ -32,9 +32,11 @@ class TestSpinVector:
         with pytest.raises(DomainError):
             SpinVector(np.ones(8))
 
-    def test_unnormalized_must_be_flagged(self):
-        v = SpinVector(np.ones(8), normalized=False)
-        assert v.norm == pytest.approx(SQ2 * 2)
+    def test_norm_is_checked_at_1e_12(self):
+        unit = np.eye(8)[3]
+        assert SpinVector(unit * math.sqrt(1 + 0.9e-12)).amplitudes[3] != 1.0
+        with pytest.raises(DomainError, match="not normalized at 1e-12"):
+            SpinVector(unit * math.sqrt(1 + 1.1e-12))
 
     def test_shape_check(self):
         with pytest.raises(DomainError):
@@ -44,7 +46,7 @@ class TestSpinVector:
         amps = np.zeros(8)
         amps[0] = np.inf
         with pytest.raises(DomainError):
-            SpinVector(amps, normalized=False)
+            SpinVector(amps)
 
     def test_product_ket_index_convention(self):
         # index = 4*electron + 2*imp1 + imp2
@@ -136,7 +138,7 @@ class TestCoupledBasis:
 
     def test_stretched_state(self):
         basis = coupled_basis()
-        v = basis.vector(1, 1.5, 1.5).amplitudes
+        v = basis.matrix[:, basis.index(1, 1.5, 1.5)]
         np.testing.assert_allclose(v, np.eye(8)[0], atol=1e-12)  # |up, up, up>
 
     def test_singlet_combination_positive_coefficients(self):
@@ -144,16 +146,16 @@ class TestCoupledBasis:
         basis = coupled_basis()
         for m, target in ((0.5, electron_up_impurity_singlet()),
                           (-0.5, compose_state([0, 1], np.array([0, 1, -1, 0]) / SQ2))):
-            combo = 0.5 * basis.vector(0, 0.5, m).amplitudes + (
+            combo = 0.5 * basis.matrix[:, basis.index(0, 0.5, m)] + (
                 SQ3 / 2
-            ) * basis.vector(1, 0.5, m).amplitudes
+            ) * basis.matrix[:, basis.index(1, 0.5, m)]
             np.testing.assert_allclose(combo, target.amplitudes, atol=1e-12)
 
     def test_pair_spin_expectation_in_quartet(self):
         # the impurity pair carries spin 1 throughout the quartet
         basis = coupled_basis()
         ops = spin_operators()
-        v = basis.vector(1, 1.5, -0.5).amplitudes
+        v = basis.matrix[:, basis.index(1, 1.5, -0.5)]
         assert np.vdot(v, ops.pair_spin_sq @ v).real == pytest.approx(2.0, abs=1e-12)
 
     def test_label_order(self):
@@ -188,13 +190,12 @@ class TestBasisChange:
         rng = np.random.default_rng(7)
         for _ in range(100):
             raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            v = SpinVector(raw, normalized=False)
-            coeffs = coupled_basis().to_coupled(v)
+            coeffs = coupled_basis().to_coupled(raw)
             assert np.vdot(coeffs, coeffs).real == pytest.approx(
                 np.vdot(raw, raw).real, abs=1e-12 * np.vdot(raw, raw).real
             )
             back = coupled_basis().to_product(coeffs)
-            np.testing.assert_allclose(back, v.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(back, raw, atol=1e-12)
 
     def test_stack_matches_single_states_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -268,8 +269,8 @@ class TestSectorOperators:
         basis = coupled_basis()
 
         def block(s_e2_out, s_e2_in, s):
-            return sum(np.outer(basis.vector(s_e2_out, s, m).amplitudes,
-                                basis.vector(s_e2_in, s, m).amplitudes.conj())
+            return sum(np.outer(basis.matrix[:, basis.index(s_e2_out, s, m)],
+                                basis.matrix[:, basis.index(s_e2_in, s, m)].conj())
                        for m in np.arange(s, -s - 1, -1))
 
         expected = [block(1, 1, 1.5), block(0, 0, 0.5), block(0, 1, 0.5), block(1, 0, 0.5),

@@ -226,6 +226,7 @@ class TestFullScatteringMatrix:
                 reflection=np.zeros((8, 8)),
                 transmission_right=1.1 * eye,
                 reflection_right=np.zeros((8, 8)),
+                wave_number=1.0,
             )
 
     def test_unitarity_failure_names_wave_number_defect_and_bound(self):
