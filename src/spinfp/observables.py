@@ -5,7 +5,9 @@ scattering matrices and product-basis incident states into observables;
 sweeps, ``scatter`` and the acceptance harness all read it, one broadcast
 call per grid of points times states.  ``OBSERVABLE_COLUMNS`` names its
 columns in the order it writes them, so the sweep tables take their names
-from here.
+from here.  tχ and rχ are ``np.einsum`` products; ``np.matmul`` would take
+the bits of whichever BLAS kernel the CPU picks.  A config's states have at
+most two nonzero amplitudes per S_z sector, so every order sums them alike.
 The star-product oracle serves only the symmetry report, which needs both
 incidence directions and takes a stack of points.
 """
@@ -37,11 +39,6 @@ COLUMN_OF = {name: i for i, name in enumerate(OBSERVABLE_COLUMNS)}
 AMPLITUDE_COLUMNS = slice(COLUMN_OF["re_t_uuu"], COLUMN_OF["im_t_ddd"] + 1)
 
 
-def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Products of matrices (..., n, n) and vectors (..., n), leading axes broadcast."""
-    return np.matmul(matrices, vectors[..., None])[..., 0]
-
-
 def _point(u, theta, rows: np.ndarray, i) -> str:
     """Names the (u, theta) point of row i, u and theta broadcast over the rows."""
     u_i, theta_i = np.broadcast_arrays(u, theta, rows)[:2]
@@ -60,8 +57,8 @@ def observable_table(t, r, chi, u, theta) -> np.ndarray:
     must equal 1; a failure names its (u, theta) point, ``u`` and ``theta``
     broadcast to the rows.
     """
-    gamma = _matvec(t, chi)
-    rho = _matvec(r, chi)
+    gamma = np.einsum("...ij,...j->...i", t, chi)
+    rho = np.einsum("...ij,...j->...i", r, chi)
     weights = gamma.real ** 2 + gamma.imag ** 2
     t_total = np.sum(weights, axis=-1)
     t_up = np.sum(weights[..., :4], axis=-1)

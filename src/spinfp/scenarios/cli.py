@@ -14,7 +14,7 @@ import sys
 from ..errors import DomainError, NumericError
 from ._format import format_float
 from .config import ConfigError, load_config
-from .sweeps import run_sweep, write_csv
+from .sweeps import output_target, run_sweep, write_csv
 from .units import PhysicalParams, convert_units, spacing_for_phase
 from .verify import run_verification
 
@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    output_target(cfg.output)  # a FIFO or a device is refused before the sweep runs
     result = run_sweep(cfg)
     path = write_csv(result, cfg.output)
     print(f"wrote {len(result.rows)} rows to {path}")
@@ -90,15 +91,12 @@ def main(argv: list[str] | None = None) -> int:
             return run_verification()
         if args.command == "convert":
             return _cmd_convert(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     raise AssertionError("unreachable")
 
 

@@ -139,7 +139,7 @@ def electron_state(spec: str) -> np.ndarray:
         # an exact power-of-two rescale puts the largest part in [0.5, 1): the
         # norm cannot overflow or underflow, so only the direction matters
         scaled = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
-        return scaled / np.linalg.norm(scaled)
+        return scaled / math.sqrt(math.fsum((scaled.view(np.float64) ** 2).tolist()))
     raise DomainError(f"unrecognized electron spin spec {spec!r}")
 
 

@@ -109,17 +109,22 @@ def _sibling(out: Path) -> Path:
     return out.with_name(f".{stem.decode(sys.getfilesystemencoding(), 'ignore')}{suffix}")
 
 
+def output_target(path: str | Path) -> Path:
+    """The file writing ``path`` replaces, a link's target; refused unless absent or regular."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        raise OSError(f"output {str(path)!r} exists and is not a regular file; not replaced")
+    return target
+
+
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the table as CSV atomically: a failed write leaves any earlier file intact.
 
-    The header lines, the column names, then one line per row, streamed to a
-    temporary sibling one chunk at a time; the sibling then replaces ``path``.
-    An existing ``path`` that is not a regular file (a FIFO, a socket, a
-    device or a directory) is refused before anything is written.
+    The header lines, the column names, then one line per row, streamed one
+    chunk at a time to a temporary sibling of ``output_target(path)``, which
+    then replaces that target, so a symlinked ``path`` stays a link.
     """
-    out = Path(path)
-    if out.exists() and not out.is_file():
-        raise OSError(f"output {str(out)!r} exists and is not a regular file; not replaced")
+    out = output_target(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = _sibling(out)  # replaced into place
     try:
@@ -131,4 +136,4 @@ def write_csv(result: SweepResult, path: str | Path) -> Path:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return out
+    return Path(path)

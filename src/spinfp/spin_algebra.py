@@ -176,7 +176,7 @@ def compose_state(electron: Iterable[complex], impurities: Iterable[complex]) ->
     if el.shape != (2,) or imp.shape != (4,):
         raise DomainError("need a 2-component electron and 4-component impurity state")
     amps = np.kron(el, imp)
-    nrm = np.linalg.norm(amps)
+    nrm = math.sqrt(math.fsum((amps.view(np.float64) ** 2).tolist()))
     if nrm < 1e-300:
         raise DomainError("zero state")
     return SpinVector(amps / nrm)

@@ -651,8 +651,12 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
         assert sorted(tmp_path.rglob("*")) == sorted([*before, cfg_file])
 
-    def test_output_naming_a_fifo_is_left_alone(self, tmp_path, capsys):
+    def test_output_naming_a_fifo_is_left_alone(self, tmp_path, monkeypatch, capsys):
         # the CSV would be renamed over the FIFO, which stops being one
+        def refuse(cfg):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         cfg_file = tmp_path / "sweep.cfg"
@@ -662,6 +666,23 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(str(pipe)) in err
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == sorted([cfg_file, pipe])  # no *.tmp left
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["to-a-file", "dangling"])
+    def test_output_naming_a_symlink_writes_its_target(self, tmp_path, capsys, existing):
+        target = tmp_path / "target.csv"
+        if existing:
+            target.write_text("earlier\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {link}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out == f"wrote 3 rows to {link}\n"
+        assert link.is_symlink() and os.readlink(link) == target.name
+        reference = tmp_path / "reference.csv"
+        write_csv(run_sweep(load_config(cfg_file)), reference)
+        assert target.read_bytes() == reference.read_bytes()
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_file, link, target, reference])
 
     @pytest.mark.parametrize("char,lead", [("a", ""), ("é", ""), ("é", "a")],
                              ids=["ascii", "multibyte", "multibyte-shifted"])
