@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    output_target(cfg.output)  # a FIFO or a device is refused before the sweep runs
+    output_target(cfg.output)  # a bad output is refused before the sweep runs
     result = run_sweep(cfg)
     path = write_csv(result, cfg.output)
     print(f"wrote {len(result.rows)} rows to {path}")

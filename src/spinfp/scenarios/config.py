@@ -35,7 +35,7 @@ from . import states
 # family (states at one u) 3.5 us and 0.33 kB; the times vary by about 20%
 # from run to run.  A minute holds 1.0e7 rows at 6.0 us, a quarter of the
 # machine (2 GB) 8.7e6 at 0.23 kB and 6.1e6 at 0.33 kB.  2e6 rows run in
-# about 12 s and peak near 0.5 GB, or 0.7 GB for a family sweep; the cap
+# 9 to 12 s and peak at 414 MB, or 673 MB for a family sweep; the cap
 # dates from when the whole CSV text was held in memory (about 0.7 kB per
 # row) and has not been raised.
 GRID_CAP = 2 * 10**6
@@ -92,16 +92,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep plan: grids, states, output and header echo."""
+    """Fully resolved sweep plan: read-only float64 grids, states, output and header echo."""
 
     kind: str                       # theta | family | coupling
     electron_spin: str
     impurity_state: str
-    output: str
-    u_values: tuple[float, ...]
-    theta_values: tuple[float, ...]          # the phases; one for family / coupling
-    vartheta_values: tuple[float, ...]
-    phi_values: tuple[float, ...]
+    output: str                     # as given; checked where it is written
+    u_values: np.ndarray
+    theta_values: np.ndarray        # the phases; one for family / coupling
+    vartheta_values: np.ndarray     # empty but for a family sweep
+    phi_values: np.ndarray
     echo: tuple[tuple[str, str], ...]        # resolved settings for the header
 
 
@@ -130,20 +130,20 @@ def _check_coupling(value: float, key: str) -> float:
         raise ConfigError(
             f"{key} = {value!r} exceeds the largest coupling {_LARGEST_COUPLING!r}"
         )
-    return value
+    return value + 0.0  # a coupling of -0.0 is written as 0
 
 
-def _parse_u_list(raw: str) -> tuple[float, ...]:
+def _parse_u_list(raw: str) -> np.ndarray:
     try:  # an empty entry, and so an empty list, is not a number
         values = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad u_list: {raw!r}") from exc
     if bad := [v for v in values if v < 0 or not math.isfinite(v)]:
         raise ConfigError(f"u values must be finite and >= 0, got {bad[0]!r} in u_list {raw!r}")
-    return tuple(_check_coupling(v, "u_list") for v in values)
+    return np.array([_check_coupling(v, "u_list") for v in values])
 
 
-def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, ...]:
+def theta_grid(theta_min: float, theta_max: float, steps: int) -> np.ndarray:
     """Evenly spaced phases; a zero lower edge means the open interval (0, max]."""
     if theta_max <= theta_min:
         raise ConfigError(f"theta_max = {theta_max!r} must exceed theta_min = {theta_min!r}")
@@ -162,11 +162,11 @@ def theta_grid(theta_min: float, theta_max: float, steps: int) -> tuple[float, .
             f"{key} = {value!r} gives the phase {float(pts[0])!r}, below the smallest "
             f"normal double {_SMALLEST_PHASE!r}"
         )
-    return tuple(float(t) for t in pts)
+    return pts
 
 
-def _closed_grid(upper: float, steps: int) -> tuple[float, ...]:
-    return tuple(float(x) for x in np.linspace(0.0, upper, steps))
+def _closed_grid(upper: float, steps: int) -> np.ndarray:
+    return np.linspace(0.0, upper, steps)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -194,7 +194,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def build_config(settings: dict[str, str]) -> SweepConfig:
-    """Resolve a raw mapping against its scenario preset and validate."""
+    """Resolve a raw mapping against its scenario preset and validate; reads no file."""
     scenario = settings.get("scenario", "custom").lower()
     if scenario not in SCENARIO_PRESETS:
         raise ConfigError(
@@ -203,10 +203,6 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     resolved = dict(SCENARIO_PRESETS[scenario])
     resolved.update({k: v for k, v in settings.items() if k != "scenario"})
     resolved.setdefault("output", f"{scenario}.csv")
-    output = Path(resolved["output"])  # checked before anything is computed
-    ancestor = next((p for p in output.parents if p.exists()), output.parent)
-    if output.name in ("", "..") or output.is_dir() or not ancestor.is_dir():
-        raise ConfigError(f"output must name a file, got {resolved['output']!r}")
 
     kind = resolved["sweep"]  # every preset sets it
     if kind not in _GRID_DEFAULTS:
@@ -240,7 +236,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
             f"a {kind} sweep does not read {', '.join(unread)}; it reads "
             f"{', '.join(sorted(_COMMON_KEYS | grid_keys))}"
         )
-    u_values: tuple[float, ...] | None = None
+    u_values = None
     if "u_list" in grid_keys:
         u_values = _parse_u_list(resolved["u_list"])
         u_count = len(u_values)
@@ -263,7 +259,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
                 f"theta = {theta!r} must be at least the smallest normal double "
                 f"{_SMALLEST_PHASE!r}"
             )
-        theta_values = (theta,)
+        theta_values = np.array([theta])
         per_u = 1
     if kind == "family":
         vsteps = _parse_int(resolved["vartheta_steps"], "vartheta_steps")
@@ -274,15 +270,16 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     if points > GRID_CAP:
         raise ConfigError(f"grid of {points} points exceeds cap {GRID_CAP}")
 
-    vartheta_values: tuple[float, ...] = ()
-    phi_values: tuple[float, ...] = ()
+    vartheta_values = phi_values = np.empty(0)
     if kind == "theta":
         theta_values = theta_grid(theta_min, theta_max, theta_steps)
     elif kind == "family":
         vartheta_values = _closed_grid(_TWO_PI, vsteps)
         phi_values = _closed_grid(math.pi, psteps)
     if u_values is None:
-        u_values = tuple(float(x) for x in np.linspace(u_lo, u_hi, u_count))
+        u_values = np.linspace(u_lo, u_hi, u_count)
+    for grid in (u_values, theta_values, vartheta_values, phi_values):
+        grid.flags.writeable = False
 
     echo = tuple(
         (k, resolved[k] if k != "scenario" else scenario)
@@ -302,7 +299,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
 
 
 def load_config(path: str | Path) -> SweepConfig:
-    """Read and resolve a sweep configuration file."""
+    """Read and resolve a sweep configuration file; it reads no other file."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as exc:

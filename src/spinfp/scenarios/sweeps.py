@@ -110,10 +110,12 @@ def _sibling(out: Path) -> Path:
 
 
 def output_target(path: str | Path) -> Path:
-    """The file writing ``path`` replaces, a link's target; refused unless absent or regular."""
+    """The file writing ``path`` replaces (a link's target), the one check of an output:
+    a regular file, or an absent one whose nearest existing ancestor is a directory."""
     target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        raise OSError(f"output {str(path)!r} exists and is not a regular file; not replaced")
+    nearest = next(p for p in (target, *target.parents) if p.exists())  # "/" exists
+    if not (target.is_file() if nearest == target else nearest.is_dir()):
+        raise OSError(f"output {str(path)!r} is neither a regular file nor new in a directory")
     return target
 
 

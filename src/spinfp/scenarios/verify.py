@@ -16,7 +16,6 @@ same grids again.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import solver_amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
-from .sweeps import _chunks, run_sweep
+from .sweeps import _chunks, _table, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
@@ -257,7 +256,7 @@ def criterion_entanglement_generation() -> CriterionResult:
 
 def _preset(scenario: str) -> dict[str, np.ndarray]:
     """A figure preset's sweep table, one array per column name; no file is written."""
-    result = run_sweep(build_config({"scenario": scenario, "output": os.devnull}))
+    result = run_sweep(build_config({"scenario": scenario}))
     return dict(zip(result.columns, result.rows.T))
 
 
@@ -285,14 +284,12 @@ def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
 def _curve(impurity_specs, thetas, u) -> np.ndarray:
     """T at the points (u, theta), one row per impurity spec, electron up.
 
-    One kernel call serves every spec; u may be one value.
+    The sweeps' grid builder serves every spec; u may be one value.
     """
     theta = np.asarray(thetas, dtype=float)
     u = np.broadcast_to(u, theta.shape)
-    t, r = amplitudes(u, theta)
     chi = np.array([incident_state("u", spec).amplitudes for spec in impurity_specs])
-    table = observable_table(t[:, None], r[:, None], chi, u[:, None], theta[:, None])
-    return table[..., COLUMN_OF["T"]].T
+    return _table(u, theta, chi, {})[:, COLUMN_OF["T"]].reshape(len(u), len(chi)).T
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901

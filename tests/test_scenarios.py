@@ -171,9 +171,16 @@ class TestConfig:
         cfg = build_config({"scenario": "fig3b"})
         assert cfg.kind == "theta"
         assert cfg.impurity_state == "psi-"
-        assert cfg.u_values == (1.0, 2.0, 10.0)
+        assert cfg.u_values.tolist() == [1.0, 2.0, 10.0]
         assert len(cfg.theta_values) == 2001
         assert cfg.output == "fig3b.csv"
+
+    @pytest.mark.parametrize("scenario", ["fig2a", "fig4", "fig7"])
+    def test_grids_are_read_only_float_arrays(self, scenario):
+        cfg = build_config({"scenario": scenario})
+        for grid in (cfg.u_values, cfg.theta_values, cfg.vartheta_values, cfg.phi_values):
+            assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+            assert not grid.flags.writeable
 
     def test_open_lower_edge(self):
         grid = theta_grid(0.0, 2 * math.pi, 10)
@@ -282,7 +289,7 @@ class TestConfig:
         assert [key for key, _ in cfg.echo] == expected
 
     def test_coupling_u_list_from_config(self):
-        assert build_config({"scenario": "fig7", "u_list": "1,3"}).u_values == (1.0, 3.0)
+        assert build_config({"scenario": "fig7", "u_list": "1,3"}).u_values.tolist() == [1.0, 3.0]
         with pytest.raises(ConfigError, match="coupling sweep does not read u_steps; "):
             build_config({"scenario": "fig7", "u_list": "1,3", "u_steps": "5"})
 
@@ -332,10 +339,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize(
+        "output", ["", ".", "/", "..", "taken", "pipe", "file.txt/x.csv"]
+    )
+    def test_any_output_is_kept_and_no_file_is_read(self, tmp_path, monkeypatch, output):
+        # the output is judged where the CSV is written, by sweeps.output_target
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        os.mkfifo(tmp_path / "pipe")
+
+        def no_file(*args, **kwargs):
+            raise AssertionError("build_config looked at the file system")
+
+        with monkeypatch.context() as patch:
+            for name in ("stat", "lstat", "scandir", "listdir", "open"):
+                patch.setattr(os, name, no_file)
+            patch.setattr("builtins.open", no_file)
+            cfg = build_config({"scenario": "fig7", "u_steps": "3", "output": output})
+        assert cfg.output == output and dict(cfg.echo)["output"] == output
+
+    # the output rules of a config, judged by sweeps.output_target; the rest of
+    # its table is TestOutputTarget
     @pytest.mark.parametrize("output", ["", ".", "/"])
-    def test_output_must_name_a_file(self, output):
-        with pytest.raises(ConfigError, match=f"output must name a file, got {output!r}"):
-            build_config({"scenario": "fig7", "output": output})
+    def test_output_must_name_a_file(self, tmp_path, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        cfg = build_config({"scenario": "fig7", "output": output})
+        with pytest.raises(OSError, match="output") as info:
+            sweeps.output_target(cfg.output)
+        assert repr(output) in str(info.value)
 
     @pytest.mark.parametrize(
         "output", ["..", "out", "out/..", "file.txt/x.csv", "file.txt/sub/x.csv"]
@@ -344,9 +376,25 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out").mkdir()
         (tmp_path / "file.txt").write_text("")
-        with pytest.raises(ConfigError, match="output") as info:
-            build_config({"scenario": "fig7", "output": output})
+        cfg = build_config({"scenario": "fig7", "output": output})
+        with pytest.raises(OSError, match="output") as info:
+            sweeps.output_target(cfg.output)
         assert repr(output) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"scenario": "fig3b", "theta_steps": "5", "u_list": "{}"},
+         {"scenario": "fig4", "vartheta_steps": "5", "phi_steps": "5", "u_list": "{}"},
+         {"scenario": "fig7", "u_steps": "5", "u_min": "{}", "u_max": "1"}],
+        ids=["theta", "family", "coupling"],
+    )
+    def test_negative_zero_coupling_is_written_as_zero(self, tmp_path, settings):
+        def data_lines(zero):
+            cfg = build_config({k: v.format(zero) for k, v in settings.items()})
+            text = write_csv(run_sweep(cfg), tmp_path / "sweep.csv").read_text()
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        assert data_lines("-0.0") == data_lines("0")
 
     @pytest.mark.parametrize(
         "settings,expected",
@@ -380,7 +428,10 @@ class TestConfig:
         (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
         (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
         assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbfscenario")
-        assert load_config(tmp_path / "bom.cfg") == load_config(tmp_path / "plain.cfg")
+        bom, plain = load_config(tmp_path / "bom.cfg"), load_config(tmp_path / "plain.cfg")
+        assert bom.echo == plain.echo
+        for grid in ("u_values", "theta_values", "vartheta_values", "phi_values"):
+            assert np.array_equal(getattr(bom, grid), getattr(plain, grid))
 
 
 class TestSweeps:
@@ -606,6 +657,47 @@ class TestSweeps:
         assert sorted(tmp_path.iterdir()) == [path]
 
 
+class TestOutputTarget:
+    """``sweeps.output_target``, the one check of an output path.
+
+    The config-level rows (``""``, ``.``, ``/``, ``..``, a directory and a path
+    under a regular file) are TestConfig's two output tests.
+    """
+
+    @staticmethod
+    def _tree(root):
+        (root / "taken").mkdir()
+        (root / "file.txt").write_text("")
+        (root / "target.csv").write_text("earlier\n")
+        (root / "link.csv").symlink_to("target.csv")
+        (root / "dangling.csv").symlink_to("gone.csv")
+        (root / "dir-link").symlink_to("taken")
+        os.mkfifo(root / "pipe")
+
+    @pytest.mark.parametrize("output", ["pipe", os.devnull, "dir-link"],
+                             ids=["fifo", "device", "link-to-directory"])
+    def test_refused(self, tmp_path, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        self._tree(tmp_path)
+        with pytest.raises(OSError) as info:
+            sweeps.output_target(output)
+        assert repr(output) in str(info.value)
+        assert stat.S_ISFIFO((tmp_path / "pipe").stat().st_mode)
+
+    @pytest.mark.parametrize(
+        "output,target",
+        [("new.csv", "new.csv"), ("file.txt", "file.txt"), ("a/b/new.csv", "a/b/new.csv"),
+         ("link.csv", "target.csv"), ("dangling.csv", "gone.csv")],
+        ids=["new-file", "regular-file", "missing-parents", "link-to-file", "dangling-link"],
+    )
+    def test_resolved_target(self, tmp_path, monkeypatch, output, target):
+        monkeypatch.chdir(tmp_path)
+        self._tree(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert sweeps.output_target(output) == tmp_path.resolve() / target
+        assert sorted(tmp_path.rglob("*")) == before  # nothing is created
+
+
 class TestCli:
     def test_sweep_command(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
@@ -627,11 +719,16 @@ class TestCli:
 
     @pytest.mark.parametrize("output", ["", ".", "/"])
     def test_output_naming_no_file_exit_code(self, tmp_path, monkeypatch, capsys, output):
+        def refuse(cfg):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
         monkeypatch.chdir(tmp_path)
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {output}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
-        assert capsys.readouterr().err == f"error: output must name a file, got {output!r}\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
         assert sorted(tmp_path.iterdir()) == [cfg_file]
 
     @pytest.mark.parametrize("output", ["..", "out", "file.txt/x.csv"])
@@ -962,19 +1059,21 @@ class TestVerify:
         angle = float(result.details.split("subspace angle <= ")[1].split()[0])
         assert angle <= 1e-13  # from sines; a cosine cannot resolve below 1.5e-8
 
-    def test_criterion_8_probes_in_two_kernel_calls(self, monkeypatch):
+    def test_criterion_8_probes_in_two_grid_builder_calls(self, monkeypatch):
         from spinfp.scenarios import verify as verify_mod
 
-        kernel, calls = verify_mod.amplitudes, []
+        table, calls = verify_mod._table, []
 
-        def counting(u, theta):
-            calls.append(len(u))
-            return kernel(u, theta)
+        def counting(u, theta, chi, lead):
+            calls.append((len(u), len(chi)))
+            return table(u, theta, chi, lead)
 
-        monkeypatch.setattr(verify_mod, "amplitudes", counting)
+        monkeypatch.setattr(verify_mod, "_table", counting)
+        monkeypatch.setattr(verify_mod, "amplitudes", None)  # no kernel call of its own
         result = verify_mod.criterion_figure_claims()
         assert result.passed, result.details
-        assert calls == [6, 41]  # the fig3b resonances, then fig6c's 14 states at once
+        # the fig3b resonances, then fig6c's 41 phases times 14 states at once
+        assert calls == [(6, 1), (41, 14)]
 
     def test_criteria_2_to_4_draw_the_reference_inputs(self, monkeypatch):
         # the reference draws each input one at a time, as the criteria once did
