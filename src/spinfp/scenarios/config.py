@@ -90,7 +90,7 @@ class ConfigError(Exception):
     """Invalid sweep configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash works
 class SweepConfig:
     """Fully resolved sweep plan: read-only float64 grids, states, output and header echo."""
 

@@ -2,29 +2,31 @@
 
 Each child interpreter runs under one ``OPENBLAS_CORETYPE`` and hashes the
 kernel's sector sum (``closed_form._product``) on a fixed stack of random
-sector amplitudes, the kernel's t and r on a fixed stack of points, a
-custom-electron incident state, the CSVs of all eight figure presets, a
-fig3b sweep and a fig5 sweep over several u with a custom electron whose
-amplitudes each have nonzero real and imaginary parts, and a fig5 sweep over
-several u with the electron 0.6|u> + 0.8i|d>; every core type must give
-one hash per artefact.  No step of a sweep makes a BLAS call.
-Only the core types whose instructions this CPU's /proc/cpuinfo flags list
-are run: Prescott needs SSE3 (``pni``), Haswell ``avx2`` and SkylakeX
-``avx512f``; the test prints the ones left out, and so does a failure.  On
-a CPU that lists none of them, one child runs with the environment
-unchanged.  An OpenBLAS built without DYNAMIC_ARCH ignores the variable,
-and the children then all run the same kernels.
+sector amplitudes, the CSV text ``_format.format_rows`` gives for about 2e4
+values, after checking it against ``format(v, ".17g")``, the kernel's t and
+r on a fixed stack of points, a custom-electron incident state, the CSVs of
+all eight figure presets, a fig3b sweep and a fig5 sweep over several u
+with a custom electron whose amplitudes each have nonzero real and
+imaginary parts, and a fig5 sweep over several u with the electron 0.6|u> +
+0.8i|d>; every core type must give one hash per artefact.  No step of a
+sweep makes a BLAS call.  Only the core types whose instructions this CPU's
+/proc/cpuinfo flags list are run: Prescott needs SSE3 (``pni``), Haswell
+``avx2`` and SkylakeX ``avx512f``; the test prints the ones left out, and
+so does a failure.  On a CPU that lists none of them, one child runs with
+the environment unchanged.  An OpenBLAS built without DYNAMIC_ARCH ignores
+the variable, and the children then all run the same kernels.
 
 One more child runs with ``NPY_DISABLE_CPU_FEATURES`` set to every numpy
-dispatch target this CPU supports, so numpy runs its baseline loops
-(numpy refuses to disable the baseline itself).  It hashes the sector sum,
-the incident state, fig4, fig5, fig7 and the fig5 sweep with the electron
-0.6|u> + 0.8i|d>, which must match the other children's.  Two things
-still change bits under that setting: the closed forms' complex
-arithmetic, and so the kernel's t and r and the theta presets; and
-``np.kron``'s complex products of the family states with an electron
-amplitude whose real and imaginary parts are both nonzero, and so that
-electron's family sweeps.
+dispatch target this CPU supports, so numpy runs its baseline loops (numpy
+refuses to disable the baseline itself).  It hashes the sector sum, the
+rendered text, checked as above (the render's decade estimate comes from
+``np.log10``, which numpy dispatches), the incident state, fig4, fig5, fig7
+and the fig5 sweep with the electron 0.6|u> + 0.8i|d>, which must match the
+other children's.  Two things still change bits under that setting: the
+closed forms' complex arithmetic, and so the kernel's t and r and the theta
+presets; and ``np.kron``'s complex products of the family states with an
+electron amplitude whose real and imaginary parts are both nonzero, and so
+that electron's family sweeps.
 """
 
 import json
@@ -51,6 +53,26 @@ rng = np.random.default_rng(11)
 sectors = rng.standard_normal((5, 2, 300)) + 1j * rng.standard_normal((5, 2, 300))
 t, r = _product(sectors)
 print("sector_sum", hashlib.sha256(t.tobytes() + r.tobytes()).hexdigest())
+"""
+
+# format_rows against format(v, ".17g"), exactly, on random bit patterns, random
+# magnitudes and the decade edges 10^k +- one ulp: its decade estimate comes from
+# np.log10, which numpy dispatches per CPU
+RENDER = """
+from spinfp.scenarios._format import format_float, format_rows
+
+rng = np.random.default_rng(23)
+powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+values = np.concatenate([
+    rng.integers(0, 2**64, 10_000, dtype=np.uint64).view(np.float64),
+    rng.standard_normal(7_998) * powers[rng.integers(0, len(powers), 7_998)],
+    powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [0.0, -0.0],
+]).reshape(-1, 8)
+text = bytes(format_rows(values))
+for line, row in zip(text.decode("ascii").splitlines(), values.tolist()):
+    if line != ",".join(format_float(v) for v in row):
+        raise SystemExit(f"format_rows gives {line!r} for {row!r}")
+print("render", hashlib.sha256(text).hexdigest())
 """
 
 ELECTRON = "-0.3943520554588936-0.86240486551560824j,-2.032552427456725+1.4104234840116703j"
@@ -83,7 +105,7 @@ with tempfile.TemporaryDirectory() as directory:
         print(name, hashlib.sha256(path.read_bytes()).hexdigest())
 """
 
-CHILD = SECTOR_SUM + """
+CHILD = SECTOR_SUM + RENDER + """
 from spinfp.closed_form import amplitudes
 
 rng = np.random.default_rng(5)
@@ -115,7 +137,7 @@ def test_kernel_and_every_sweep_are_the_same_bytes_on_every_core_type():
                 for core in run or [None]}
     dispatch = f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)}"
     variants[dispatch] = ({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
-                          SECTOR_SUM + SWEEP_HASHES,
+                          SECTOR_SUM + RENDER + SWEEP_HASHES,
                           {name: SWEEPS[name] for name in DISPATCH_INVARIANT})
     children = {}
     for name, (setting, script, sweeps) in variants.items():
@@ -131,8 +153,8 @@ def test_kernel_and_every_sweep_are_the_same_bytes_on_every_core_type():
         for line in out.splitlines():
             artefact, digest = line.split()
             hashes.setdefault(artefact, {})[name] = digest
-    assert set(hashes) == {"sector_sum", "amplitudes", "incident_state", *SWEEPS}
-    for artefact in ("sector_sum", "incident_state", *DISPATCH_INVARIANT):
+    assert set(hashes) == {"sector_sum", "render", "amplitudes", "incident_state", *SWEEPS}
+    for artefact in ("sector_sum", "render", "incident_state", *DISPATCH_INVARIANT):
         assert set(hashes[artefact]) == set(variants)
     differ = {artefact: by_child for artefact, by_child in hashes.items()
               if len(set(by_child.values())) > 1}

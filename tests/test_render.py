@@ -31,10 +31,18 @@ def written(result) -> str:
         return write_csv(result, Path(directory) / "table.csv").read_bytes().decode("utf-8")
 
 
+def data_lines(rows) -> str:
+    return "".join(",".join(format_float(v) for v in row) + "\n" for row in rows.tolist())
+
+
 def reference(header, columns, rows) -> str:
-    lines = [*header, ",".join(columns)]
-    lines += [",".join(format_float(v) for v in row) for row in rows.tolist()]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in [*header, ",".join(columns)]) + data_lines(rows)
+
+
+def rendered(rows, batch) -> str:
+    """``format_rows`` of ``batch`` rows at a time, joined."""
+    text = b"".join(_format.format_rows(rows[s:s + batch]) for s in range(0, len(rows), batch))
+    return text.decode("ascii")
 
 
 def assert_renders_exactly(values, width=3):
@@ -163,7 +171,29 @@ def test_preset_tables(scenario):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_preset_table_in_small_chunks(monkeypatch, chunk):
-    # at one row per chunk every column is constant
+    # the kernel takes 1 or 7 points per call, and write_csv renders three CHUNKs of rows
     monkeypatch.setattr(sweeps, "CHUNK", chunk)
     result = run_sweep(build_config({"scenario": "fig7"}))
     assert written(result) == reference(result.header, result.columns, result.rows)
+
+
+@pytest.fixture(scope="module")
+def fig4_rows():
+    return run_sweep(build_config({"scenario": "fig4"})).rows
+
+
+@pytest.mark.parametrize("batch", [1, 7, 256, 768, 1024, 4096])
+def test_family_preset_in_render_batches(fig4_rows, batch):
+    # 6,601 rows: at one row per batch every column is constant, and the last batch
+    # is short from 256 rows up; write_csv renders 768
+    assert rendered(fig4_rows, batch) == data_lines(fig4_rows)
+
+
+def test_batch_splitting_a_u_block():
+    # three u blocks of 100 rows in batches of 60: u varies in the batch of rows
+    # 60-119 and is constant in the batch of rows 120-179
+    rows = run_sweep(build_config({"scenario": "fig2a", "theta_steps": "100",
+                                   "u_list": "1,2,3"})).rows
+    u = rows[:, 1]
+    assert len(set(u[60:120])) == 2 and len(set(u[120:180])) == 1
+    assert rendered(rows, 60) == data_lines(rows)

@@ -167,6 +167,12 @@ class TestConfig:
                                               "first set on line 2"):
             parse_config_text(text)
 
+    def test_configs_compare_by_identity_and_hash(self):
+        # a config holds arrays, so equal settings do not make == elementwise
+        cfg, again = build_config({"scenario": "fig7"}), build_config({"scenario": "fig7"})
+        assert cfg == cfg and cfg != again
+        assert {cfg: 1, again: 2}[cfg] == 1
+
     def test_preset_defaults(self):
         cfg = build_config({"scenario": "fig3b"})
         assert cfg.kind == "theta"
@@ -455,6 +461,12 @@ class TestSweeps:
         assert arr[39, 2] == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(arr[:, 2] + arr[:, 21], 1.0, atol=1e-10)
 
+    def test_results_compare_by_identity_and_hash(self):
+        cfg = build_config({"scenario": "fig7", "u_steps": "5"})
+        result, again = run_sweep(cfg), run_sweep(cfg)
+        assert result == result and result != again
+        assert {result: 1, again: 2}[again] == 2
+
     def test_coupling_sweep_holds_theta_fixed(self):
         cfg = build_config({"scenario": "fig7", "u_steps": "25"})
         result = run_sweep(cfg)
@@ -636,7 +648,7 @@ class TestSweeps:
         on_disk = []
 
         class FullAfterFirstChunk(io.FileIO):
-            """The disk fills once the header and the first row chunk are written."""
+            """The disk fills once the header and the first batch of rows are written."""
 
             def write(self, data):
                 if len(on_disk) == 2:
@@ -647,12 +659,12 @@ class TestSweeps:
 
         monkeypatch.setattr(sweeps, "open", FullAfterFirstChunk, raising=False)
         monkeypatch.setattr(sweeps, "CHUNK", 3)
-        wider = build_config({"scenario": "fig2a", "theta_steps": "9", "u_list": "2",
+        wider = build_config({"scenario": "fig2a", "theta_steps": "30", "u_list": "2",
                               "output": str(tmp_path / "sweep.csv")})
         with pytest.raises(OSError, match="No space left"):
             write_csv(run_sweep(wider), wider.output)
         header, first_rows, partial = on_disk
-        assert partial == header + first_rows and first_rows.count(b"\n") == 3
+        assert partial == header + first_rows and first_rows.count(b"\n") == 3 * sweeps.CHUNK
         assert path.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == [path]
 
