@@ -56,9 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     output_target(cfg.output)  # a bad output is refused before the sweep runs
-    result = run_sweep(cfg)
-    path = write_csv(result, cfg.output)
-    print(f"wrote {len(result.rows)} rows to {path}")
+    path = write_csv(run_sweep(cfg), cfg.output)  # computes the sweep as it writes
+    print(f"wrote {cfg.row_count} rows to {path}")
     return EXIT_OK
 
 

@@ -29,15 +29,15 @@ import numpy as np
 from ..errors import DomainError
 from . import states
 
-# Largest accepted grid, in rows.  Marginal cost per row of a whole sweep
+# Largest accepted grid, in rows.  Marginal time per row of a whole sweep
 # (config to CSV on disk), measured between 3e4 and 3e5 rows on a 2-vCPU,
-# 8.2 GB machine: theta 6.0 us and 0.23 kB, coupling 5.2 us and 0.23 kB,
-# family (states at one u) 3.5 us and 0.33 kB; the times vary by about 20%
-# from run to run.  A minute holds 1.0e7 rows at 6.0 us, a quarter of the
-# machine (2 GB) 8.7e6 at 0.23 kB and 6.1e6 at 0.33 kB.  2e6 rows run in
-# 9 to 12 s and peak at 414 MB, or 673 MB for a family sweep; the cap
-# dates from when the whole CSV text was held in memory (about 0.7 kB per
-# row) and has not been raised.
+# 8.2 GB machine: theta 6.0 us, coupling 5.2 us, family (states at one u)
+# 3.5 us; the times vary by about 20% from run to run.  A minute holds 1.0e7
+# rows at 6.0 us.  Memory does not grow with the rows, since the table is
+# streamed to disk as it is computed: at 2e6 rows fig2a peaks at 61 MB
+# RSS and fig4 at 34 MB (414 and 673 MB while the float table was held),
+# in 7 to 12 s.  The cap dates from when the whole CSV text was held in
+# memory (about 0.7 kB per row) and has not been raised.
 GRID_CAP = 2 * 10**6
 # Smallest accepted phase: the smallest normal double.  The kernel does not
 # need it: the closed forms and the solver both pass at the subnormal phases
@@ -103,6 +103,12 @@ class SweepConfig:
     vartheta_values: np.ndarray     # empty but for a family sweep
     phi_values: np.ndarray
     echo: tuple[tuple[str, str], ...]        # resolved settings for the header
+
+    @property
+    def row_count(self) -> int:
+        """Rows of the sweep's table: its points (u, theta) times its incident states."""
+        states = len(self.vartheta_values) * len(self.phi_values) if self.kind == "family" else 1
+        return len(self.u_values) * len(self.theta_values) * states
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -221,7 +227,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     else:
         try:
             states.electron_state(electron)
-            states.family_builder(impurity)
+            states.family_kets(impurity)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -10,28 +10,33 @@ incident product-basis states, the inner one: theta and coupling sweeps
 have one state, a family sweep its grid of states at the fixed phase.  One
 grid builder calls the production kernel ``closed_form.amplitudes`` on up to
 ``CHUNK`` points at a time and ``observables.observable_table`` on up to
-``CHUNK`` rows, states and matrices alike in the product basis, and writes
-them into one float64 table beside the lead columns (the config's grid
-values).  This module names only those lead columns; the rest are
+``CHUNK`` rows, states and matrices alike in the product basis.  The sweep
+is computed as it is written: a generator puts those rows beside the lead
+columns (the config's grid values) and yields the table ``3 * CHUNK`` rows
+at a time, building a family's states from each span's (vartheta, phi)
+indices, so no array as long as the sweep exists but the config's grids.
+This module names only the lead columns; the rest are
 ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
 its own point and state only, so the output does not depend on the chunk
 size.  Every sweep kind reads its phases from ``SweepConfig.theta_values``,
 which holds one phase for family and coupling sweeps.
 
-``write_csv`` lays out the CSV and streams it to disk ``3 * CHUNK`` rows at
-a time, as bytes, so a write holds O(CHUNK) bytes of text, never the whole
-file: the header block in UTF-8 (the echo may hold any path), then
-``_format.format_rows`` of each batch in ASCII, every value exactly as
-``%.17g`` prints it; ``_format`` says how numpy computes the digits.  A
-render call makes about 150 numpy calls at any size: 768 rows render a fifth
-faster than 256, and, unlike 1,024, leave the peak RSS of a process that
-runs one theta sweep and writes it where 256 left it.
+``write_csv`` lays out the CSV and streams it to disk batch by batch, as
+bytes, so a sweep and its write hold O(CHUNK) rows and bytes of text, never
+the table or the file: the header block in UTF-8 (the echo may hold any
+path), then ``_format.format_rows`` of each batch in ASCII, every value
+exactly as ``%.17g`` prints it; ``_format`` says how numpy computes the
+digits.  A render call makes about 150 numpy calls at any size: 768 rows
+render a fifth faster than 256, and, unlike 1,024, leave the peak RSS of a
+process that runs one theta sweep and writes it where 256 left it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,64 +46,128 @@ from ..closed_form import amplitudes
 from ..observables import OBSERVABLE_COLUMNS, observable_table
 from ._format import format_rows
 from .config import SweepConfig
-from .states import electron_state, family_builder, incident_state
+from .states import electron_state, family_grid, incident_state
 
 # rows per row-builder call and points per kernel call; temporaries near 1 MB,
-# as for the 3 * CHUNK rows per render call (see above)
+# as for the 3 * CHUNK rows per render call and family states built at once
 CHUNK = 256
 
 
-@dataclass(frozen=True, eq=False)  # holds an array: == is identity, and hash works
+@dataclass(frozen=True, eq=False)  # == is identity, and hash works
 class SweepResult:
-    """Computed table: header echo lines, column names and the numeric rows.
+    """A sweep's header echo lines, column names and its table, computed as it is read.
 
-    ``rows`` is a read-only float64 array of shape (rows, len(columns)).
+    Each call of ``batches`` computes the table again and yields it in row
+    order, a float64 array of shape (rows, len(columns)) at a time, at most
+    ``3 * CHUNK`` rows for a sweep.  ``rows``, the whole table of
+    ``row_count`` rows as one read-only array, is built on first access.
     """
 
     header: tuple[str, ...]
     columns: tuple[str, ...]
-    rows: np.ndarray
+    batches: Callable[[], Iterable[np.ndarray]]
+    row_count: int
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        rows, start = np.empty((self.row_count, len(self.columns))), 0
+        for batch in self.batches():  # filled in place: no batch outlives its copy
+            rows[start:start + len(batch)] = batch
+            start += len(batch)
+        rows.flags.writeable = False
+        return rows
 
 
 def _chunks(n: int):
-    return (slice(start, start + CHUNK) for start in range(0, n, CHUNK))
+    return (slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
-def _table(u, theta, chi, lead: dict) -> np.ndarray:
-    """Rows over the points (u[i], theta[i]), the outer axis, and the incident
-    product-basis states chi[j], the inner one: the ``lead`` columns, each
-    broadcast to (points, states), then ``OBSERVABLE_COLUMNS``."""
-    out = np.empty((len(u), len(chi), len(lead) + len(OBSERVABLE_COLUMNS)))
-    for k, values in enumerate(lead.values()):
-        out[..., k] = values
-    step = max(1, CHUNK // len(chi))  # points per kernel call
-    for start in range(0, len(u), step):
-        p = slice(start, start + step)
-        t, r = amplitudes(u[p], theta[p])
-        for s in _chunks(len(chi)):
-            out[p, s, len(lead):] = observable_table(
-                t[:, None], r[:, None], chi[s], u[p, None], theta[p, None]
-            )
-    return out.reshape(-1, out.shape[-1])
+def _blocks(u_values, theta_values, n_states: int, states):
+    """Observables over the points of the grid u_values x theta_values, u the
+    outer axis, times ``n_states`` incident product-basis states, the inner one.
+
+    ``states(span)`` gives the states of a span of at most ``3 * CHUNK`` and a
+    tuple of columns of values per state.  Yields (u, theta, values, table) in
+    row order: the block's points, those columns at its states, and
+    ``observable_table`` of shape (points, states, columns), at most CHUNK
+    rows.  The kernel runs once per group of at most CHUNK points, whatever
+    the number of blocks a point's states span.
+    """
+    n_theta = len(theta_values)
+    n_points = len(u_values) * n_theta
+    step = max(1, CHUNK // n_states)  # points per kernel call
+    spans = [slice(a, min(a + 3 * CHUNK, n_states)) for a in range(0, n_states, 3 * CHUNK)]
+    built = states(spans[0]) if len(spans) == 1 else None  # then built once
+    for start in range(0, n_points, step):
+        i, j = np.divmod(np.arange(start, min(start + step, n_points)), n_theta)
+        u, theta = u_values[i], theta_values[j]
+        t, r = amplitudes(u, theta)
+        for span in spans:
+            chi, values = states(span) if built is None else built
+            for s in _chunks(len(chi)):
+                table = observable_table(t[:, None], r[:, None], chi[s],
+                                         u[:, None], theta[:, None])
+                if span is spans[-1] and s.stop == len(chi):  # the group's last block:
+                    t = r = None  # its amplitudes are not held while the batch is written
+                yield u, theta, tuple(v[s] for v in values), table
+
+
+def _table(u_values, theta_values, chi) -> np.ndarray:
+    """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
+    outer axis, times the incident product-basis states chi, the inner one."""
+    blocks = _blocks(u_values, theta_values, len(chi), lambda span: (chi[span], ()))
+    return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
+
+
+def _batches(cfg: SweepConfig):
+    """The sweep's table in row order, at most 3 * CHUNK rows at a time: the
+    lead columns, the config's grid values, then ``OBSERVABLE_COLUMNS``."""
+    if cfg.kind == "family":
+        electron = [electron_state(cfg.electron_spin)]
+        pairs = family_grid(cfg.impurity_state, cfg.vartheta_values, cfg.phi_values)
+
+        def states(span):  # and their vartheta and phi, phi the inner axis
+            i, j = np.divmod(np.arange(span.start, span.stop), len(cfg.phi_values))
+            return np.kron(electron, pairs(i, j)), (cfg.vartheta_values[i], cfg.phi_values[j])
+
+        def lead_values(u, theta, values):
+            return (*values, u[:, None])
+
+        n_states = len(cfg.vartheta_values) * len(cfg.phi_values)
+    else:
+        chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]
+
+        def states(span):
+            return chi[span], ()
+
+        def lead_values(u, theta, values):
+            return theta[:, None], u[:, None]
+
+        n_states = 1
+    out = None
+    for u, theta, values, table in _blocks(cfg.u_values, cfg.theta_values, n_states, states):
+        lead = lead_values(u, theta, values)
+        rows = table.shape[0] * table.shape[1]
+        if out is None:
+            out, filled = np.empty((3 * CHUNK, len(lead) + table.shape[2])), 0
+        block = out[filled:filled + rows].reshape(*table.shape[:2], -1)
+        for c, column in enumerate(lead):
+            block[..., c] = column
+        block[..., len(lead):] = table
+        filled += rows
+        if filled > 2 * CHUNK:  # no room for another block of up to CHUNK rows
+            yield out[:filled]
+            out = None
+    if out is not None:
+        yield out[:filled]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate the configured grid and return the result table."""
-    u = np.repeat(cfg.u_values, len(cfg.theta_values))  # u is the outer axis
-    theta = np.tile(cfg.theta_values, len(cfg.u_values))
-    if cfg.kind == "family":
-        builder = family_builder(cfg.impurity_state)
-        vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
-        # one state per (vartheta, phi), phi the inner axis; no pair grid is kept
-        chi = np.kron([electron_state(cfg.electron_spin)], builder(vartheta, phi).reshape(-1, 4))
-        lead = {"vartheta": vartheta.ravel(), "phi": phi.ravel(), "u": u[:, None]}
-    else:
-        chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]
-        lead = {"theta": theta[:, None], "u": u[:, None]}
-    rows = _table(u, theta, chi, lead)
-    rows.flags.writeable = False
+    """The configured sweep; its table is computed when it is read."""
+    lead = ("vartheta", "phi", "u") if cfg.kind == "family" else ("theta", "u")
     header = tuple(f"# {key} = {value}" for key, value in cfg.echo)
-    return SweepResult(header=header, columns=(*lead, *OBSERVABLE_COLUMNS), rows=rows)
+    return SweepResult(header=header, columns=(*lead, *OBSERVABLE_COLUMNS),
+                       batches=functools.partial(_batches, cfg), row_count=cfg.row_count)
 
 
 def _sibling(out: Path) -> Path:
@@ -126,9 +195,11 @@ def output_target(path: str | Path) -> Path:
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the table as CSV atomically: a failed write leaves any earlier file intact.
 
-    The header lines, the column names, then one line per row, streamed three
-    chunks at a time to a temporary sibling of ``output_target(path)``, which
-    then replaces that target, so a symlinked ``path`` stays a link.
+    The header lines, the column names, then one line per row, streamed a batch
+    at a time as ``result.batches`` computes it to a temporary sibling of
+    ``output_target(path)``, which then replaces that target, so a symlinked
+    ``path`` stays a link.  A failure while computing, such as a
+    ``NumericError``, is a failed write.
     """
     out = output_target(path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -137,9 +208,7 @@ def write_csv(result: SweepResult, path: str | Path) -> Path:
         with open(tmp, "wb") as f:
             lines = [*result.header, ",".join(result.columns)]
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
-            batch = 3 * CHUNK
-            f.writelines(format_rows(result.rows[s:s + batch])
-                         for s in range(0, len(result.rows), batch))
+            f.writelines(format_rows(batch) for batch in result.batches())
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

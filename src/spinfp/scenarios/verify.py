@@ -281,15 +281,12 @@ def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
     return step, offsets
 
 
-def _curve(impurity_specs, thetas, u) -> np.ndarray:
-    """T at the points (u, theta), one row per impurity spec, electron up.
-
-    The sweeps' grid builder serves every spec; u may be one value.
-    """
-    theta = np.asarray(thetas, dtype=float)
-    u = np.broadcast_to(u, theta.shape)
+def _curve(impurity_specs, u_values, thetas) -> np.ndarray:
+    """T at the points u_values x thetas, u the outer axis, one row per impurity
+    spec, electron up.  The sweeps' grid builder serves every spec."""
+    u_values, thetas = np.asarray(u_values, dtype=float), np.asarray(thetas, dtype=float)
     chi = np.array([incident_state("u", spec).amplitudes for spec in impurity_specs])
-    return _table(u, theta, chi, {})[:, COLUMN_OF["T"]].reshape(len(u), len(chi)).T
+    return _table(u_values, thetas, chi)[:, COLUMN_OF["T"]].reshape(-1, len(chi)).T
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901
@@ -319,9 +316,9 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
         window = (thetas >= math.pi / 2) & (thetas <= 3 * math.pi / 2)
         widths.append(float(np.count_nonzero(t_vals[window] >= 0.5) * step))
     # the 2001-point grid straddles pi, so probe the resonances directly
-    probes = [(u, theta) for u in (1.0, 2.0, 10.0) for theta in (math.pi, 2 * math.pi)]
-    us, thetas = np.transpose(probes)
-    for (u, theta), t_res in zip(probes, _curve(["psi-"], thetas, us)[0].tolist()):
+    us, thetas = (1.0, 2.0, 10.0), (math.pi, 2 * math.pi)
+    probes = [(u, theta) for u in us for theta in thetas]
+    for (u, theta), t_res in zip(probes, _curve(["psi-"], us, thetas)[0].tolist()):
         if t_res < 1.0 - 1e-10:
             problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
     if not widths[0] > widths[1] > widths[2]:
@@ -362,7 +359,7 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     thetas = np.linspace(0.3, 2 * math.pi, 41)
     mixes, phis = (math.pi / 4, 0.3, 1.1), (0.0, 0.7, 2.2, math.pi)
     specs = [f"uu_dd theta={mix!r} phi={phi!r}" for mix in mixes for phi in phis]
-    uu, dd, *curves = _curve(["uu", "dd", *specs], thetas, 2.0)
+    uu, dd, *curves = _curve(["uu", "dd", *specs], [2.0], thetas)
     curves = np.reshape(curves, (len(mixes), len(phis), len(thetas)))
     reference = curves[:, 0]  # phi = 0
     worst_phase = float(np.max(np.abs(curves - reference[:, None])))

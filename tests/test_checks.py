@@ -54,7 +54,7 @@ def _family_sweep_with_a_nan_at_u2(monkeypatch):
 
     monkeypatch.setattr(sweeps, "amplitudes", poisoned)
     run_sweep(build_config({"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
-                            "u_list": "1,2"}))
+                            "u_list": "1,2"})).rows  # the table is computed when it is read
 
 
 BEYOND_THE_PHASE = DimensionlessParams(1.0, 1e308)  # 2 k x overflows in the oracle

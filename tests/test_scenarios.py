@@ -24,6 +24,7 @@ from spinfp.scenarios.config import (
 from spinfp.scenarios.states import (
     aligned_family,
     electron_state,
+    family_grid,
     impurity_state,
     incident_state,
     one_up_family,
@@ -99,6 +100,14 @@ class TestStates:
     def test_aligned_family(self):
         state = impurity_state("uu_dd theta=0.7 phi=3.0")
         np.testing.assert_allclose(state, aligned_family(0.7, 3.0))
+
+    @pytest.mark.parametrize("spec, builder", [("family2", one_up_family),
+                                               ("uu_dd", aligned_family)])
+    def test_family_grid_has_the_builders_bits(self, spec, builder):
+        mix, phase = np.linspace(0.0, 2 * math.pi, 161), np.linspace(0.0, math.pi, 41)
+        i, j = np.divmod(np.arange(161 * 41), 41)
+        states = family_grid(spec, mix, phase)(i, j)
+        assert states.tobytes() == builder(mix[i], phase[j]).tobytes()
 
     def test_family_requires_both_angles(self):
         with pytest.raises(DomainError):
@@ -604,6 +613,32 @@ class TestSweeps:
         assert max(peaks) < 4e6
         assert peaks[1] < peaks[0] + 0.25e6
 
+    @pytest.mark.parametrize(
+        "settings, sizes",
+        [  # 3.0e4 and 1.2e5 family rows; 3,003 and 30,003 theta rows
+            ({"sweep": "family", "impurity_state": "family2", "vartheta_steps": "241",
+              "phi_steps": "125"}, [{"u_list": "2"}, {"u_list": "2,5,7,9"}]),
+            ({"scenario": "fig2a", "u_list": "1,2,10"},
+             [{"theta_steps": "1001"}, {"theta_steps": "10001"}]),
+        ],
+        ids=["family", "theta"],
+    )
+    def test_sweep_memory_does_not_grow_with_rows(self, tmp_path, settings, sizes):
+        """The sweep and its write together hold O(CHUNK) rows: no table and no
+        state grid, which at 3e4 family rows alone would take 9 MB."""
+        write_csv(run_sweep(build_config({**settings, **sizes[0]})), tmp_path / "warm.csv")
+        peaks = []
+        for size in sizes:
+            cfg = build_config({**settings, **size})
+            tracemalloc.start()
+            try:
+                write_csv(run_sweep(cfg), tmp_path / "sweep.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3e6
+        assert abs(peaks[1] - peaks[0]) < 0.25e6
+
     def test_render_matches_format_float(self, tmp_path):
         rng = np.random.default_rng(7)
         special = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1.0 / 3.0,
@@ -611,9 +646,8 @@ class TestSweeps:
         drawn = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
         values = special + drawn.tolist()
         rows = tuple(tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3))
-        result = SweepResult(
-            header=("# scenario = x",), columns=("a", "b", "c"), rows=np.array(rows)
-        )
+        result = SweepResult(header=("# scenario = x",), columns=("a", "b", "c"),
+                             batches=lambda: [np.array(rows)], row_count=len(rows))
         expected = ["# scenario = x", "a,b,c"]
         expected += [",".join(format_float(v) for v in row) for row in rows]
         text = write_csv(result, tmp_path / "table.csv").read_bytes().decode("utf-8")
@@ -1000,6 +1034,35 @@ class TestCli:
         assert "doublet" in message and "1e-09" in message
         assert "np.float64" not in message
 
+    def test_failure_mid_stream_leaves_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        # the rows of u = 2 start at row 1000, in the second batch of 768: the
+        # first batch is on disk in the temporary sibling when the nan is found
+        output = tmp_path / "sweep.csv"
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig2a\ntheta_steps = 1000\nu_list = 1,2\n"
+                            f"output = {output}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        earlier = output.read_bytes()
+
+        def poisoned(u, theta):
+            t, r = kernel(u, theta)
+            if np.any(np.asarray(u) == 2.0):
+                written.extend(path.stat().st_size for path in tmp_path.glob(".*.tmp"))
+            t[np.asarray(u) == 2.0] = np.nan
+            return t, r
+
+        kernel, written = sweeps.amplitudes, []
+        monkeypatch.setattr(sweeps, "amplitudes", poisoned)
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == cli.EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        theta = float(load_config(cfg_file).theta_values[0])
+        assert out == "" and err.startswith("numeric failure: ")
+        assert f"at u = 2.0, theta = {theta!r}" in err
+        assert len(written) == 1 and written[0] > 0  # rows were on disk when it failed
+        assert output.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == [cfg_file, output]
+
     def test_convert_command(self, capsys):
         code = cli.main(
             ["convert", "--mstar", "0.067", "--energy-mev", "2",
@@ -1076,9 +1139,9 @@ class TestVerify:
 
         table, calls = verify_mod._table, []
 
-        def counting(u, theta, chi, lead):
-            calls.append((len(u), len(chi)))
-            return table(u, theta, chi, lead)
+        def counting(u_values, theta_values, chi):
+            calls.append((len(u_values) * len(theta_values), len(chi)))
+            return table(u_values, theta_values, chi)
 
         monkeypatch.setattr(verify_mod, "_table", counting)
         monkeypatch.setattr(verify_mod, "amplitudes", None)  # no kernel call of its own
