@@ -227,7 +227,7 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     else:
         try:
             states.electron_state(electron)
-            states.family_kets(impurity)
+            states.family_builder(impurity)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 

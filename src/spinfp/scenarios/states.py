@@ -25,25 +25,15 @@ from ..spin_algebra import SpinVector, compose_state
 _KET_INDEX = {"uu": 0, "ud": 1, "du": 2, "dd": 3}
 
 
-# each family's two product kets: cos(mix)|first> + e^{i phase} sin(mix)|second>
-_FAMILIES = {"family2": (1, 2), "uu_dd": (0, 3)}
-
-
-def _pairs(cos, sin, turn, kets: tuple[int, int]) -> np.ndarray:
-    """cos|first> + turn sin|second> for kets (first, second); the ket index is the last axis."""
-    first, second = kets
-    out = np.zeros(np.shape(cos) + (4,), dtype=complex)
-    out[..., first] = cos
-    out[..., second] = turn * sin
-    return out
-
-
-def _family(mix, phase, kets: tuple[int, int]) -> np.ndarray:
+def _family(mix, phase, first: int, second: int) -> np.ndarray:
     """cos(mix)|first> + e^{i phase} sin(mix)|second>; the ket index is the last axis."""
     mix, phase = np.broadcast_arrays(
         np.asarray(mix, dtype=float), np.asarray(phase, dtype=float)
     )
-    return _pairs(np.cos(mix), np.sin(mix), np.exp(1j * phase), kets)
+    out = np.zeros(mix.shape + (4,), dtype=complex)
+    out[..., first] = np.cos(mix)
+    out[..., second] = np.exp(1j * phase) * np.sin(mix)
+    return out
 
 
 def one_up_family(mix, phase) -> np.ndarray:
@@ -51,42 +41,32 @@ def one_up_family(mix, phase) -> np.ndarray:
 
     ``mix`` and ``phase`` may be arrays; they broadcast to the leading axes.
     """
-    return _family(mix, phase, _FAMILIES["family2"])
+    return _family(mix, phase, 1, 2)
 
 
 def aligned_family(mix, phase) -> np.ndarray:
     """Pair states with both impurity spins aligned (arrays as in one_up_family)."""
-    return _family(mix, phase, _FAMILIES["uu_dd"])
+    return _family(mix, phase, 0, 3)
 
 
-def family_kets(spec: str) -> tuple[int, int]:
-    """The two product kets of the pair states a family sweep spans.
+_FAMILIES = {"family2": one_up_family, "uu_dd": aligned_family}
+
+
+def family_builder(spec: str):
+    """The builder of the pair states a family sweep spans.
 
     ``spec`` is the family's name alone, in any case; the sweep spans every
     state of the family, so it takes no parameters.
     """
     head, *extra = spec.split() or [""]
-    kets = _FAMILIES.get(head.lower())
-    if kets is None:
+    builder = _FAMILIES.get(head.lower())
+    if builder is None:
         raise DomainError(f"family sweeps need impurity_state family2 or uu_dd, "
                           f"got {head!r}")
     if extra:
         raise DomainError(f"family sweeps span every family state; unexpected "
                           f"{' '.join(extra)!r} after {head!r}")
-    return kets
-
-
-def family_grid(spec: str, mix, phase):
-    """The pair states of the family ``spec`` at the points (mix[i], phase[j])
-    of a sweep's grids, as a function of index arrays i and j.
-
-    cos and sin of each mix and e^{i phase} of each phase are computed once,
-    by the ufuncs ``one_up_family`` and ``aligned_family`` apply, so every
-    state has their bits at its point.
-    """
-    kets = family_kets(spec)
-    cos, sin, turn = np.cos(mix), np.sin(mix), np.exp(1j * phase)
-    return lambda i, j: _pairs(cos[i], sin[i], turn[j], kets)
+    return builder
 
 
 def bell_pair(sign: int) -> np.ndarray:
@@ -123,7 +103,7 @@ def impurity_state(spec: str) -> np.ndarray:
         raise DomainError("empty impurity state spec")
     head, *rest = tokens
     if head in _FAMILIES:
-        return _family(*_parse_family_args(rest, spec), _FAMILIES[head])
+        return _FAMILIES[head](*_parse_family_args(rest, spec))
     ket = head.replace(",", "")
     if head in ("psi+", "psi-"):
         out = bell_pair(+1 if head == "psi+" else -1)

@@ -13,8 +13,9 @@ grid builder calls the production kernel ``closed_form.amplitudes`` on up to
 ``CHUNK`` rows, states and matrices alike in the product basis.  The sweep
 is computed as it is written: a generator puts those rows beside the lead
 columns (the config's grid values) and yields the table ``3 * CHUNK`` rows
-at a time, building a family's states from each span's (vartheta, phi)
-indices, so no array as long as the sweep exists but the config's grids.
+at a time, building a family's states ``16 * CHUNK`` at a time from their
+(vartheta, phi) indices, so no array as long as the sweep exists but the
+config's grids.  ``SweepResult.rows`` asks it for the whole table at once.
 This module names only the lead columns; the rest are
 ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
 its own point and state only, so the output does not depend on the chunk
@@ -46,10 +47,10 @@ from ..closed_form import amplitudes
 from ..observables import OBSERVABLE_COLUMNS, observable_table
 from ._format import format_rows
 from .config import SweepConfig
-from .states import electron_state, family_grid, incident_state
+from .states import electron_state, family_builder, incident_state
 
 # rows per row-builder call and points per kernel call; temporaries near 1 MB,
-# as for the 3 * CHUNK rows per render call and family states built at once
+# as for the 3 * CHUNK rows per render call
 CHUNK = 256
 
 
@@ -57,23 +58,20 @@ CHUNK = 256
 class SweepResult:
     """A sweep's header echo lines, column names and its table, computed as it is read.
 
-    Each call of ``batches`` computes the table again and yields it in row
+    Each call ``batches(size)`` computes the table again and yields it in row
     order, a float64 array of shape (rows, len(columns)) at a time, at most
-    ``3 * CHUNK`` rows for a sweep.  ``rows``, the whole table of
-    ``row_count`` rows as one read-only array, is built on first access.
+    ``size`` rows.  ``rows``, the whole table of ``row_count`` rows as one
+    read-only array, is built on first access as one batch.
     """
 
     header: tuple[str, ...]
     columns: tuple[str, ...]
-    batches: Callable[[], Iterable[np.ndarray]]
+    batches: Callable[[int], Iterable[np.ndarray]]
     row_count: int
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        rows, start = np.empty((self.row_count, len(self.columns))), 0
-        for batch in self.batches():  # filled in place: no batch outlives its copy
-            rows[start:start + len(batch)] = batch
-            start += len(batch)
+        (rows,) = self.batches(self.row_count)  # filled in place, block by block
         rows.flags.writeable = False
         return rows
 
@@ -82,25 +80,35 @@ def _chunks(n: int):
     return (slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
-def _blocks(u_values, theta_values, n_states: int, states):
+def _points(u_values, theta_values, start: int, stop: int):
+    """u and theta at the points start to stop - 1 of the grid u_values x
+    theta_values, u the outer axis: a slice of theta beside its one u when
+    the points share their u, as most of a theta sweep's groups do."""
+    k, first = divmod(start, len(theta_values))
+    if first + stop - start <= len(theta_values):
+        theta = theta_values[first:first + stop - start]
+        return np.full(len(theta), u_values[k]), theta
+    i, j = np.divmod(np.arange(start, stop), len(theta_values))
+    return u_values[i], theta_values[j]
+
+
+def _blocks(u_values, theta_values, n_states: int, states, span_len: int):
     """Observables over the points of the grid u_values x theta_values, u the
     outer axis, times ``n_states`` incident product-basis states, the inner one.
 
-    ``states(span)`` gives the states of a span of at most ``3 * CHUNK`` and a
+    ``states(span)`` gives the states of a span of at most ``span_len`` and a
     tuple of columns of values per state.  Yields (u, theta, values, table) in
     row order: the block's points, those columns at its states, and
     ``observable_table`` of shape (points, states, columns), at most CHUNK
     rows.  The kernel runs once per group of at most CHUNK points, whatever
     the number of blocks a point's states span.
     """
-    n_theta = len(theta_values)
-    n_points = len(u_values) * n_theta
+    n_points = len(u_values) * len(theta_values)
     step = max(1, CHUNK // n_states)  # points per kernel call
-    spans = [slice(a, min(a + 3 * CHUNK, n_states)) for a in range(0, n_states, 3 * CHUNK)]
+    spans = [slice(a, min(a + span_len, n_states)) for a in range(0, n_states, span_len)]
     built = states(spans[0]) if len(spans) == 1 else None  # then built once
     for start in range(0, n_points, step):
-        i, j = np.divmod(np.arange(start, min(start + step, n_points)), n_theta)
-        u, theta = u_values[i], theta_values[j]
+        u, theta = _points(u_values, theta_values, start, min(start + step, n_points))
         t, r = amplitudes(u, theta)
         for span in spans:
             chi, values = states(span) if built is None else built
@@ -115,20 +123,22 @@ def _blocks(u_values, theta_values, n_states: int, states):
 def _table(u_values, theta_values, chi) -> np.ndarray:
     """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
     outer axis, times the incident product-basis states chi, the inner one."""
-    blocks = _blocks(u_values, theta_values, len(chi), lambda span: (chi[span], ()))
+    blocks = _blocks(u_values, theta_values, len(chi), lambda span: (chi[span], ()), len(chi))
     return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
 
 
-def _batches(cfg: SweepConfig):
-    """The sweep's table in row order, at most 3 * CHUNK rows at a time: the
-    lead columns, the config's grid values, then ``OBSERVABLE_COLUMNS``."""
+def _batches(cfg: SweepConfig, size: int):
+    """The sweep's table in row order, at most ``size`` rows at a time: the
+    lead columns, the config's grid values, then ``OBSERVABLE_COLUMNS``.  A
+    batch holds whole blocks, so it is cut short when the next would not fit."""
     if cfg.kind == "family":
         electron = [electron_state(cfg.electron_spin)]
-        pairs = family_grid(cfg.impurity_state, cfg.vartheta_values, cfg.phi_values)
+        builder = family_builder(cfg.impurity_state)
 
         def states(span):  # and their vartheta and phi, phi the inner axis
             i, j = np.divmod(np.arange(span.start, span.stop), len(cfg.phi_values))
-            return np.kron(electron, pairs(i, j)), (cfg.vartheta_values[i], cfg.phi_values[j])
+            vartheta, phi = cfg.vartheta_values[i], cfg.phi_values[j]
+            return np.kron(electron, builder(vartheta, phi)), (vartheta, phi)
 
         def lead_values(u, theta, values):
             return (*values, u[:, None])
@@ -144,22 +154,25 @@ def _batches(cfg: SweepConfig):
             return theta[:, None], u[:, None]
 
         n_states = 1
-    out = None
-    for u, theta, values, table in _blocks(cfg.u_values, cfg.theta_values, n_states, states):
+    out, left = None, cfg.row_count
+    # states are built 16 * CHUNK at a time (4,096, 0.5 MB), or a larger
+    # batch's worth: each build pays a fixed cost in np.kron and the family
+    # builder (about 26 us on a 2-vCPU x86-64 host), which at 768 states a
+    # build slowed a 30,125-state family sweep by 7%
+    blocks = _blocks(cfg.u_values, cfg.theta_values, n_states, states, max(size, 16 * CHUNK))
+    for u, theta, values, table in blocks:
         lead = lead_values(u, theta, values)
         rows = table.shape[0] * table.shape[1]
         if out is None:
-            out, filled = np.empty((3 * CHUNK, len(lead) + table.shape[2])), 0
+            out, filled = np.empty((min(size, left), len(lead) + table.shape[2])), 0
         block = out[filled:filled + rows].reshape(*table.shape[:2], -1)
         for c, column in enumerate(lead):
             block[..., c] = column
         block[..., len(lead):] = table
-        filled += rows
-        if filled > 2 * CHUNK:  # no room for another block of up to CHUNK rows
+        filled, left = filled + rows, left - rows
+        if filled == len(out) or len(out) - filled < min(CHUNK, left):  # no room for the next block
             yield out[:filled]
             out = None
-    if out is not None:
-        yield out[:filled]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -208,7 +221,7 @@ def write_csv(result: SweepResult, path: str | Path) -> Path:
         with open(tmp, "wb") as f:
             lines = [*result.header, ",".join(result.columns)]
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
-            f.writelines(format_rows(batch) for batch in result.batches())
+            f.writelines(format_rows(batch) for batch in result.batches(3 * CHUNK))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

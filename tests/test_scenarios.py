@@ -24,7 +24,6 @@ from spinfp.scenarios.config import (
 from spinfp.scenarios.states import (
     aligned_family,
     electron_state,
-    family_grid,
     impurity_state,
     incident_state,
     one_up_family,
@@ -100,14 +99,6 @@ class TestStates:
     def test_aligned_family(self):
         state = impurity_state("uu_dd theta=0.7 phi=3.0")
         np.testing.assert_allclose(state, aligned_family(0.7, 3.0))
-
-    @pytest.mark.parametrize("spec, builder", [("family2", one_up_family),
-                                               ("uu_dd", aligned_family)])
-    def test_family_grid_has_the_builders_bits(self, spec, builder):
-        mix, phase = np.linspace(0.0, 2 * math.pi, 161), np.linspace(0.0, math.pi, 41)
-        i, j = np.divmod(np.arange(161 * 41), 41)
-        states = family_grid(spec, mix, phase)(i, j)
-        assert states.tobytes() == builder(mix[i], phase[j]).tobytes()
 
     def test_family_requires_both_angles(self):
         with pytest.raises(DomainError):
@@ -647,7 +638,7 @@ class TestSweeps:
         values = special + drawn.tolist()
         rows = tuple(tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3))
         result = SweepResult(header=("# scenario = x",), columns=("a", "b", "c"),
-                             batches=lambda: [np.array(rows)], row_count=len(rows))
+                             batches=lambda size: [np.array(rows)], row_count=len(rows))
         expected = ["# scenario = x", "a,b,c"]
         expected += [",".join(format_float(v) for v in row) for row in rows]
         text = write_csv(result, tmp_path / "table.csv").read_bytes().decode("utf-8")
