@@ -9,13 +9,14 @@ Every sweep kind is one grid of points (u, theta), the outer axis, times
 incident product-basis states, the inner one: theta and coupling sweeps
 have one state, a family sweep its grid of states at the fixed phase.  One
 grid builder calls the production kernel ``closed_form.amplitudes`` on up to
-``CHUNK`` points at a time and ``observables.observable_table`` on up to
-``CHUNK`` rows, states and matrices alike in the product basis.  The sweep
-is computed as it is written: a generator puts those rows beside the lead
-columns (the config's grid values) and yields the table ``3 * CHUNK`` rows
-at a time, building a family's states ``16 * CHUNK`` at a time from their
-(vartheta, phi) indices, so no array as long as the sweep exists but the
-config's grids.  ``SweepResult.rows`` asks it for the whole table at once.
+``CHUNK`` points at a time whatever the number of states, and
+``observables.observable_table`` on up to ``CHUNK`` rows of them, states and
+matrices alike in the product basis.  The sweep is computed as it is
+written: a generator puts those rows beside the lead columns (the config's
+grid values) and yields the table ``3 * CHUNK`` rows at a time, building a
+family's states ``16 * CHUNK`` at a time from their (vartheta, phi)
+indices, so no array as long as the sweep exists but the config's grids.
+``SweepResult.rows`` asks it for the whole table at once.
 This module names only the lead columns; the rest are
 ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
 its own point and state only, so the output does not depend on the chunk
@@ -76,8 +77,8 @@ class SweepResult:
         return rows
 
 
-def _chunks(n: int):
-    return (slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
+def _chunks(n: int, size: int):
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def _points(u_values, theta_values, start: int, stop: int):
@@ -92,38 +93,41 @@ def _points(u_values, theta_values, start: int, stop: int):
     return u_values[i], theta_values[j]
 
 
-def _blocks(u_values, theta_values, n_states: int, states, span_len: int):
+def _blocks(u_values, theta_values, size: int, n_states: int, states, span_len: int):
     """Observables over the points of the grid u_values x theta_values, u the
     outer axis, times ``n_states`` incident product-basis states, the inner one.
 
     ``states(span)`` gives the states of a span of at most ``span_len`` and a
     tuple of columns of values per state.  Yields (u, theta, values, table) in
     row order: the block's points, those columns at its states, and
-    ``observable_table`` of shape (points, states, columns), at most CHUNK
-    rows.  The kernel runs once per group of at most CHUNK points, whatever
-    the number of blocks a point's states span.
+    ``observable_table`` of shape (points, states, columns), at most
+    min(CHUNK, size) rows.  The kernel runs once per group of up to CHUNK
+    points, a whole number of blocks' points, whatever the number of states.
     """
+    size = min(CHUNK, size)  # rows per block
     n_points = len(u_values) * len(theta_values)
-    step = max(1, CHUNK // n_states)  # points per kernel call
+    step = max(1, size // n_states)  # points per block
+    group = step * (CHUNK // step)  # points per kernel call
     spans = [slice(a, min(a + span_len, n_states)) for a in range(0, n_states, span_len)]
     built = states(spans[0]) if len(spans) == 1 else None  # then built once
-    for start in range(0, n_points, step):
-        u, theta = _points(u_values, theta_values, start, min(start + step, n_points))
+    for start in range(0, n_points, group):
+        u, theta = _points(u_values, theta_values, start, min(start + group, n_points))
         t, r = amplitudes(u, theta)
-        for span in spans:
-            chi, values = states(span) if built is None else built
-            for s in _chunks(len(chi)):
-                table = observable_table(t[:, None], r[:, None], chi[s],
-                                         u[:, None], theta[:, None])
-                if span is spans[-1] and s.stop == len(chi):  # the group's last block:
-                    t = r = None  # its amplitudes are not held while the batch is written
-                yield u, theta, tuple(v[s] for v in values), table
+        for p in _chunks(len(u), step):
+            for span in spans:
+                chi, values = states(span) if built is None else built
+                for s in _chunks(len(chi), size):
+                    table = observable_table(t[p, None], r[p, None], chi[s],
+                                             u[p, None], theta[p, None])
+                    if p.stop == len(u) and span is spans[-1] and s.stop == len(chi):
+                        t = r = None  # the group's last block: not held while it is written
+                    yield u[p], theta[p], tuple(v[s] for v in values), table
 
 
 def _table(u_values, theta_values, chi) -> np.ndarray:
     """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
     outer axis, times the incident product-basis states chi, the inner one."""
-    blocks = _blocks(u_values, theta_values, len(chi), lambda span: (chi[span], ()), len(chi))
+    blocks = _blocks(u_values, theta_values, CHUNK, len(chi), lambda s: (chi[s], ()), len(chi))
     return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
 
 
@@ -131,6 +135,8 @@ def _batches(cfg: SweepConfig, size: int):
     """The sweep's table in row order, at most ``size`` rows at a time: the
     lead columns, the config's grid values, then ``OBSERVABLE_COLUMNS``.  A
     batch holds whole blocks, so it is cut short when the next would not fit."""
+    if size < 1:
+        raise ValueError(f"batch size {size!r} is not a positive number of rows")
     if cfg.kind == "family":
         electron = [electron_state(cfg.electron_spin)]
         builder = family_builder(cfg.impurity_state)
@@ -159,7 +165,7 @@ def _batches(cfg: SweepConfig, size: int):
     # batch's worth: each build pays a fixed cost in np.kron and the family
     # builder (about 26 us on a 2-vCPU x86-64 host), which at 768 states a
     # build slowed a 30,125-state family sweep by 7%
-    blocks = _blocks(cfg.u_values, cfg.theta_values, n_states, states, max(size, 16 * CHUNK))
+    blocks = _blocks(cfg.u_values, cfg.theta_values, size, n_states, states, max(size, 16 * CHUNK))
     for u, theta, values, table in blocks:
         lead = lead_values(u, theta, values)
         rows = table.shape[0] * table.shape[1]
@@ -170,7 +176,7 @@ def _batches(cfg: SweepConfig, size: int):
             block[..., c] = column
         block[..., len(lead):] = table
         filled, left = filled + rows, left - rows
-        if filled == len(out) or len(out) - filled < min(CHUNK, left):  # no room for the next block
+        if filled == len(out) or len(out) - filled < min(CHUNK, size, left):  # no room for the next block
             yield out[:filled]
             out = None
 

@@ -9,8 +9,9 @@ Every check runs on stacks of points: the production kernel (the closed
 forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
 criterion's points in one call (criterion 1 in chunks of ``sweeps.CHUNK``);
 the solver serves criterion 1 alone, as evidence.  Criteria 7 and 8 read
-the figure presets' sweep tables, by column name, instead of scanning the
-same grids again.
+the fig4, fig5 and fig7 presets' sweep tables by column name; fig2a, fig2b
+and fig3b share one grid, so criterion 8 reads their T from one grid-builder
+call over their three states.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import solver_amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
-from .sweeps import _chunks, _table, run_sweep
+from .sweeps import CHUNK, _chunks, _table, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
 _SEED = 20240817
+_LOW, _HIGH = np.array([1e-6, 1e-6]), np.array([20.0, 2 * math.pi])  # of (u, theta) draws
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,9 @@ class CriterionResult:
 
 
 def _random_points(rng, n) -> np.ndarray:
-    """Rows (u, theta) of n points: u in [1e-6, 20), theta in [1e-6, 2 pi)."""
-    return rng.uniform((1e-6, 1e-6), (20.0, 2 * math.pi), size=(n, 2))
+    """Rows (u, theta) of n points: u in [1e-6, 20), theta in [1e-6, 2 pi), by the
+    map ``rng.uniform`` applies (the same bits and stream), without its per-call cost."""
+    return _LOW + (_HIGH - _LOW) * rng.random((n, 2))
 
 
 def _unit_rows(normals: np.ndarray) -> np.ndarray:
@@ -76,7 +79,7 @@ def criterion_triple_agreement() -> CriterionResult:
     u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
     worst_closed = 0.0
     worst_oracle = 0.0
-    for s in _chunks(len(u)):  # one stack per derivation and chunk
+    for s in _chunks(len(u), CHUNK):  # one stack per derivation and chunk
         p = DimensionlessParams(u[s], theta[s])
         t, r = amplitudes(p.u, p.theta)  # production: the closed forms
         t_solver, r_solver = solver_amplitudes(p.u, p.theta)
@@ -260,25 +263,10 @@ def _preset(scenario: str) -> dict[str, np.ndarray]:
     return dict(zip(result.columns, result.rows.T))
 
 
-def _curves_by_u(scenario: str) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Phase step of a theta preset and its curve (theta, T) at u = 1, 2 and 10."""
-    table = _preset(scenario)
-    curves = [
-        (table["theta"][table["u"] == u], table["T"][table["u"] == u])
-        for u in (1.0, 2.0, 10.0)
-    ]
-    thetas = curves[0][0]
-    return thetas[1] - thetas[0], curves
-
-
-def _peak_offsets(scenario: str) -> tuple[float, list[float]]:
-    """Phase step and the distance of each u's argmax of T from the nearest n pi."""
-    step, curves = _curves_by_u(scenario)
-    offsets = []
-    for thetas, t_vals in curves:
-        peak = thetas[np.argmax(t_vals)]
-        offsets.append(abs(peak - math.pi * round(peak / math.pi)))
-    return step, offsets
+def _peak_offsets(thetas: np.ndarray, curves: np.ndarray) -> list[float]:
+    """The distance of each curve's argmax of T over thetas from the nearest n pi."""
+    peaks = thetas[np.argmax(curves, axis=1)].tolist()
+    return [abs(peak - math.pi * round(peak / math.pi)) for peak in peaks]
 
 
 def _curve(impurity_specs, u_values, thetas) -> np.ndarray:
@@ -293,14 +281,21 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     problems: list[str] = []
     notes: list[str] = []
 
+    # fig2a, fig2b and fig3b share one grid: one grid-builder call over their states
+    cfgs = [build_config({"scenario": name}) for name in ("fig2a", "fig2b", "fig3b")]
+    us, thetas = cfgs[0].u_values, cfgs[0].theta_values
+    step = thetas[1] - thetas[0]
+    curves_a, curves_b, curves_3b = _curve(
+        [cfg.impurity_state for cfg in cfgs], us, thetas).reshape(3, len(us), -1)
+
     # one-excitation product states: peak locations over theta
-    _, offsets_a = _peak_offsets("fig2a")
+    offsets_a = _peak_offsets(thetas, curves_a)
     if not offsets_a[0] > offsets_a[1] > offsets_a[2]:
         problems.append(f"fig2a offsets not decreasing: {offsets_a}")
     notes.append("fig2a |argmax - n pi| = " + ", ".join(f"{o:.4f}" for o in offsets_a))
 
     # swapped product state: the strong-coupling peak pins to n pi exactly
-    step, offsets_b = _peak_offsets("fig2b")
+    offsets_b = _peak_offsets(thetas, curves_b)
     if offsets_b[2] > step:
         problems.append(
             f"fig2b argmax at u = 10 off n pi by {offsets_b[2]:.4f} > step {step:.4f}"
@@ -310,15 +305,12 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append("fig2b |argmax - n pi| = " + ", ".join(f"{o:.4f}" for o in offsets_b))
 
     # singlet curves: unit peaks exactly at n pi that narrow with coupling
-    step, curves = _curves_by_u("fig3b")
-    widths = []
-    for thetas, t_vals in curves:
-        window = (thetas >= math.pi / 2) & (thetas <= 3 * math.pi / 2)
-        widths.append(float(np.count_nonzero(t_vals[window] >= 0.5) * step))
+    window = (thetas >= math.pi / 2) & (thetas <= 3 * math.pi / 2)
+    widths = [float(np.count_nonzero(t_vals[window] >= 0.5) * step) for t_vals in curves_3b]
     # the 2001-point grid straddles pi, so probe the resonances directly
-    us, thetas = (1.0, 2.0, 10.0), (math.pi, 2 * math.pi)
-    probes = [(u, theta) for u in us for theta in thetas]
-    for (u, theta), t_res in zip(probes, _curve(["psi-"], us, thetas)[0].tolist()):
+    us, resonances = (1.0, 2.0, 10.0), (math.pi, 2 * math.pi)
+    probes = [(u, theta) for u in us for theta in resonances]
+    for (u, theta), t_res in zip(probes, _curve(["psi-"], us, resonances)[0].tolist()):
         if t_res < 1.0 - 1e-10:
             problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
     if not widths[0] > widths[1] > widths[2]:

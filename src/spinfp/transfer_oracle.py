@@ -7,15 +7,16 @@ the derivative jump Delta psi'(x_j) = k V psi(x_j), so a two-site chain with
 per-site strength g/2 carries the same exchange coupling as the waveguide
 solver at g = pi u.  A site scatters with t = (I + iV/2)^{-1}, r = t - I and
 the phases e^{+-2ikx} of its position; the Redheffer star product composes
-the sites in order, resumming the reflections between them without the
-growing entries of a transfer-matrix product.  Arbitrary site counts,
-positions and strengths are supported, and array strengths and wave
+the sites in order from the first, resumming the reflections between them
+without the growing entries of a transfer-matrix product.  Arbitrary site
+counts, positions and strengths are supported, and array strengths and wave
 numbers broadcast to one stack of chains.  Agreement with the main pipeline
 on the two-impurity case is strong evidence against shared bugs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,12 +106,6 @@ class FullScatteringMatrix:
         )
 
 
-def _site_potential(site: Impurity) -> np.ndarray:
-    ops = spin_operators()
-    dot = ops.electron_dot_imp1 if site.spin_index == 1 else ops.electron_dot_imp2
-    return np.multiply.outer(site.strength, 2.0 * dot)
-
-
 def _star(a, b):
     """Redheffer star product of blocks (t, r, t', r'): ``a`` left of ``b``."""
     t_a, r_a, tr_a, rr_a = a
@@ -121,16 +116,23 @@ def _star(a, b):
     return t_b @ through, r_a + tr_a @ r_b @ through, tr_a @ back, rr_b + t_b @ rr_a @ back
 
 
+def _site_blocks(site: Impurity, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One site's blocks (t, r, t', r') at the wave numbers k, from its potential V."""
+    ops = spin_operators()
+    dot = ops.electron_dot_imp1 if site.spin_index == 1 else ops.electron_dot_imp2
+    eye = np.eye(_DIM)
+    t = np.linalg.inv(eye + 0.5j * np.multiply.outer(site.strength, 2.0 * dot))
+    r = t - eye
+    phase = np.exp(2j * k * site.position)  # reflections at x pick up e^{+-2ikx}
+    return t, r * phase, t, r / phase
+
+
 def oracle_scattering(chain: ImpurityChain) -> FullScatteringMatrix:
-    """Compose the sites' scattering matrices into the full scattering matrix."""
+    """Star the sites' scattering matrices in order, from the first site's own blocks."""
     k = np.asarray(chain.wave_number, dtype=float)[..., None, None]
     eye = np.eye(_DIM, dtype=complex)
-    free = np.broadcast_to(eye, k.shape[:-2] + eye.shape)  # the empty wire, per chain
-    blocks = (free, 0 * free, free, 0 * free)
     with np.errstate(over="ignore", invalid="ignore"):  # 2kx overflows: nan fails unitarity
-        for site in chain.sites:
-            t = np.linalg.inv(eye + 0.5j * _site_potential(site))
-            r = t - eye
-            phase = np.exp(2j * k * site.position)  # reflections at x pick up e^{+-2ikx}
-            blocks = _star(blocks, (t, r * phase, t, r / phase))
+        sites = (_site_blocks(site, k) for site in chain.sites)  # one at a time
+        blocks = functools.reduce(_star, sites) if chain.sites else (eye, 0 * eye, eye, 0 * eye)
+    *blocks, _ = np.broadcast_arrays(*blocks, k)  # to the shape of the stack of chains
     return FullScatteringMatrix(*blocks, wave_number=chain.wave_number)

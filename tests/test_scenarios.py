@@ -569,6 +569,31 @@ class TestSweeps:
         assert len(calls) == math.ceil(600 / sweeps.CHUNK)
 
     @pytest.mark.parametrize(
+        "settings",
+        [
+            {"scenario": "fig2a"},
+            {"scenario": "fig4"},
+            # 6 states per point: a block holds whole points' states, or a point's
+            # states in blocks when they outnumber the batch
+            {"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
+             "u_list": "0.5,1,2,3,5,8,10"},
+        ],
+        ids=["fig2a", "fig4", "fig5-small-grid"],
+    )
+    @pytest.mark.parametrize("size", [1, 7, 100, 255])
+    def test_batches_of_any_size_join_to_the_rows(self, settings, size):
+        result = run_sweep(build_config(settings))
+        batches = list(result.batches(size))
+        assert all(1 <= len(batch) <= size for batch in batches)
+        assert np.array_equal(np.concatenate(batches), result.rows)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_batches_refuse_a_size_below_one(self, size):
+        result = run_sweep(build_config({"scenario": "fig4"}))
+        with pytest.raises(ValueError, match=f"batch size {size} "):
+            next(iter(result.batches(size)))
+
+    @pytest.mark.parametrize(
         "scenario", [name for name in SCENARIO_PRESETS if name.startswith("fig")]
     )
     def test_written_file_is_the_rendered_text(self, tmp_path, scenario, capsys):
@@ -1138,8 +1163,52 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, "amplitudes", None)  # no kernel call of its own
         result = verify_mod.criterion_figure_claims()
         assert result.passed, result.details
-        # the fig3b resonances, then fig6c's 41 phases times 14 states at once
-        assert calls == [(6, 1), (41, 14)]
+        # the grid fig2a, fig2b and fig3b share, 3 u times 2,001 phases, times their
+        # three states; then the fig3b resonances, then fig6c's 41 phases times 14
+        # states at once
+        assert calls == [(6003, 3), (6, 1), (41, 14)]
+
+    def test_criterion_8_reads_the_theta_presets_from_one_call(self, monkeypatch):
+        from spinfp.scenarios import verify as verify_mod
+
+        curve, curves = verify_mod._curve, []
+
+        def recording(impurity_specs, u_values, thetas):
+            curves.append(curve(impurity_specs, u_values, thetas))
+            return curves[-1]
+
+        monkeypatch.setattr(verify_mod, "_curve", recording)
+        assert verify_mod.criterion_figure_claims().passed
+        shared = curves[0]
+        assert shared.shape == (3, 6003)
+        for row, name in zip(shared, ("fig2a", "fig2b", "fig3b")):
+            expected = verify_mod._preset(name)["T"]
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+    def test_three_states_on_6003_points_take_24_kernel_calls(self, monkeypatch):
+        kernel, calls = sweeps.amplitudes, []
+
+        def counting(u, theta):
+            calls.append(len(u))
+            return kernel(u, theta)
+
+        monkeypatch.setattr(sweeps, "amplitudes", counting)
+        chi = np.array([incident_state("u", spec).amplitudes for spec in ("ud", "du", "psi-")])
+        cfg = build_config({"scenario": "fig2a"})
+        table = sweeps._table(cfg.u_values, cfg.theta_values, chi)
+        assert table.shape[0] == 3 * 6003
+        # 255 points, three blocks of 85 points times 3 states, per call
+        assert len(calls) == 24 and sum(calls) == 6003 and max(calls) <= sweeps.CHUNK
+
+    @pytest.mark.parametrize("n", [1, 25, 1000])
+    def test_random_points_are_the_uniform_draws(self, n):
+        from spinfp.scenarios.verify import _random_points
+
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = _random_points(rng, n)
+        expected = reference.uniform((1e-6, 1e-6), (20.0, 2 * math.pi), size=(n, 2))
+        assert np.array_equal(drawn.view(np.int64), expected.view(np.int64))
+        assert rng.random() == reference.random()  # the stream is where uniform leaves it
 
     def test_criteria_2_to_4_draw_the_reference_inputs(self, monkeypatch):
         # the reference draws each input one at a time, as the criteria once did

@@ -240,3 +240,57 @@ class TestFullScatteringMatrix:
             FullScatteringMatrix(blocks, zero, blocks, zero, wave_number=k)
         message = str(info.value)
         assert "wave number 2.5" in message and "2.100e-01" in message and "1e-10" in message
+
+
+def empty_wire_composition(chain):
+    """The sites starred in order onto the empty wire, the star product's
+    identity: the composition before the oracle started from its first site."""
+    from spinfp.transfer_oracle import _star
+
+    ops = spin_operators()
+    k = np.asarray(chain.wave_number, dtype=float)[..., None, None]
+    eye = np.eye(8, dtype=complex)
+    free = np.broadcast_to(eye, k.shape[:-2] + eye.shape)
+    blocks = (free, 0 * free, free, 0 * free)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for site in chain.sites:
+            dot = ops.electron_dot_imp1 if site.spin_index == 1 else ops.electron_dot_imp2
+            t = np.linalg.inv(eye + 0.5j * np.multiply.outer(site.strength, 2.0 * dot))
+            r = t - eye
+            phase = np.exp(2j * k * site.position)
+            blocks = _star(blocks, (t, r * phase, t, r / phase))
+    return blocks
+
+
+class TestFirstSiteComposition:
+    """Starting from the first site's blocks gives the empty-wire composition
+    exactly; only the signs of some zeros may differ."""
+
+    @staticmethod
+    def assert_same_blocks(chain):
+        fsm = oracle_scattering(chain)
+        names = ("transmission", "reflection", "transmission_right", "reflection_right")
+        for name, expected in zip(names, empty_wire_composition(chain)):
+            block = getattr(fsm, name)
+            assert block.shape == expected.shape
+            assert np.max(np.abs(block - expected)) == 0.0
+
+    def test_on_criterion_1_points(self):
+        from spinfp.scenarios.verify import _SEED, _random_points
+
+        u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
+        for s in (slice(0, 256), slice(256, 512), slice(512, 768), slice(768, 1000)):
+            self.assert_same_blocks(two_impurity_chain(DimensionlessParams(u[s], theta[s])))
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+    def test_on_random_chains(self, n_sites):
+        rng = np.random.default_rng(40 + n_sites)
+        for _ in range(20):
+            self.assert_same_blocks(random_chain(rng, n_sites))
+
+    def test_one_site_broadcasts_strengths_and_wave_numbers(self):
+        strengths = np.array([[0.5], [2.0], [7.0]])
+        for k in (1.3, np.array([0.3, 1.0, 2.5, 4.0])):
+            for strength in (2.0, strengths):
+                chain = ImpurityChain(sites=(Impurity(0.4, strength, 1),), wave_number=k)
+                self.assert_same_blocks(chain)
