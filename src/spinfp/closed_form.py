@@ -16,12 +16,14 @@ the formulas keep full precision at any coupling and any finite phase.
 
 These closed forms serve production: ``amplitudes`` evaluates them on a
 stack of points and returns product-basis t and r, the matrices that sweeps,
-``scatter`` and verify read.  Total spin and S_z are conserved, so each
-matrix is the quartet amplitude and the four doublet amplitudes times five
-constant operators, ``spin_algebra.sector_operators``, which are built
-exactly from the spin operators.  ``_product`` sums them: one ``np.unique``
-finds the 10 distinct nonzero entries, and one ``np.einsum`` forms each from
-0.0 in operator order, with no BLAS, no fused multiply-add (numpy's X86_V2
+``scatter`` and verify read, or only the columns of them that a caller's
+incident states use: a sweep asks for those, so it builds no dense 8x8
+matrix.  Total spin and S_z are conserved, so each matrix is the quartet
+amplitude and the four doublet amplitudes times five constant operators,
+``spin_algebra.sector_operators``, which are built exactly from the spin
+operators.  ``_product`` sums them: one ``np.unique`` finds the 10
+distinct nonzero entries, and one ``np.einsum`` forms each from 0.0 in
+operator order, with no BLAS, no fused multiply-add (numpy's X86_V2
 baseline) and no diagonalised basis.  The boundary-value solver shares it:
 only this sum knows the sectors.  They are never trusted alone: the
 waveguide_solver re-derives the same amplitudes from the boundary-value
@@ -220,17 +222,19 @@ def _sector_plan() -> tuple[np.ndarray, np.ndarray]:
     return weights, column.reshape(-1)  # numpy 2.0.0 returns the inverse 2-D
 
 
-def _product(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Product-basis t and r, each (N, 8, 8), from the (5, 2, N) sector amplitudes.
+def _product(sectors: np.ndarray, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Product-basis t and r, each (N, 8, m), from the (5, 2, N) sector amplitudes:
+    the ``columns`` of the matrices, by default all eight (m = 8).
 
     Each matrix is q P + D00 M00 + D01 M01 + D10 M10 + D11 M11
     (``sector_operators``).  One ``np.einsum``, without ``optimize`` and so
     without BLAS, forms each distinct entry as 0.0 plus its five weighted
     terms in operator order, for the real and the imaginary part apart (a
     zero weight adds a zero, which moves no bit); its loop has no fused
-    multiply-add at numpy's X86_V2 baseline.  A point's bits depend on that
-    point alone, no entry is -0.0, and entries between different S_z
-    sectors are exactly zero.
+    multiply-add at numpy's X86_V2 baseline.  One ``np.take`` of those
+    values writes only the asked columns, so a column has the bits it has in
+    the dense matrix.  A point's bits depend on that point alone, no entry
+    is -0.0, and entries between different S_z sectors are exactly zero.
     """
     n = sectors.shape[-1]
     # (operator, t or r, point, re or im), and likewise (column, ...) for the values
@@ -238,18 +242,21 @@ def _product(sectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights, column = _sector_plan()
     values = np.einsum("gk,kn->gn", weights, x)
     values = np.moveaxis(values.view(complex).reshape(len(values), 2, n), 0, -1)
-    t, r = np.take(values, column, axis=-1).reshape(2, n, 8, 8)
+    t, r = np.take(values, column.reshape(8, 8)[:, columns], axis=-1)
     return t, r
 
 
-def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission and reflection matrices, each (N, 8, 8), in the product basis.
+def amplitudes(u, theta, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Transmission and reflection matrices, each (N, 8, 8), in the product basis,
+    or their ``columns`` alone: ``t[..., columns]`` and ``r[..., columns]``.
 
     ``u`` and ``theta`` are arrays of length N; point i is (u[i], theta[i]).
-    Each matrix is ``_product`` of the quartet amplitude and the 2x2
-    doublet block: it commutes with S^2, S_z and S_-, and entries between
-    different S_z sectors are exactly zero.  Flux is checked on every point
-    and incident channel; an overflow (g^4 exceeds the largest double from
+    ``columns`` is a slice or an array of column indices, the incident
+    product-basis kets a caller's states use.  Each matrix is ``_product``
+    of the quartet amplitude and the 2x2 doublet block: it commutes with
+    S^2, S_z and S_-, and entries between different S_z sectors are exactly
+    zero.  Flux is checked on every point and incident channel, whichever
+    columns are returned; an overflow (g^4 exceeds the largest double from
     u of about 1e76) reaches that check as nan and is reported with its
     point.
     """
@@ -258,4 +265,4 @@ def amplitudes(u, theta) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         sectors = np.concatenate(([_quartet(g, ring)], _doublet(g, ring)))
         _check_flux(sectors, p.u, p.theta)
-    return _product(sectors)
+    return _product(sectors, columns)

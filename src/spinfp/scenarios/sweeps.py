@@ -9,11 +9,16 @@ Every sweep kind is one grid of points (u, theta), the outer axis, times
 incident product-basis states, the inner one: theta and coupling sweeps
 have one state, a family sweep its grid of states at the fixed phase.  One
 grid builder calls the production kernel ``closed_form.amplitudes`` on up to
-``CHUNK`` points at a time whatever the number of states, and
-``observables.observable_table`` on up to ``CHUNK`` rows of them, states and
-matrices alike in the product basis.  The sweep is computed as it is
-written: a generator puts those rows beside the lead columns (the config's
-grid values) and yields the table ``3 * CHUNK`` rows at a time, building a
+``3 * CHUNK`` points at a time whatever the number of states, and
+``observables.observable_table`` once on up to ``3 * CHUNK`` rows of them,
+the rows ``write_csv`` renders in one call.  States and matrices alike are
+in the product basis, cut to the columns where some incident state of the
+sweep is nonzero, which the config tells: one to four of the eight, so the
+kernel builds no dense 8x8 matrix.  A dropped column's state entries are
+all +-0, so its terms would add exact zeros to sums that start at +0.0, and
+the rows keep their bits.  The sweep is computed as it is written: a
+generator puts those rows beside the lead columns (the config's grid
+values) and yields the table ``3 * CHUNK`` rows at a time, building a
 family's states ``16 * CHUNK`` at a time from their (vartheta, phi)
 indices, so no array as long as the sweep exists but the config's grids.
 ``SweepResult.rows`` asks it for the whole table at once.
@@ -50,8 +55,9 @@ from ._format import format_rows
 from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
 
-# rows per row-builder call and points per kernel call; temporaries near 1 MB,
-# as for the 3 * CHUNK rows per render call
+# a sweep's rows per row-builder and render call, and points per kernel call,
+# are 3 * CHUNK (temporaries near 1 MB); verify's criterion 1 takes CHUNK points
+# per call, as its peak RSS rose with larger ones
 CHUNK = 256
 
 
@@ -93,29 +99,39 @@ def _points(u_values, theta_values, start: int, stop: int):
     return u_values[i], theta_values[j]
 
 
-def _blocks(u_values, theta_values, size: int, n_states: int, states, span_len: int):
+def _blocks(u_values, theta_values, size: int, n_states: int, states, span_len: int,
+            used: np.ndarray):
     """Observables over the points of the grid u_values x theta_values, u the
     outer axis, times ``n_states`` incident product-basis states, the inner one.
 
     ``states(span)`` gives the states of a span of at most ``span_len`` and a
-    tuple of columns of values per state.  Yields (u, theta, values, table) in
-    row order: the block's points, those columns at its states, and
-    ``observable_table`` of shape (points, states, columns), at most
-    min(CHUNK, size) rows.  The kernel runs once per group of up to CHUNK
-    points, a whole number of blocks' points, whatever the number of states.
+    tuple of columns of values per state; ``used`` holds the indices of the
+    product-basis kets where any of the states is nonzero, and only those
+    columns of the states and of t and r reach the kernel and the row
+    builder.  Yields (u, theta, values, table) in row order: the block's
+    points, those columns at its states, and ``observable_table`` of shape
+    (points, states, columns), at most min(3 * CHUNK, size) rows.  The kernel
+    runs once per group of up to 3 * CHUNK points, a whole number of blocks'
+    points, whatever the number of states.
     """
-    size = min(CHUNK, size)  # rows per block
+    batch = 3 * CHUNK  # read here, so that a patched CHUNK applies
+    size = min(batch, size)  # rows per block
     n_points = len(u_values) * len(theta_values)
     step = max(1, size // n_states)  # points per block
-    group = step * (CHUNK // step)  # points per kernel call
+    group = step * (batch // step)  # points per kernel call
+
+    def used_states(span):  # np.take, not chi[:, used]: a contiguous chi keeps every bit
+        chi, values = states(span)
+        return chi.take(used, axis=-1), values
+
     spans = [slice(a, min(a + span_len, n_states)) for a in range(0, n_states, span_len)]
-    built = states(spans[0]) if len(spans) == 1 else None  # then built once
+    built = used_states(spans[0]) if len(spans) == 1 else None  # then built once
     for start in range(0, n_points, group):
         u, theta = _points(u_values, theta_values, start, min(start + group, n_points))
-        t, r = amplitudes(u, theta)
+        t, r = amplitudes(u, theta, used)
         for p in _chunks(len(u), step):
             for span in spans:
-                chi, values = states(span) if built is None else built
+                chi, values = used_states(span) if built is None else built
                 for s in _chunks(len(chi), size):
                     table = observable_table(t[p, None], r[p, None], chi[s],
                                              u[p, None], theta[p, None])
@@ -127,7 +143,9 @@ def _blocks(u_values, theta_values, size: int, n_states: int, states, span_len: 
 def _table(u_values, theta_values, chi) -> np.ndarray:
     """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
     outer axis, times the incident product-basis states chi, the inner one."""
-    blocks = _blocks(u_values, theta_values, CHUNK, len(chi), lambda s: (chi[s], ()), len(chi))
+    used = np.flatnonzero(np.any(chi, axis=0))
+    blocks = _blocks(u_values, theta_values, 3 * CHUNK, len(chi), lambda s: (chi[s], ()),
+                     len(chi), used)
     return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
 
 
@@ -138,13 +156,16 @@ def _batches(cfg: SweepConfig, size: int):
     if size < 1:
         raise ValueError(f"batch size {size!r} is not a positive number of rows")
     if cfg.kind == "family":
-        electron = [electron_state(cfg.electron_spin)]
+        electron = electron_state(cfg.electron_spin)
         builder = family_builder(cfg.impurity_state)
+        # the electron's nonzero components times the family's two kets, both
+        # nonzero at a mix off the axes
+        used = np.flatnonzero(np.kron(electron != 0, builder(1.0, 0.0) != 0))
 
         def states(span):  # and their vartheta and phi, phi the inner axis
             i, j = np.divmod(np.arange(span.start, span.stop), len(cfg.phi_values))
             vartheta, phi = cfg.vartheta_values[i], cfg.phi_values[j]
-            return np.kron(electron, builder(vartheta, phi)), (vartheta, phi)
+            return np.kron([electron], builder(vartheta, phi)), (vartheta, phi)
 
         def lead_values(u, theta, values):
             return (*values, u[:, None])
@@ -152,6 +173,7 @@ def _batches(cfg: SweepConfig, size: int):
         n_states = len(cfg.vartheta_values) * len(cfg.phi_values)
     else:
         chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]
+        used = np.flatnonzero(chi)
 
         def states(span):
             return chi[span], ()
@@ -165,7 +187,8 @@ def _batches(cfg: SweepConfig, size: int):
     # batch's worth: each build pays a fixed cost in np.kron and the family
     # builder (about 26 us on a 2-vCPU x86-64 host), which at 768 states a
     # build slowed a 30,125-state family sweep by 7%
-    blocks = _blocks(cfg.u_values, cfg.theta_values, size, n_states, states, max(size, 16 * CHUNK))
+    blocks = _blocks(cfg.u_values, cfg.theta_values, size, n_states, states,
+                     max(size, 16 * CHUNK), used)
     for u, theta, values, table in blocks:
         lead = lead_values(u, theta, values)
         rows = table.shape[0] * table.shape[1]
@@ -176,7 +199,7 @@ def _batches(cfg: SweepConfig, size: int):
             block[..., c] = column
         block[..., len(lead):] = table
         filled, left = filled + rows, left - rows
-        if filled == len(out) or len(out) - filled < min(CHUNK, size, left):  # no room for the next block
+        if filled == len(out) or len(out) - filled < min(3 * CHUNK, size, left):  # no room for the next block
             yield out[:filled]
             out = None
 

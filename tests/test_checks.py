@@ -47,8 +47,8 @@ def _row_with(monkeypatch, part):
 
 def _family_sweep_with_a_nan_at_u2(monkeypatch):
     """A family sweep at u = 1, 2 with a nan written into t at u = 2."""
-    def poisoned(u, theta):
-        t, r = amplitudes(u, theta)
+    def poisoned(u, theta, columns=slice(None)):
+        t, r = amplitudes(u, theta, columns)
         t[np.asarray(u) == 2.0] = np.nan
         return t, r
 

@@ -369,6 +369,21 @@ class TestAmplitudes:
             t1, r1 = amplitudes(u[i:i + 1], theta[i:i + 1])
             assert np.array_equal(t1[0], t[i]) and np.array_equal(r1[0], r[i])
 
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_columns_are_the_dense_columns_bit_for_bit(self, seed):
+        # any columns, in any order, as an index array or a slice
+        u, theta = kernel_draws(120)
+        rng = np.random.default_rng(seed)
+        keep = rng.permutation(len(u))[:rng.integers(1, len(u))]
+        u, theta = u[keep], theta[keep]
+        dense = amplitudes(u, theta)
+        for columns in (np.array([3]), np.array([1, 2]), np.array([0, 3, 4, 7]),
+                        rng.permutation(8)[:5], np.arange(8), slice(2, 6)):
+            for got, full in zip(amplitudes(u, theta, columns), dense):
+                want = np.ascontiguousarray(full[..., columns])
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
     def test_unitarity(self):
         u, theta = kernel_draws()
         t, r = amplitudes(u, theta)

@@ -172,7 +172,8 @@ def test_preset_tables(scenario):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_preset_table_in_small_chunks(monkeypatch, chunk):
-    # the kernel takes 1 or 7 points per call, and write_csv renders three CHUNKs of rows
+    # the kernel and the row builder take 3 or 21 points per call, the rows write_csv
+    # renders at once
     monkeypatch.setattr(sweeps, "CHUNK", chunk)
     result = run_sweep(build_config({"scenario": "fig7"}))
     assert written(result) == reference(result.header, result.columns, result.rows)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinfp.closed_form import amplitudes
 from spinfp.errors import DomainError
 from spinfp.observables import observable_table
 from spinfp.scenarios import cli
@@ -24,6 +25,7 @@ from spinfp.scenarios.config import (
 from spinfp.scenarios.states import (
     aligned_family,
     electron_state,
+    family_builder,
     impurity_state,
     incident_state,
     one_up_family,
@@ -554,7 +556,7 @@ class TestSweeps:
             line.decode("ascii")
 
     def test_family_points_share_row_builder_calls(self, monkeypatch):
-        # 600 u values of one state each: CHUNK points share each row-builder call
+        # 1,800 u values of one state each: 3 * CHUNK points share each row-builder call
         calls = []
 
         def counted(*args):
@@ -562,11 +564,11 @@ class TestSweeps:
             return observable_table(*args)
 
         monkeypatch.setattr(sweeps, "observable_table", counted)
-        u_list = ",".join(repr(0.01 * k) for k in range(1, 601))
+        u_list = ",".join(repr(0.01 * k) for k in range(1, 1801))
         result = run_sweep(build_config({
             "scenario": "fig5", "vartheta_steps": "1", "phi_steps": "1", "u_list": u_list}))
-        assert len(result.rows) == 600
-        assert len(calls) == math.ceil(600 / sweeps.CHUNK)
+        assert len(result.rows) == 1800
+        assert len(calls) == math.ceil(1800 / (3 * sweeps.CHUNK))
 
     @pytest.mark.parametrize(
         "settings",
@@ -717,6 +719,135 @@ class TestSweeps:
         assert partial == header + first_rows and first_rows.count(b"\n") == 3 * sweeps.CHUNK
         assert path.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == [path]
+
+
+def spanned_states(cfg):
+    """Every incident state the sweep spans at a point, in row order (phi the inner axis)."""
+    if cfg.kind != "family":
+        return np.array([incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes])
+    vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
+    pairs = family_builder(cfg.impurity_state)(vartheta.ravel(), phi.ravel())
+    return np.kron([electron_state(cfg.electron_spin)], pairs)
+
+
+def dense_rows(cfg):
+    """The sweep's table by the dense reference: every column of t, r and the states,
+    one kernel call and one ``observable_table`` call over the whole grid."""
+    chi = spanned_states(cfg)
+    u, theta = (a.ravel() for a in np.meshgrid(cfg.u_values, cfg.theta_values, indexing="ij"))
+    t, r = amplitudes(u, theta)
+    table = observable_table(t[:, None], r[:, None], chi, u[:, None], theta[:, None])
+    if cfg.kind == "family":
+        vartheta, phi = np.meshgrid(cfg.vartheta_values, cfg.phi_values, indexing="ij")
+        lead = (vartheta.ravel(), phi.ravel(), u[:, None])
+    else:
+        lead = (theta[:, None], u[:, None])
+    lead = np.stack([np.broadcast_to(column, table.shape[:2]) for column in lead], axis=-1)
+    rows = np.concatenate((lead, table), axis=-1)
+    return rows.reshape(-1, rows.shape[-1])
+
+
+# every figure preset, then custom electrons (with entries of -0.0, or complex) on a
+# theta, a coupling and both kinds of family sweep, on smaller grids
+DENSE_REFERENCE_CONFIGS = {
+    **{name: {"scenario": name} for name in SCENARIO_PRESETS if name.startswith("fig")},
+    **{f"{name}/{electron}": {**settings, "electron_spin": electron}
+       for electron in ("0,-1", "-0.6,0.8j", "0.6+0.1j,0.8")
+       for name, settings in [
+           ("fig2a", {"scenario": "fig2a", "theta_steps": "201"}),
+           ("fig6", {"scenario": "fig6", "theta_steps": "201"}),
+           ("fig7", {"scenario": "fig7", "u_steps": "300"}),
+           ("fig5", {"scenario": "fig5", "vartheta_steps": "21", "phi_steps": "11",
+                     "u_list": "2,10"}),
+           ("fig5-uu_dd", {"scenario": "fig5", "impurity_state": "uu_dd",
+                           "vartheta_steps": "21", "phi_steps": "11", "u_list": "2,10"}),
+       ]},
+}
+
+
+def _random_states(n):
+    raw = np.random.default_rng(n).standard_normal((n, 16)).view(complex)
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+# per case, incident states: electrons 0,-1 and -1,0 (entries of -0.0) with every
+# kind of impurity state, random complex states on all eight columns, and the
+# states of every figure preset
+USED_COLUMN_STATES = {
+    **{f"{electron}|{spec}": np.array([incident_state(electron, spec).amplitudes])
+       for electron in ("0,-1", "-1,0")
+       for spec in ("uu", "ud", "du", "dd", "psi+", "psi-", "uu_dd theta=0.7 phi=2",
+                    "family2 theta=0.3 phi=-1")},
+    "random": _random_states(5),
+    **{name: spanned_states(build_config({"scenario": name}))
+       for name in SCENARIO_PRESETS if name.startswith("fig")},
+}
+
+
+class TestUsedColumns:
+    """A sweep computes only the product-basis columns its incident states use,
+    and writes the bytes of the dense path."""
+
+    def test_some_states_hold_negative_zeros(self):
+        parts = np.concatenate([chi for case, chi in USED_COLUMN_STATES.items()
+                                if "|" in case]).view(np.float64)
+        assert np.any(np.signbit(parts) & (parts == 0.0))
+
+    @pytest.mark.parametrize("case", list(USED_COLUMN_STATES))
+    def test_rows_on_the_used_columns_are_the_dense_rows(self, case):
+        # observable_table on the columns the states use, of t, r and the states
+        chi = USED_COLUMN_STATES[case]
+        used = np.flatnonzero(np.any(chi, axis=0))
+        assert len(used) == 8 if case == "random" else len(used) <= 4
+        rng = np.random.default_rng(11)
+        u, theta = rng.uniform(0.01, 20, 6), rng.uniform(0.1, 4 * math.pi, 6)
+        u[0], theta[0] = 2.0, math.pi
+        t, r = amplitudes(u, theta)
+        t_used, r_used = amplitudes(u, theta, used)
+        chi_used = chi.take(used, axis=-1)
+        # a grid of points times states, as every sweep calls it
+        dense = observable_table(t[:, None], r[:, None], chi, u[:, None], theta[:, None])
+        got = observable_table(t_used[:, None], r_used[:, None], chi_used, u[:, None],
+                               theta[:, None])
+        assert got.tobytes() == dense.tobytes()  # -0.0 and 0.0 differ in their bytes
+        # one state per point
+        s = np.arange(len(u)) % len(chi)
+        dense = observable_table(t, r, chi[s], u, theta)
+        assert observable_table(t_used, r_used, chi_used[s], u, theta).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [*({"scenario": name} for name in SCENARIO_PRESETS if name.startswith("fig")),
+         {"scenario": "fig5", "electron_spin": "0.6+0.1j,0.8"},
+         {"scenario": "fig5", "electron_spin": "0.6+0.1j,0.8", "impurity_state": "uu_dd"}],
+        ids=lambda settings: "/".join(settings.values()),
+    )
+    def test_used_columns_cover_every_state(self, monkeypatch, settings):
+        kernel, asked = sweeps.amplitudes, []
+
+        def recording(u, theta, columns=slice(None)):
+            asked.append(columns)
+            return kernel(u, theta, columns)
+
+        monkeypatch.setattr(sweeps, "amplitudes", recording)
+        cfg = build_config(settings)
+        for _ in run_sweep(cfg).batches(3 * sweeps.CHUNK):
+            pass
+        nonzero = np.flatnonzero(np.any(spanned_states(cfg), axis=0))
+        assert asked and all(set(nonzero) <= set(columns.tolist()) for columns in asked)
+
+    @pytest.mark.parametrize("name", list(DENSE_REFERENCE_CONFIGS))
+    def test_bytes_match_the_dense_reference(self, tmp_path, monkeypatch, name):
+        cfg = build_config(DENSE_REFERENCE_CONFIGS[name])
+        rows = dense_rows(cfg)
+        result = run_sweep(cfg)
+        reference = SweepResult(
+            header=result.header, columns=result.columns, row_count=len(rows),
+            batches=lambda size: (rows[i:i + size] for i in range(0, len(rows), size)))
+        expected = write_csv(reference, tmp_path / "dense.csv").read_bytes()
+        for chunk in (1, 7, 256, 4096):
+            monkeypatch.setattr(sweeps, "CHUNK", chunk)
+            assert write_csv(run_sweep(cfg), tmp_path / "sweep.csv").read_bytes() == expected
 
 
 class TestOutputTarget:
@@ -1051,8 +1182,9 @@ class TestCli:
         assert "np.float64" not in message
 
     def test_failure_mid_stream_leaves_the_earlier_file(self, tmp_path, capsys, monkeypatch):
-        # the rows of u = 2 start at row 1000, in the second batch of 768: the
-        # first batch is on disk in the temporary sibling when the nan is found
+        # the rows of u = 2 start at row 1000, in the second kernel call and batch
+        # of 768: the first batch is on disk in the temporary sibling when the nan
+        # is found
         output = tmp_path / "sweep.csv"
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"scenario = fig2a\ntheta_steps = 1000\nu_list = 1,2\n"
@@ -1060,8 +1192,8 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
         earlier = output.read_bytes()
 
-        def poisoned(u, theta):
-            t, r = kernel(u, theta)
+        def poisoned(u, theta, columns=slice(None)):
+            t, r = kernel(u, theta, columns)
             if np.any(np.asarray(u) == 2.0):
                 written.extend(path.stat().st_size for path in tmp_path.glob(".*.tmp"))
             t[np.asarray(u) == 2.0] = np.nan
@@ -1185,20 +1317,20 @@ class TestVerify:
             expected = verify_mod._preset(name)["T"]
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
-    def test_three_states_on_6003_points_take_24_kernel_calls(self, monkeypatch):
+    def test_three_states_on_6003_points_take_8_kernel_calls(self, monkeypatch):
         kernel, calls = sweeps.amplitudes, []
 
-        def counting(u, theta):
+        def counting(u, theta, columns=slice(None)):
             calls.append(len(u))
-            return kernel(u, theta)
+            return kernel(u, theta, columns)
 
         monkeypatch.setattr(sweeps, "amplitudes", counting)
         chi = np.array([incident_state("u", spec).amplitudes for spec in ("ud", "du", "psi-")])
         cfg = build_config({"scenario": "fig2a"})
         table = sweeps._table(cfg.u_values, cfg.theta_values, chi)
         assert table.shape[0] == 3 * 6003
-        # 255 points, three blocks of 85 points times 3 states, per call
-        assert len(calls) == 24 and sum(calls) == 6003 and max(calls) <= sweeps.CHUNK
+        # 768 points, three blocks of 256 points times 3 states, per call
+        assert len(calls) == 8 and sum(calls) == 6003 and max(calls) <= 3 * sweeps.CHUNK
 
     @pytest.mark.parametrize("n", [1, 25, 1000])
     def test_random_points_are_the_uniform_draws(self, n):
