@@ -242,6 +242,14 @@ def write_csv(result: SweepResult, path: str | Path) -> Path:
     ``output_target(path)``, which then replaces that target, so a symlinked
     ``path`` stays a link.  A failure while computing, such as a
     ``NumericError``, is a failed write.
+
+    Writing over an earlier file makes the rename the costly step: on ext4 on a
+    2-vCPU x86-64 host, renaming a 750 KB CSV over an existing one took 0.7 to
+    1 ms (median), against about 10 us for a rename to a new name, as ext4
+    flushes the new data first when a rename replaces a file
+    (``auto_da_alloc``).  The replace stays: it is what leaves the earlier
+    file whole until the new one is complete, and unlinking the target first
+    would leave no file in between.
     """
     out = output_target(path)
     out.parent.mkdir(parents=True, exist_ok=True)

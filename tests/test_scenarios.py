@@ -2,6 +2,7 @@ import io
 import math
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -840,12 +841,19 @@ class TestUsedColumns:
     def test_bytes_match_the_dense_reference(self, tmp_path, monkeypatch, name):
         cfg = build_config(DENSE_REFERENCE_CONFIGS[name])
         rows = dense_rows(cfg)
+        # small chunks cut the grid builder's blocks and kernel calls most often;
+        # the table's bits are compared there, as rendering 3 or 21 rows per
+        # call is slow, and the CSV bytes at the sizes a sweep renders in
+        for chunk in (1, 7):
+            monkeypatch.setattr(sweeps, "CHUNK", chunk)
+            table = np.concatenate(list(run_sweep(cfg).batches(3 * chunk)))
+            assert table.shape == rows.shape and table.tobytes() == rows.tobytes()
         result = run_sweep(cfg)
         reference = SweepResult(
             header=result.header, columns=result.columns, row_count=len(rows),
             batches=lambda size: (rows[i:i + size] for i in range(0, len(rows), size)))
         expected = write_csv(reference, tmp_path / "dense.csv").read_bytes()
-        for chunk in (1, 7, 256, 4096):
+        for chunk in (256, 4096):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
             assert write_csv(run_sweep(cfg), tmp_path / "sweep.csv").read_bytes() == expected
 
@@ -909,6 +917,51 @@ class TestCli:
 
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_calls_behave_like_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # one process runs a sweep, a config error, an argparse error, --help,
+        # convert, then the sweep again: the argparse error and the help read as
+        # a fresh interpreter's, and the repeated sweep writes the same bytes
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the children
+        source = str(Path(cli.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        children = {argv: subprocess.Popen(
+            [sys.executable, "-m", "spinfp.scenarios.cli", argv], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in ("sweep", "--help")}
+        fresh = {}  # per argv, as call() below reports it
+        for argv, child in children.items():
+            out, err = child.communicate()
+            fresh[argv] = (("SystemExit", child.returncode), out, err)
+
+        def call(*argv):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            return code, *capsys.readouterr()
+
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {out_file}\n")
+        sweep = ("sweep", "--config", str(cfg_file))
+        assert call(*sweep) == (0, f"wrote 3 rows to {out_file}\n", "")
+        first = out_file.read_bytes()
+        code, out, err = call("sweep", "--config", str(tmp_path / "gone.cfg"))
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert fresh["sweep"][0] == ("SystemExit", 2) and "--config" in fresh["sweep"][2]
+        assert call("sweep") == fresh["sweep"]
+        assert fresh["--help"][0] == ("SystemExit", 0) and "usage: spinfp" in fresh["--help"][1]
+        assert call("--help") == fresh["--help"]
+        code, out, err = call("convert", "--mstar", "0.067", "--energy-mev", "2",
+                              "--coupling-evA", "1")
+        assert (code, err) == (0, "") and out.startswith("u = 0.94") and out.count("\n") == 4
+        assert call(*sweep) == (0, f"wrote 3 rows to {out_file}\n", "")
+        assert out_file.read_bytes() == first
+        assert sorted(tmp_path.iterdir()) == sorted([cfg_file, out_file])
 
     @pytest.mark.parametrize("output", ["", ".", "/"])
     def test_output_naming_no_file_exit_code(self, tmp_path, monkeypatch, capsys, output):
