@@ -18,11 +18,11 @@ kernel builds no dense 8x8 matrix.  A dropped column's state entries are
 all +-0, so its terms would add exact zeros to sums that start at +0.0, and
 the rows keep their bits.  The sweep is computed as it is written: a
 generator puts those rows beside the lead columns (the config's grid
-values) and yields the table ``3 * CHUNK`` rows at a time, building a
-family's states ``16 * CHUNK`` at a time from their (vartheta, phi)
-indices, so no array as long as the sweep exists but the config's grids.
-``SweepResult.rows`` asks it for the whole table at once.
-This module names only the lead columns; the rest are
+values) and yields the table as the grid builder's blocks, at most
+``3 * CHUNK`` rows each, building a family's states ``16 * CHUNK`` at a time
+from their (vartheta, phi) indices, so no array as long as the sweep exists
+but the config's grids.  ``SweepResult.rows`` fills the whole table from
+those blocks.  This module names only the lead columns; the rest are
 ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
 its own point and state only, so the output does not depend on the chunk
 size.  Every sweep kind reads its phases from ``SweepConfig.theta_values``,
@@ -65,20 +65,24 @@ CHUNK = 256
 class SweepResult:
     """A sweep's header echo lines, column names and its table, computed as it is read.
 
-    Each call ``batches(size)`` computes the table again and yields it in row
-    order, a float64 array of shape (rows, len(columns)) at a time, at most
-    ``size`` rows.  ``rows``, the whole table of ``row_count`` rows as one
-    read-only array, is built on first access as one batch.
+    Each call ``batches()`` computes the table again and yields it in row
+    order as the grid builder's blocks, each a float64 array of shape
+    (rows, len(columns)) of at most ``3 * CHUNK`` rows.  ``rows``, the whole
+    table of ``row_count`` rows as one read-only array, is filled from them
+    on first access.
     """
 
     header: tuple[str, ...]
     columns: tuple[str, ...]
-    batches: Callable[[int], Iterable[np.ndarray]]
+    batches: Callable[[], Iterable[np.ndarray]]
     row_count: int
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        (rows,) = self.batches(self.row_count)  # filled in place, block by block
+        rows, filled = np.empty((self.row_count, len(self.columns))), 0
+        for batch in self.batches():
+            rows[filled:filled + len(batch)] = batch
+            filled += len(batch)
         rows.flags.writeable = False
         return rows
 
@@ -99,26 +103,29 @@ def _points(u_values, theta_values, start: int, stop: int):
     return u_values[i], theta_values[j]
 
 
-def _blocks(u_values, theta_values, size: int, n_states: int, states, span_len: int,
-            used: np.ndarray):
+def _blocks(u_values, theta_values, n_states: int, states, used: np.ndarray):
     """Observables over the points of the grid u_values x theta_values, u the
     outer axis, times ``n_states`` incident product-basis states, the inner one.
 
-    ``states(span)`` gives the states of a span of at most ``span_len`` and a
+    ``states(span)`` gives the states of a span of at most ``16 * CHUNK`` and a
     tuple of columns of values per state; ``used`` holds the indices of the
     product-basis kets where any of the states is nonzero, and only those
     columns of the states and of t and r reach the kernel and the row
     builder.  Yields (u, theta, values, table) in row order: the block's
     points, those columns at its states, and ``observable_table`` of shape
-    (points, states, columns), at most min(3 * CHUNK, size) rows.  The kernel
-    runs once per group of up to 3 * CHUNK points, a whole number of blocks'
-    points, whatever the number of states.
+    (points, states, columns), at most 3 * CHUNK rows.  The kernel runs once
+    per group of up to 3 * CHUNK points, a whole number of blocks' points,
+    whatever the number of states.
     """
-    batch = 3 * CHUNK  # read here, so that a patched CHUNK applies
-    size = min(batch, size)  # rows per block
+    size = 3 * CHUNK  # rows per block; read here, so that a patched CHUNK applies
     n_points = len(u_values) * len(theta_values)
     step = max(1, size // n_states)  # points per block
-    group = step * (batch // step)  # points per kernel call
+    group = step * (size // step)  # points per kernel call
+    # states are built 16 * CHUNK at a time (4,096, 0.5 MB): each build pays a
+    # fixed cost in np.kron and the family builder (about 26 us on a 2-vCPU
+    # x86-64 host), which at 768 states a build slowed a 30,125-state family
+    # sweep by 7%
+    span_len = 16 * CHUNK
 
     def used_states(span):  # np.take, not chi[:, used]: a contiguous chi keeps every bit
         chi, values = states(span)
@@ -144,17 +151,14 @@ def _table(u_values, theta_values, chi) -> np.ndarray:
     """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
     outer axis, times the incident product-basis states chi, the inner one."""
     used = np.flatnonzero(np.any(chi, axis=0))
-    blocks = _blocks(u_values, theta_values, 3 * CHUNK, len(chi), lambda s: (chi[s], ()),
-                     len(chi), used)
+    blocks = _blocks(u_values, theta_values, len(chi), lambda s: (chi[s], ()), used)
     return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
 
 
-def _batches(cfg: SweepConfig, size: int):
-    """The sweep's table in row order, at most ``size`` rows at a time: the
-    lead columns, the config's grid values, then ``OBSERVABLE_COLUMNS``.  A
-    batch holds whole blocks, so it is cut short when the next would not fit."""
-    if size < 1:
-        raise ValueError(f"batch size {size!r} is not a positive number of rows")
+def _batches(cfg: SweepConfig):
+    """The sweep's table in row order, one grid builder's block of at most
+    ``3 * CHUNK`` rows at a time: the lead columns, the config's grid values,
+    then ``OBSERVABLE_COLUMNS``."""
     if cfg.kind == "family":
         electron = electron_state(cfg.electron_spin)
         builder = family_builder(cfg.impurity_state)
@@ -182,26 +186,14 @@ def _batches(cfg: SweepConfig, size: int):
             return theta[:, None], u[:, None]
 
         n_states = 1
-    out, left = None, cfg.row_count
-    # states are built 16 * CHUNK at a time (4,096, 0.5 MB), or a larger
-    # batch's worth: each build pays a fixed cost in np.kron and the family
-    # builder (about 26 us on a 2-vCPU x86-64 host), which at 768 states a
-    # build slowed a 30,125-state family sweep by 7%
-    blocks = _blocks(cfg.u_values, cfg.theta_values, size, n_states, states,
-                     max(size, 16 * CHUNK), used)
-    for u, theta, values, table in blocks:
+    for u, theta, values, table in _blocks(cfg.u_values, cfg.theta_values, n_states,
+                                           states, used):
         lead = lead_values(u, theta, values)
-        rows = table.shape[0] * table.shape[1]
-        if out is None:
-            out, filled = np.empty((min(size, left), len(lead) + table.shape[2])), 0
-        block = out[filled:filled + rows].reshape(*table.shape[:2], -1)
+        block = np.empty((*table.shape[:2], len(lead) + table.shape[2]))
         for c, column in enumerate(lead):
             block[..., c] = column
         block[..., len(lead):] = table
-        filled, left = filled + rows, left - rows
-        if filled == len(out) or len(out) - filled < min(3 * CHUNK, size, left):  # no room for the next block
-            yield out[:filled]
-            out = None
+        yield block.reshape(-1, block.shape[-1])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -237,11 +229,11 @@ def output_target(path: str | Path) -> Path:
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the table as CSV atomically: a failed write leaves any earlier file intact.
 
-    The header lines, the column names, then one line per row, streamed a batch
-    at a time as ``result.batches`` computes it to a temporary sibling of
-    ``output_target(path)``, which then replaces that target, so a symlinked
-    ``path`` stays a link.  A failure while computing, such as a
-    ``NumericError``, is a failed write.
+    The header lines, the column names, then one line per row, streamed a block
+    of at most ``3 * CHUNK`` rows at a time as ``result.batches`` computes it to
+    a temporary sibling of ``output_target(path)``, which then replaces that
+    target, so a symlinked ``path`` stays a link.  A failure while computing,
+    such as a ``NumericError``, is a failed write.
 
     Writing over an earlier file makes the rename the costly step: on ext4 on a
     2-vCPU x86-64 host, renaming a 750 KB CSV over an existing one took 0.7 to
@@ -258,7 +250,7 @@ def write_csv(result: SweepResult, path: str | Path) -> Path:
         with open(tmp, "wb") as f:
             lines = [*result.header, ",".join(result.columns)]
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
-            f.writelines(format_rows(batch) for batch in result.batches(3 * CHUNK))
+            f.writelines(format_rows(batch) for batch in result.batches())
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

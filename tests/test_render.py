@@ -50,7 +50,7 @@ def assert_renders_exactly(values, width=3):
     values = np.concatenate([values, np.zeros(-len(values) % width)])
     rows = values.reshape(-1, width)
     columns = tuple(f"c{i}" for i in range(width))
-    result = SweepResult(header=("# scenario = x",), columns=columns, batches=lambda size: [rows],
+    result = SweepResult(header=("# scenario = x",), columns=columns, batches=lambda: [rows],
                          row_count=len(rows))
     assert written(result) == reference(result.header, columns, rows)
 

@@ -572,31 +572,6 @@ class TestSweeps:
         assert len(calls) == math.ceil(1800 / (3 * sweeps.CHUNK))
 
     @pytest.mark.parametrize(
-        "settings",
-        [
-            {"scenario": "fig2a"},
-            {"scenario": "fig4"},
-            # 6 states per point: a block holds whole points' states, or a point's
-            # states in blocks when they outnumber the batch
-            {"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
-             "u_list": "0.5,1,2,3,5,8,10"},
-        ],
-        ids=["fig2a", "fig4", "fig5-small-grid"],
-    )
-    @pytest.mark.parametrize("size", [1, 7, 100, 255])
-    def test_batches_of_any_size_join_to_the_rows(self, settings, size):
-        result = run_sweep(build_config(settings))
-        batches = list(result.batches(size))
-        assert all(1 <= len(batch) <= size for batch in batches)
-        assert np.array_equal(np.concatenate(batches), result.rows)
-
-    @pytest.mark.parametrize("size", [0, -3])
-    def test_batches_refuse_a_size_below_one(self, size):
-        result = run_sweep(build_config({"scenario": "fig4"}))
-        with pytest.raises(ValueError, match=f"batch size {size} "):
-            next(iter(result.batches(size)))
-
-    @pytest.mark.parametrize(
         "scenario", [name for name in SCENARIO_PRESETS if name.startswith("fig")]
     )
     def test_written_file_is_the_rendered_text(self, tmp_path, scenario, capsys):
@@ -666,7 +641,7 @@ class TestSweeps:
         values = special + drawn.tolist()
         rows = tuple(tuple(values[i:i + 3]) for i in range(0, len(values) - 2, 3))
         result = SweepResult(header=("# scenario = x",), columns=("a", "b", "c"),
-                             batches=lambda size: [np.array(rows)], row_count=len(rows))
+                             batches=lambda: [np.array(rows)], row_count=len(rows))
         expected = ["# scenario = x", "a,b,c"]
         expected += [",".join(format_float(v) for v in row) for row in rows]
         text = write_csv(result, tmp_path / "table.csv").read_bytes().decode("utf-8")
@@ -748,10 +723,13 @@ def dense_rows(cfg):
     return rows.reshape(-1, rows.shape[-1])
 
 
-# every figure preset, then custom electrons (with entries of -0.0, or complex) on a
-# theta, a coupling and both kinds of family sweep, on smaller grids
+# every figure preset, fig5 with 4,508 states per point (a 4,096-state span, then
+# 412: the span's last block of 256 rows and the next span's 412 are two
+# batches), then custom electrons (with entries of -0.0, or complex) on a theta,
+# a coupling and both kinds of family sweep, on smaller grids
 DENSE_REFERENCE_CONFIGS = {
     **{name: {"scenario": name} for name in SCENARIO_PRESETS if name.startswith("fig")},
+    "fig5-two-spans": {"scenario": "fig5", "phi_steps": "28", "u_list": "2"},
     **{f"{name}/{electron}": {**settings, "electron_spin": electron}
        for electron in ("0,-1", "-0.6,0.8j", "0.6+0.1j,0.8")
        for name, settings in [
@@ -832,7 +810,7 @@ class TestUsedColumns:
 
         monkeypatch.setattr(sweeps, "amplitudes", recording)
         cfg = build_config(settings)
-        for _ in run_sweep(cfg).batches(3 * sweeps.CHUNK):
+        for _ in run_sweep(cfg).batches():
             pass
         nonzero = np.flatnonzero(np.any(spanned_states(cfg), axis=0))
         assert asked and all(set(nonzero) <= set(columns.tolist()) for columns in asked)
@@ -846,12 +824,14 @@ class TestUsedColumns:
         # call is slow, and the CSV bytes at the sizes a sweep renders in
         for chunk in (1, 7):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
-            table = np.concatenate(list(run_sweep(cfg).batches(3 * chunk)))
+            batches = list(run_sweep(cfg).batches())
+            assert all(1 <= len(batch) <= 3 * chunk for batch in batches)
+            table = np.concatenate(batches)
             assert table.shape == rows.shape and table.tobytes() == rows.tobytes()
         result = run_sweep(cfg)
         reference = SweepResult(
             header=result.header, columns=result.columns, row_count=len(rows),
-            batches=lambda size: (rows[i:i + size] for i in range(0, len(rows), size)))
+            batches=lambda: (rows[i:i + 768] for i in range(0, len(rows), 768)))
         expected = write_csv(reference, tmp_path / "dense.csv").read_bytes()
         for chunk in (256, 4096):
             monkeypatch.setattr(sweeps, "CHUNK", chunk)
