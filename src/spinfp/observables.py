@@ -2,13 +2,12 @@
 
 ``observable_table`` alone turns the closed-form kernel's product-basis
 scattering matrices and product-basis incident states into observables;
-sweeps, ``scatter`` and the acceptance harness all read it, one broadcast
-call per grid of points times states.  Sweeps hand it only the columns of t
-and r, and the entries of the states, where some state is nonzero: the
-dropped terms are exact zeros, so the rows keep the bits of the full
-product.  ``OBSERVABLE_COLUMNS`` names its
-columns in the order it writes them, so the sweep tables take their names
-from here.  tχ and rχ are ``np.einsum`` products; ``np.matmul`` would take
+sweeps, ``scatter`` and the acceptance harness all read it, one call per
+stack of rows.  Sweeps hand it only the columns of t and r, and the entries
+of the states, where some state is nonzero: the dropped terms are exact
+zeros, so the rows keep the bits of the full product.
+``OBSERVABLE_COLUMNS`` names its columns in the order it writes them, so the
+sweep tables take their names from here.  tχ and rχ are ``np.einsum`` products; ``np.matmul`` would take
 the bits of whichever BLAS kernel the CPU picks.  A config's states have at
 most two nonzero amplitudes per S_z sector, so every order sums them alike.
 The star-product oracle serves only the symmetry report, which needs both
@@ -56,14 +55,15 @@ def observable_table(t, r, chi, u, theta) -> np.ndarray:
     are the kernel's matrices (..., 8, m), all eight rows and m of the
     eight columns, and ``chi`` incident states (..., m), the same m
     product-basis entries; m = 8 is the full product, and fewer columns give
-    its bits when every dropped entry of ``chi`` is +-0 (pass contiguous
-    ``chi``, as ``np.take`` gives: a strided one can change the order of
-    the sums over the outgoing kets, and with it the last digits).  Any
-    leading axes broadcast, so (P, 1, 8, m) matrices and (S, m) states give
-    (P, S) rows, each with the bits of its own call.  T, T_up and T_down
+    its bits when every dropped entry of ``chi`` is +-0.  ``chi`` is made
+    C-contiguous first: a strided one can change the order of the sums over
+    the outgoing kets, and with it the last digits.  Any leading axes
+    broadcast, so (P, 1, 8, m) matrices and (S, m) states give (P, S) rows,
+    each with the bits of its own call.  T, T_up and T_down
     must lie in [0, 1] and T + R must equal 1; a failure names its
     (u, theta) point, ``u`` and ``theta`` broadcast to the rows.
     """
+    chi = np.ascontiguousarray(chi)
     gamma = np.einsum("...ij,...j->...i", t, chi)
     rho = np.einsum("...ij,...j->...i", r, chi)
     weights = gamma.real ** 2 + gamma.imag ** 2

@@ -6,23 +6,24 @@ byte-identical files.  The data section carries no timestamps; the ``#``
 header block echoes the resolved configuration.
 
 Every sweep kind is one grid of points (u, theta), the outer axis, times
-incident product-basis states, the inner one: theta and coupling sweeps
-have one state, a family sweep its grid of states at the fixed phase.  One
-grid builder calls the production kernel ``closed_form.amplitudes`` on up to
-``3 * CHUNK`` points at a time whatever the number of states, and
-``observables.observable_table`` once on up to ``3 * CHUNK`` rows of them,
-the rows ``write_csv`` renders in one call.  States and matrices alike are
-in the product basis, cut to the columns where some incident state of the
-sweep is nonzero, which the config tells: one to four of the eight, so the
-kernel builds no dense 8x8 matrix.  A dropped column's state entries are
-all +-0, so its terms would add exact zeros to sums that start at +0.0, and
-the rows keep their bits.  The sweep is computed as it is written: a
-generator puts those rows beside the lead columns (the config's grid
-values) and yields the table as the grid builder's blocks, at most
-``3 * CHUNK`` rows each, building a family's states ``16 * CHUNK`` at a time
-from their (vartheta, phi) indices, so no array as long as the sweep exists
-but the config's grids.  ``SweepResult.rows`` fills the whole table from
-those blocks.  This module names only the lead columns; the rest are
+incident product-basis states, the inner one: theta and coupling sweeps have
+one state, a family sweep its grid of states at the fixed phase.  One grid
+builder walks the rows, row ``point * n_states + state``, in blocks of at
+most ``3 * CHUNK``, the rows ``write_csv`` renders in one call: it calls
+``observables.observable_table`` once per block, and the production kernel
+``closed_form.amplitudes`` on up to ``3 * CHUNK`` points from a block's
+first point, again only when a block runs past them.  States and matrices
+alike are in the product basis, cut to the columns where some incident state
+of the sweep is nonzero, which the config tells: one to four of the eight,
+so the kernel builds no dense 8x8 matrix.  A dropped column's state entries
+are all +-0, so its terms would add exact zeros to sums that start at +0.0,
+and the rows keep their bits.  The sweep is computed as it is written: a
+generator puts those rows beside the lead columns (the config's grids at
+each row's point and state index) and yields the table as the grid builder's
+blocks, building a block's family states from their (vartheta, phi) indices,
+so no array as long as the sweep exists but the config's grids.
+``SweepResult.rows`` fills the whole table from those blocks.  This module
+names only the lead columns; the rest are
 ``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
 its own point and state only, so the output does not depend on the chunk
 size.  Every sweep kind reads its phases from ``SweepConfig.theta_values``,
@@ -87,113 +88,91 @@ class SweepResult:
         return rows
 
 
-def _chunks(n: int, size: int):
-    return (slice(start, min(start + size, n)) for start in range(0, n, size))
-
-
-def _points(u_values, theta_values, start: int, stop: int):
-    """u and theta at the points start to stop - 1 of the grid u_values x
-    theta_values, u the outer axis: a slice of theta beside its one u when
-    the points share their u, as most of a theta sweep's groups do."""
-    k, first = divmod(start, len(theta_values))
-    if first + stop - start <= len(theta_values):
-        theta = theta_values[first:first + stop - start]
-        return np.full(len(theta), u_values[k]), theta
-    i, j = np.divmod(np.arange(start, stop), len(theta_values))
-    return u_values[i], theta_values[j]
-
-
 def _blocks(u_values, theta_values, n_states: int, states, used: np.ndarray):
-    """Observables over the points of the grid u_values x theta_values, u the
-    outer axis, times ``n_states`` incident product-basis states, the inner one.
+    """Observables over the grid of points u_values x theta_values, u the outer
+    axis, times ``n_states`` incident product-basis states, the inner one: row
+    ``point * n_states + state``.
 
-    ``states(span)`` gives the states of a span of at most ``16 * CHUNK`` and a
-    tuple of columns of values per state; ``used`` holds the indices of the
-    product-basis kets where any of the states is nonzero, and only those
-    columns of the states and of t and r reach the kernel and the row
-    builder.  Yields (u, theta, values, table) in row order: the block's
-    points, those columns at its states, and ``observable_table`` of shape
-    (points, states, columns), at most 3 * CHUNK rows.  The kernel runs once
-    per group of up to 3 * CHUNK points, a whole number of blocks' points,
-    whatever the number of states.
+    ``states(state)`` gives the states at an array of state indices on the
+    columns ``used``, the product-basis kets where any state of the sweep is
+    nonzero; only those columns of t and r reach the kernel and the row
+    builder.  Yields (u, theta, state, table) for each block of at most
+    3 * CHUNK consecutive rows: each row's u, theta and state index, and its
+    ``observable_table`` row.  The kernel runs on a group of up to 3 * CHUNK
+    points from a block's first point, and again only when a block runs past
+    them.
     """
-    size = 3 * CHUNK  # rows per block; read here, so that a patched CHUNK applies
+    size = 3 * CHUNK  # read here, so that a patched CHUNK applies
     n_points = len(u_values) * len(theta_values)
-    step = max(1, size // n_states)  # points per block
-    group = step * (size // step)  # points per kernel call
-    # states are built 16 * CHUNK at a time (4,096, 0.5 MB): each build pays a
-    # fixed cost in np.kron and the family builder (about 26 us on a 2-vCPU
-    # x86-64 host), which at 768 states a build slowed a 30,125-state family
-    # sweep by 7%
-    span_len = 16 * CHUNK
+    n_rows = n_points * n_states
 
-    def used_states(span):  # np.take, not chi[:, used]: a contiguous chi keeps every bit
-        chi, values = states(span)
-        return chi.take(used, axis=-1), values
+    def at(points):  # u and theta at points of the grid
+        return u_values[points // len(theta_values)], theta_values[points % len(theta_values)]
 
-    spans = [slice(a, min(a + span_len, n_states)) for a in range(0, n_states, span_len)]
-    built = used_states(spans[0]) if len(spans) == 1 else None  # then built once
-    for start in range(0, n_points, group):
-        u, theta = _points(u_values, theta_values, start, min(start + group, n_points))
-        t, r = amplitudes(u, theta, used)
-        for p in _chunks(len(u), step):
-            for span in spans:
-                chi, values = used_states(span) if built is None else built
-                for s in _chunks(len(chi), size):
-                    table = observable_table(t[p, None], r[p, None], chi[s],
-                                             u[p, None], theta[p, None])
-                    if p.stop == len(u) and span is spans[-1] and s.stop == len(chi):
-                        t = r = None  # the group's last block: not held while it is written
-                    yield u[p], theta[p], tuple(v[s] for v in values), table
+    first = stop = 0  # the kernel's group: points first to stop - 1
+    for start in range(0, n_rows, size):
+        end = min(start + size, n_rows)
+        point, state = np.divmod(np.arange(start, end), n_states)
+        if point[-1] >= stop:
+            first, stop = point[0], min(point[0] + size, n_points)
+            t, r = amplitudes(*at(np.arange(first, stop)), used)
+        if n_states == 1 or point[0] == point[-1]:
+            # a view: consecutive points of one state, or one point for every state
+            k = slice(point[0] - first, point[-1] + 1 - first)
+        else:
+            k = point - first
+        u, theta = at(point)
+        table = observable_table(t[k], r[k], states(state), u, theta)
+        if end == n_rows or min(end + size, n_rows) > stop * n_states:
+            t = r = None  # the group's last block: not held while it is written
+        yield u, theta, state, table
 
 
 def _table(u_values, theta_values, chi) -> np.ndarray:
     """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
     outer axis, times the incident product-basis states chi, the inner one."""
     used = np.flatnonzero(np.any(chi, axis=0))
-    blocks = _blocks(u_values, theta_values, len(chi), lambda s: (chi[s], ()), used)
-    return np.concatenate([table.reshape(-1, table.shape[-1]) for *_, table in blocks])
+    chi = chi.take(used, axis=-1)
+    blocks = _blocks(u_values, theta_values, len(chi), lambda state: chi[state], used)
+    return np.concatenate([table for *_, table in blocks])
 
 
 def _batches(cfg: SweepConfig):
     """The sweep's table in row order, one grid builder's block of at most
     ``3 * CHUNK`` rows at a time: the lead columns, the config's grid values,
     then ``OBSERVABLE_COLUMNS``."""
-    if cfg.kind == "family":
+    family = cfg.kind == "family"
+    if family:
         electron = electron_state(cfg.electron_spin)
         builder = family_builder(cfg.impurity_state)
         # the electron's nonzero components times the family's two kets, both
         # nonzero at a mix off the axes
         used = np.flatnonzero(np.kron(electron != 0, builder(1.0, 0.0) != 0))
+        n_phi = len(cfg.phi_values)
 
-        def states(span):  # and their vartheta and phi, phi the inner axis
-            i, j = np.divmod(np.arange(span.start, span.stop), len(cfg.phi_values))
-            vartheta, phi = cfg.vartheta_values[i], cfg.phi_values[j]
-            return np.kron([electron], builder(vartheta, phi)), (vartheta, phi)
+        def states(state):  # the electron times each pair, phi the inner axis
+            pairs = builder(cfg.vartheta_values[state // n_phi], cfg.phi_values[state % n_phi])
+            return electron[used // 4] * pairs.take(used % 4, axis=-1)
 
-        def lead_values(u, theta, values):
-            return (*values, u[:, None])
-
-        n_states = len(cfg.vartheta_values) * len(cfg.phi_values)
+        n_states = len(cfg.vartheta_values) * n_phi
     else:
-        chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes[None]
+        chi = incident_state(cfg.electron_spin, cfg.impurity_state).amplitudes
         used = np.flatnonzero(chi)
+        chi = chi.take(used)[None]
 
-        def states(span):
-            return chi[span], ()
-
-        def lead_values(u, theta, values):
-            return theta[:, None], u[:, None]
+        def states(state):  # one state, for every row
+            return chi
 
         n_states = 1
-    for u, theta, values, table in _blocks(cfg.u_values, cfg.theta_values, n_states,
-                                           states, used):
-        lead = lead_values(u, theta, values)
-        block = np.empty((*table.shape[:2], len(lead) + table.shape[2]))
+    for u, theta, state, table in _blocks(cfg.u_values, cfg.theta_values, n_states,
+                                          states, used):
+        lead = ((cfg.vartheta_values[state // n_phi], cfg.phi_values[state % n_phi], u)
+                if family else (theta, u))
+        block = np.empty((len(table), len(lead) + table.shape[1]))
         for c, column in enumerate(lead):
-            block[..., c] = column
-        block[..., len(lead):] = table
-        yield block.reshape(-1, block.shape[-1])
+            block[:, c] = column
+        block[:, len(lead):] = table
+        yield block
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

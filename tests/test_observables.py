@@ -20,7 +20,7 @@ from spinfp.spin_algebra import (
     coupled_basis,
 )
 from spinfp.scenarios.config import build_config
-from spinfp.scenarios.states import incident_state
+from spinfp.scenarios.states import electron_state, incident_state, one_up_family
 from spinfp.scenarios.sweeps import run_sweep
 
 SQ2 = math.sqrt(2.0)
@@ -131,6 +131,23 @@ class TestObservableTable:
             for s in range(3):
                 row = observable_table(t[p:p + 1], r[p:p + 1], coeffs[s:s + 1], u[p], theta[p])
                 assert row[0].tobytes() == grid[p, s].tobytes()
+
+    def test_fortran_ordered_states_give_the_c_ordered_bytes(self):
+        # a family grid on four columns (a complex electron times family2 pairs):
+        # the strided states of a Fortran-ordered copy would sum the outgoing
+        # kets in another order, and change some cells' last bits
+        vartheta, phi = np.meshgrid(np.linspace(0, math.pi / 2, 21),
+                                    np.linspace(0, 2 * math.pi, 11), indexing="ij")
+        electron = electron_state("0.6+0.1j,0.8")
+        chi = np.kron([electron], one_up_family(vartheta.ravel(), phi.ravel()))
+        used = np.flatnonzero(np.any(chi, axis=0))
+        assert len(used) == 4
+        chi = chi.take(used, axis=-1)
+        u, theta = np.array([2.0]), np.array([math.pi])
+        t, r = amplitudes(u, theta, used)
+        c_ordered = observable_table(t, r, chi, u, theta)
+        fortran = observable_table(t, r, np.asfortranarray(chi), u, theta)
+        assert fortran.tobytes() == c_ordered.tobytes()
 
 
 class TestPolarized:

@@ -723,13 +723,17 @@ def dense_rows(cfg):
     return rows.reshape(-1, rows.shape[-1])
 
 
-# every figure preset, fig5 with 4,508 states per point (a 4,096-state span, then
-# 412: the span's last block of 256 rows and the next span's 412 are two
-# batches), then custom electrons (with entries of -0.0, or complex) on a theta,
-# a coupling and both kinds of family sweep, on smaller grids
+# every figure preset, fig5 with 4,508 states per point (768 does not divide it,
+# so the point's last block is short), fig5 with 35 states at 30 points (1,050
+# rows: at the production CHUNK a block of 768 rows holds parts of 22 points and
+# gathers their matrices), then custom electrons (with entries of -0.0, or
+# complex) on a theta, a coupling and both kinds of family sweep, on smaller grids
 DENSE_REFERENCE_CONFIGS = {
     **{name: {"scenario": name} for name in SCENARIO_PRESETS if name.startswith("fig")},
-    "fig5-two-spans": {"scenario": "fig5", "phi_steps": "28", "u_list": "2"},
+    "fig5-4508-states": {"scenario": "fig5", "phi_steps": "28", "u_list": "2"},
+    "fig5-35-states-30-points": {
+        "scenario": "fig5", "vartheta_steps": "5", "phi_steps": "7",
+        "u_list": ",".join(repr(0.5 * k) for k in range(1, 31))},
     **{f"{name}/{electron}": {**settings, "electron_spin": electron}
        for electron in ("0,-1", "-0.6,0.8j", "0.6+0.1j,0.8")
        for name, settings in [
