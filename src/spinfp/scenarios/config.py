@@ -219,17 +219,14 @@ def build_config(settings: dict[str, str]) -> SweepConfig:
     impurity = resolved.get("impurity_state")
     if not electron or not impurity:
         raise ConfigError("electron_spin and impurity_state are required")
-    if kind != "family":
-        try:  # fail early on unparseable states
-            states.incident_state(electron, impurity)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        try:
-            states.electron_state(electron)
+    try:  # fail early on unparseable states; the sweep composes the incident state
+        states.electron_state(electron)
+        if kind == "family":
             states.family_builder(impurity)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        else:
+            states.impurity_state(impurity)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
     # theta and family sweeps read u_list; a coupling sweep spans
     # u_min..u_max unless the config itself sets u_list

@@ -128,15 +128,6 @@ def _blocks(u_values, theta_values, n_states: int, states, used: np.ndarray):
         yield u, theta, state, table
 
 
-def _table(u_values, theta_values, chi) -> np.ndarray:
-    """``OBSERVABLE_COLUMNS`` over the points u_values x theta_values, u the
-    outer axis, times the incident product-basis states chi, the inner one."""
-    used = np.flatnonzero(np.any(chi, axis=0))
-    chi = chi.take(used, axis=-1)
-    blocks = _blocks(u_values, theta_values, len(chi), lambda state: chi[state], used)
-    return np.concatenate([table for *_, table in blocks])
-
-
 def _batches(cfg: SweepConfig):
     """The sweep's table in row order, one grid builder's block of at most
     ``3 * CHUNK`` rows at a time: the lead columns, the config's grid values,

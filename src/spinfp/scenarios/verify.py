@@ -8,10 +8,13 @@ a fixed order, with every random state normalised at once.
 Every check runs on stacks of points: the production kernel (the closed
 forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
 criterion's points in one call (criterion 1 in chunks of ``sweeps.CHUNK``);
-the solver serves criterion 1 alone, as evidence.  Criteria 7 and 8 read
-the fig4, fig5 and fig7 presets' sweep tables by column name; fig2a, fig2b
-and fig3b share one grid, so criterion 8 reads their T from one grid-builder
-call over their three states.
+the solver serves criterion 1 alone, as evidence.  Criterion 1 drops a
+chunk's closed forms before the oracle runs, and the whole chunk before the
+next; its oracle call, the star product of 256 points, sets verify's peak
+memory.  Criteria 7 and 8 read only the columns they use of the fig4, fig5
+and fig7 presets, by name, from the sweeps' blocks; fig2a, fig2b and fig3b
+share one grid, so criterion 8 reads their T from one grid-builder call over
+their three states, keeping T alone of each block: no whole table is built.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import solver_amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
-from .sweeps import CHUNK, _table, run_sweep
+from .sweeps import CHUNK, _blocks, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
@@ -75,26 +78,26 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _chunk_gaps(p: DimensionlessParams) -> tuple[float, float]:
+    """max |closed - solver| and max |solver - oracle| over one stack of points.
+    The closed forms are dropped before the oracle runs, and every stack of
+    the chunk when it returns."""
+    t, r = amplitudes(p.u, p.theta)  # production: the closed forms
+    t_solver, r_solver = solver_amplitudes(p.u, p.theta)
+    closed = max(float(np.max(np.abs(t - t_solver))), float(np.max(np.abs(r - r_solver))))
+    del t, r
+    full = oracle_scattering(two_impurity_chain(p))
+    return closed, max(float(np.max(np.abs(full.transmission - t_solver))),
+                       float(np.max(np.abs(full.reflection - r_solver))))
+
+
 def criterion_triple_agreement() -> CriterionResult:
     u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
-    worst_closed = 0.0
-    worst_oracle = 0.0
-    for start in range(0, len(u), CHUNK):  # one stack per derivation and chunk
-        s = slice(start, start + CHUNK)
-        p = DimensionlessParams(u[s], theta[s])
-        t, r = amplitudes(p.u, p.theta)  # production: the closed forms
-        t_solver, r_solver = solver_amplitudes(p.u, p.theta)
-        full = oracle_scattering(two_impurity_chain(p))
-        worst_closed = max(
-            worst_closed,
-            float(np.max(np.abs(t - t_solver))),
-            float(np.max(np.abs(r - r_solver))),
-        )
-        worst_oracle = max(
-            worst_oracle,
-            float(np.max(np.abs(full.transmission - t_solver))),
-            float(np.max(np.abs(full.reflection - r_solver))),
-        )
+    gaps = [  # one stack per derivation and chunk
+        _chunk_gaps(DimensionlessParams(u[start:start + CHUNK], theta[start:start + CHUNK]))
+        for start in range(0, len(u), CHUNK)
+    ]
+    worst_closed, worst_oracle = np.max(gaps, axis=0).tolist()  # nan propagates
     passed = worst_closed < 1e-10 and worst_oracle < 1e-10
     return CriterionResult(
         1, "triple-pipeline agreement", passed,
@@ -237,8 +240,7 @@ def criterion_recoupling_values() -> CriterionResult:
 
 def criterion_entanglement_generation() -> CriterionResult:
     chi = compose_state([1.0, 0.0], [0.0, 0.0, 0.0, 1.0])  # electron up, pair down-down
-    table = _preset("fig7")  # u from 0.01 to 10 at theta = pi, impurities dd
-    u, t_down = table["u"], table["T_down"]
+    u, t_down = _preset("fig7", "u", "T_down")  # u from 0.01 to 10 at theta = pi, impurities dd
     best = int(np.argmax(t_down))  # the first of equal maxima
     best_t = float(t_down[best])
     best_u = float(u[best])
@@ -259,10 +261,21 @@ def criterion_entanglement_generation() -> CriterionResult:
     )
 
 
-def _preset(scenario: str) -> dict[str, np.ndarray]:
-    """A figure preset's sweep table, one array per column name; no file is written."""
+def _columns(tables, columns, n_rows: int) -> np.ndarray:
+    """The given columns of a table that comes as blocks of rows, one row per column."""
+    out, filled = np.empty((len(columns), n_rows)), 0
+    for table in tables:
+        out[:, filled:filled + len(table)] = table[:, columns].T
+        filled += len(table)
+    return out
+
+
+def _preset(scenario: str, *names: str) -> np.ndarray:
+    """The named columns of a figure preset's sweep table, one row per name, as its
+    grid builder's blocks yield them; no file is written."""
     result = run_sweep(build_config({"scenario": scenario}))
-    return dict(zip(result.columns, result.rows.T))
+    return _columns(result.batches(), [result.columns.index(name) for name in names],
+                    result.row_count)
 
 
 def _peak_offsets(thetas: np.ndarray, curves: np.ndarray) -> list[float]:
@@ -273,10 +286,16 @@ def _peak_offsets(thetas: np.ndarray, curves: np.ndarray) -> list[float]:
 
 def _curve(impurity_specs, u_values, thetas) -> np.ndarray:
     """T at the points u_values x thetas, u the outer axis, one row per impurity
-    spec, electron up.  The sweeps' grid builder serves every spec."""
+    spec, electron up.  One call of the sweeps' grid builder serves every spec,
+    on the product-basis columns the states use, and only T is kept of its blocks."""
     u_values, thetas = np.asarray(u_values, dtype=float), np.asarray(thetas, dtype=float)
     chi = np.array([incident_state("u", spec).amplitudes for spec in impurity_specs])
-    return _table(u_values, thetas, chi)[:, COLUMN_OF["T"]].reshape(-1, len(chi)).T
+    used = np.flatnonzero(np.any(chi, axis=0))
+    chi = chi.take(used, axis=-1)
+    blocks = _blocks(u_values, thetas, len(chi), lambda state: chi[state], used)
+    (t_col,) = _columns((table for *_, table in blocks), [COLUMN_OF["T"]],
+                        len(u_values) * len(thetas) * len(chi))
+    return t_col.reshape(-1, len(chi)).T
 
 
 def criterion_figure_claims() -> CriterionResult:  # noqa: C901
@@ -320,8 +339,7 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append("fig3b half-height widths = " + ", ".join(f"{w:.4f}" for w in widths))
 
     # entanglement-controlled map over the one-excitation family
-    table = _preset("fig4")
-    vt, ph, t_tot = table["vartheta"], table["phi"], table["T"]
+    vt, ph, t_tot = _preset("fig4", "vartheta", "phi", "T")
 
     def at_point(a: float, b: float) -> float:
         mask = (np.abs(vt - a) < 1e-12) & (np.abs(ph - b) < 1e-12)
@@ -338,8 +356,7 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     notes.append(f"fig4 T(singlet) = {t_singlet:.12f}, T(triplet) = {t_triplet:.6f}")
 
     # spin-filtered map: T_up <= T with equality on the singlet
-    table = _preset("fig5")
-    vt, ph, t_tot, t_up = table["vartheta"], table["phi"], table["T"], table["T_up"]
+    vt, ph, t_tot, t_up = _preset("fig5", "vartheta", "phi", "T", "T_up")
     gap = float(np.max(t_up - t_tot))
     if gap > 1e-12:
         problems.append(f"fig5 T_up exceeds T by {gap:.3e}")

@@ -10,8 +10,10 @@ the phases e^{+-2ikx} of its position; the Redheffer star product composes
 the sites in order from the first, resumming the reflections between them
 without the growing entries of a transfer-matrix product.  Arbitrary site
 counts, positions and strengths are supported, and array strengths and wave
-numbers broadcast to one stack of chains.  Agreement with the main pipeline
-on the two-impurity case is strong evidence against shared bugs.
+numbers broadcast to one stack of chains.  Every result is checked for
+unitarity on the 8x8 blocks of S^H S - I, which cover all of its entries;
+the 16x16 S is built only on request.  Agreement with the main pipeline on
+the two-impurity case is strong evidence against shared bugs.
 """
 
 from __future__ import annotations
@@ -78,7 +80,11 @@ class FullScatteringMatrix:
     """8x8 product-basis scattering blocks for both incidence directions.
 
     Blocks may carry leading stack axes; unitarity is checked on every
-    stacked point, and a failure names its ``wave_number``.
+    stacked point, and a failure names its ``wave_number``.  The check reads
+    the 8x8 blocks of S^H S - I, never the 16x16 S: S^H S has the diagonal
+    blocks r^H r + t^H t and t'^H t' + r'^H r', and the off-diagonal block
+    r^H t' + t^H r' beside its adjoint, whose entries have the same moduli.
+    ``s_matrix`` builds S on request.
     """
 
     transmission: np.ndarray        # left incidence
@@ -88,9 +94,14 @@ class FullScatteringMatrix:
     wave_number: float | np.ndarray
 
     def __post_init__(self):
-        s = self.s_matrix()
-        gram = s.conj().swapaxes(-1, -2) @ s
-        defect = np.max(np.abs(gram - np.eye(2 * _DIM)), axis=(-2, -1))
+        t, r, tr, rr = (self.transmission, self.reflection, self.transmission_right,
+                        self.reflection_right)
+        eye = np.eye(_DIM)
+        defect = functools.reduce(np.maximum, (  # one 8x8 block of S^H S - I at a time
+            _max_modulus(_adjoint(r) @ r + _adjoint(t) @ t - eye),
+            _max_modulus(_adjoint(tr) @ tr + _adjoint(rr) @ rr - eye),
+            _max_modulus(_adjoint(r) @ tr + _adjoint(t) @ rr),
+        ))
         check(defect, _UNITARITY_TOL, lambda i: (
             "scattering matrix not unitary at wave number "
             f"{float(np.broadcast_to(np.asarray(self.wave_number, float), defect.shape)[i])!r}: "
@@ -104,6 +115,15 @@ class FullScatteringMatrix:
                 [self.transmission, self.reflection_right],
             ]
         )
+
+
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def _max_modulus(blocks: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix of a stack; nan propagates."""
+    return np.max(np.abs(blocks), axis=(-2, -1))
 
 
 def _star(a, b):

@@ -4,8 +4,14 @@ Each test prints the measured one-line report, so ``pytest -s`` (or the
 ``spinfp verify`` command, which runs the same checks) shows the numbers.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from spinfp.scenarios import verify
 from spinfp.scenarios.verify import verify_figures
 
 
@@ -58,3 +64,21 @@ def test_criterion_8_figure_claims(results):
 
 def test_criterion_9_units_sanity(results):
     _check(results, 9)
+
+
+def test_verify_twice_in_child_processes_prints_the_same_bytes(tmp_path):
+    """Two ``spinfp verify`` processes, with numpy's RuntimeWarnings as errors,
+    each exit 0 and print the same report byte for byte: seeded draws and
+    fixed sweeps give the same numbers in every process."""
+    source = str(Path(verify.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    children = [subprocess.Popen(
+        [sys.executable, "-m", "spinfp.scenarios.cli", "verify"], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
+    runs = [(*child.communicate(), child.returncode) for child in children]
+    for out, err, code in runs:
+        assert (code, err) == (0, b""), err.decode()
+        assert out.endswith(b"\n9/9 criteria passed\n")
+    assert runs[0][0] == runs[1][0]
+    assert list(tmp_path.iterdir()) == []  # verify writes no file

@@ -213,6 +213,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"scenario": "custom", "impurity_state": "nonsense"})
 
+    @pytest.mark.parametrize("electron, impurity", [
+        ("x", "ud"), ("u", "nonsense"), ("x", "nonsense"), ("0,0", "psi+"),
+        ("1,nan", "dd"), ("u", "family2 theta=1"), ("u", "ud extra"),
+    ])
+    def test_state_errors_are_the_parsers_messages(self, electron, impurity):
+        with pytest.raises(DomainError) as parsed:
+            incident_state(electron, impurity)
+        with pytest.raises(ConfigError) as built:
+            build_config({"scenario": "custom", "electron_spin": electron,
+                          "impurity_state": impurity})
+        assert str(built.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("scenario", ["fig2a", "fig7"])
+    def test_sweep_composes_its_incident_state_once(self, monkeypatch, scenario):
+        # the config checks the two specs; only the sweep composes the 8-vector
+        from spinfp.scenarios import states
+
+        compose, calls = states.compose_state, []
+
+        def counting(electron, impurities):
+            calls.append(1)
+            return compose(electron, impurities)
+
+        monkeypatch.setattr(states, "compose_state", counting)
+        result = run_sweep(build_config({"scenario": scenario}))
+        assert sum(len(batch) for batch in result.batches()) == result.row_count
+        assert len(calls) == 1
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             build_config({"scenario": "fig9"})
@@ -1322,13 +1350,13 @@ class TestVerify:
     def test_criterion_8_probes_in_two_grid_builder_calls(self, monkeypatch):
         from spinfp.scenarios import verify as verify_mod
 
-        table, calls = verify_mod._table, []
+        blocks, calls = verify_mod._blocks, []
 
-        def counting(u_values, theta_values, chi):
-            calls.append((len(u_values) * len(theta_values), len(chi)))
-            return table(u_values, theta_values, chi)
+        def counting(u_values, theta_values, n_states, states, used):
+            calls.append((len(u_values) * len(theta_values), n_states))
+            return blocks(u_values, theta_values, n_states, states, used)
 
-        monkeypatch.setattr(verify_mod, "_table", counting)
+        monkeypatch.setattr(verify_mod, "_blocks", counting)
         monkeypatch.setattr(verify_mod, "amplitudes", None)  # no kernel call of its own
         result = verify_mod.criterion_figure_claims()
         assert result.passed, result.details
@@ -1351,10 +1379,13 @@ class TestVerify:
         shared = curves[0]
         assert shared.shape == (3, 6003)
         for row, name in zip(shared, ("fig2a", "fig2b", "fig3b")):
-            expected = verify_mod._preset(name)["T"]
+            result = run_sweep(build_config({"scenario": name}))
+            expected = result.rows[:, result.columns.index("T")]
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
     def test_three_states_on_6003_points_take_8_kernel_calls(self, monkeypatch):
+        from spinfp.scenarios import verify as verify_mod
+
         kernel, calls = sweeps.amplitudes, []
 
         def counting(u, theta, columns=slice(None)):
@@ -1362,12 +1393,43 @@ class TestVerify:
             return kernel(u, theta, columns)
 
         monkeypatch.setattr(sweeps, "amplitudes", counting)
-        chi = np.array([incident_state("u", spec).amplitudes for spec in ("ud", "du", "psi-")])
         cfg = build_config({"scenario": "fig2a"})
-        table = sweeps._table(cfg.u_values, cfg.theta_values, chi)
-        assert table.shape[0] == 3 * 6003
+        assert verify_mod._curve(["ud", "du", "psi-"], cfg.u_values,
+                                 cfg.theta_values).shape == (3, 6003)
         # 768 points, three blocks of 256 points times 3 states, per call
         assert len(calls) == 8 and sum(calls) == 6003 and max(calls) <= 3 * sweeps.CHUNK
+
+    def test_theta_curves_hold_only_t(self):
+        """``_curve`` on criterion 8's shared grid keeps T, not the blocks' table: its
+        tracemalloc peak stays below the (18009, 20) float table, 2.88 MB, that
+        building the whole table took (5.77 MB peak).  It reads 1.55 MB, a margin
+        of 1.33 MB, with numpy 2.4 on x86-64."""
+        from spinfp.scenarios import verify as verify_mod
+
+        cfgs = [build_config({"scenario": name}) for name in ("fig2a", "fig2b", "fig3b")]
+        args = ([cfg.impurity_state for cfg in cfgs], cfgs[0].u_values, cfgs[0].theta_values)
+        verify_mod._curve(*args)  # warm caches
+        tracemalloc.start()
+        try:
+            verify_mod._curve(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18009 * 20 * 8
+
+    @pytest.mark.parametrize("scenario, names", [
+        ("fig4", ("vartheta", "phi", "T")),
+        ("fig5", ("vartheta", "phi", "T", "T_up")),
+        ("fig7", ("u", "T_down")),
+    ])
+    def test_preset_columns_are_the_sweep_columns(self, scenario, names):
+        from spinfp.scenarios import verify as verify_mod
+
+        result = run_sweep(build_config({"scenario": scenario}))
+        expected = result.rows[:, [result.columns.index(name) for name in names]].T
+        got = verify_mod._preset(scenario, *names)
+        assert got.shape == expected.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     @pytest.mark.parametrize("n", [1, 25, 1000])
     def test_random_points_are_the_uniform_draws(self, n):

@@ -241,6 +241,91 @@ class TestFullScatteringMatrix:
         message = str(info.value)
         assert "wave number 2.5" in message and "2.100e-01" in message and "1e-10" in message
 
+    NAMES = ("transmission", "reflection", "transmission_right", "reflection_right")
+
+    @pytest.fixture(scope="class")
+    def unitary_stack(self):
+        """The oracle's blocks on criterion 1's 1000 points, and their wave numbers."""
+        from spinfp.scenarios.verify import _SEED, _random_points
+
+        u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
+        fsm = oracle_scattering(two_impurity_chain(DimensionlessParams(u, theta)))
+        return {name: np.array(getattr(fsm, name)) for name in self.NAMES}, theta
+
+    @staticmethod
+    def broken_blocks(blocks, point):
+        """Which blocks of S^H S - I exceed the tolerance at ``point``: (row, column)
+        pairs, 0 for left incidence and 1 for right."""
+        b = {name: block[point] for name, block in blocks.items()}
+        s = np.block([[b["reflection"], b["transmission_right"]],
+                      [b["transmission"], b["reflection_right"]]])
+        gram = s.conj().T @ s - np.eye(16)
+        return {(i, j) for i in (0, 1) for j in (0, 1)
+                if np.max(np.abs(gram[8 * i:8 * i + 8, 8 * j:8 * j + 8])) > 1e-10}
+
+    def assert_refused_at(self, blocks, theta, point):
+        from spinfp.errors import NumericError
+
+        with pytest.raises(NumericError) as info:
+            FullScatteringMatrix(*(blocks[name] for name in self.NAMES), wave_number=theta)
+        assert f"not unitary at wave number {float(theta[point])!r}: defect " in str(info.value)
+
+    def test_unperturbed_stack_passes(self, unitary_stack):
+        blocks, theta = unitary_stack
+        FullScatteringMatrix(*(blocks[name] for name in self.NAMES), wave_number=theta)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_entry_off_by_1e_9_is_refused(self, unitary_stack, name):
+        # 1e-9 i on one entry moves that column and row of S^H S by 1e-9 times
+        # a row of S, whose largest modulus is at least 1/4: a defect >= 2.5e-10
+        blocks, theta = unitary_stack
+        blocks, point = dict(blocks), 617
+        blocks[name] = blocks[name].copy()
+        blocks[name][point, 2, 1] += 1e-9j
+        assert self.broken_blocks(blocks, point)
+        self.assert_refused_at(blocks, theta, point)
+
+    @pytest.mark.parametrize("names, scale, broken", [
+        # a column of S scaled: only its diagonal block of S^H S breaks
+        (("reflection", "transmission"), 1 + 1e-9, {(0, 0)}),
+        (("transmission_right", "reflection_right"), 1 + 1e-9, {(1, 1)}),
+        # one block of a column turned by a phase: only the off-diagonal blocks
+        (("transmission",), np.exp(1e-3j), {(0, 1), (1, 0)}),
+        (("reflection",), np.exp(1e-3j), {(0, 1), (1, 0)}),
+        (("transmission_right",), np.exp(1e-3j), {(0, 1), (1, 0)}),
+        (("reflection_right",), np.exp(1e-3j), {(0, 1), (1, 0)}),
+    ])
+    def test_each_block_of_the_gram_matrix_is_checked(self, unitary_stack, names, scale,
+                                                      broken):
+        blocks, theta = unitary_stack
+        blocks, point = dict(blocks), 383
+        for name in names:
+            blocks[name] = blocks[name].copy()
+            blocks[name][point] *= scale
+        assert self.broken_blocks(blocks, point) == broken
+        self.assert_refused_at(blocks, theta, point)
+
+    def test_check_holds_no_full_size_stack(self):
+        """``oracle_scattering`` on criterion 1's first 256 points: the tracemalloc
+        peak stays below 16 stacks of (256, 8, 8) complex, 4.19 MB.  A check that
+        builds the 16x16 S, S^H S, S^H S - I and its modulus peaked at 4.72 MB;
+        the blockwise check reads 3.42 MB with numpy 2.4 on x86-64, a margin of
+        0.77 MB."""
+        import tracemalloc
+
+        from spinfp.scenarios.verify import _SEED, _random_points
+
+        u, theta = _random_points(np.random.default_rng(_SEED), 256).T
+        chain = two_impurity_chain(DimensionlessParams(u, theta))
+        oracle_scattering(chain)  # warm caches
+        tracemalloc.start()
+        try:
+            oracle_scattering(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 256 * 8 * 8 * 16
+
 
 def empty_wire_composition(chain):
     """The sites starred in order onto the empty wire, the star product's
