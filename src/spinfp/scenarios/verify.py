@@ -50,6 +50,12 @@ from .units import PhysicalParams, convert_units, spacing_for_phase
 EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
 _SEED = 20240817
 _LOW, _HIGH = np.array([1e-6, 1e-6]), np.array([20.0, 2 * math.pi])  # of (u, theta) draws
+# the limits a report line prints, each formatted from the name its comparison reads
+_AGREEMENT_TOL = 1e-10  # criterion 1: max |t| and |r| gap between two derivations
+_FLUX_TOL = 1e-10  # criterion 2: |T + R - 1|
+_TRANSPARENCY_TOL = 1e-10  # criterion 3: 1 - T and 1 - fidelity on the singlet at n pi
+_RECOUPLING_TOL = 1e-12  # criterion 6: the 6j route against each reference
+_T_DOWN_MIN, _T_DOWN_U = 0.20, (0.5, 2.0)  # criterion 7: the peak of T_down, and its u
 
 
 @dataclass(frozen=True)
@@ -98,11 +104,11 @@ def criterion_triple_agreement() -> CriterionResult:
         for start in range(0, len(u), CHUNK)
     ]
     worst_closed, worst_oracle = np.max(gaps, axis=0).tolist()  # nan propagates
-    passed = worst_closed < 1e-10 and worst_oracle < 1e-10
+    passed = worst_closed < _AGREEMENT_TOL and worst_oracle < _AGREEMENT_TOL
     return CriterionResult(
         1, "triple-pipeline agreement", passed,
         f"max |closed - solver| = {worst_closed:.3e}, "
-        f"max |solver - oracle| = {worst_oracle:.3e} (limit 1e-10)",
+        f"max |solver - oracle| = {worst_oracle:.3e} (limit {_AGREEMENT_TOL:g})",
     )
 
 
@@ -117,8 +123,8 @@ def criterion_flux_conservation() -> CriterionResult:
     flux = np.sum(np.abs(t @ chi) ** 2 + np.abs(r @ chi) ** 2, axis=(1, 2))
     worst = float(np.max(np.abs(flux - 1.0)))
     return CriterionResult(
-        2, "unitarity / flux conservation", worst < 1e-10,
-        f"max |T + R - 1| = {worst:.3e} over 1000 random states (limit 1e-10)",
+        2, "unitarity / flux conservation", worst < _FLUX_TOL,
+        f"max |T + R - 1| = {worst:.3e} over 1000 random states (limit {_FLUX_TOL:g})",
     )
 
 
@@ -133,11 +139,11 @@ def criterion_singlet_transparency() -> CriterionResult:
     fid = np.abs(np.sum(chi.conj() * transmitted, axis=1)) ** 2
     worst_t = float(np.min(table[:, COLUMN_OF["T"]]))
     worst_fid = float(np.min(fid))
-    passed = worst_t > 1.0 - 1e-10 and worst_fid > 1.0 - 1e-10
+    passed = worst_t > 1.0 - _TRANSPARENCY_TOL and worst_fid > 1.0 - _TRANSPARENCY_TOL
     return CriterionResult(
         3, "singlet transparency", passed,
         f"min T = {worst_t:.15f}, min fidelity = {worst_fid:.15f} "
-        "(both > 1 - 1e-10)",
+        f"(both > 1 - {_TRANSPARENCY_TOL:g})",
     )
 
 
@@ -230,11 +236,11 @@ def criterion_recoupling_values() -> CriterionResult:
             [[np.vdot(a, ops.electron_imp1_sq @ b).real for b in vecs] for a in vecs]
         )
         err_m = max(err_m, float(np.max(np.abs(sandwich - computed))))
-    passed = err_table < 1e-12 and err_m < 1e-12
+    passed = err_table < _RECOUPLING_TOL and err_m < _RECOUPLING_TOL
     return CriterionResult(
         6, "recoupling matrix elements", passed,
         f"6j route vs expected values {err_table:.3e}, vs operator sandwich "
-        f"(m = +-1/2) {err_m:.3e} (limit 1e-12)",
+        f"(m = +-1/2) {err_m:.3e} (limit {_RECOUPLING_TOL:g})",
     )
 
 
@@ -247,16 +253,17 @@ def criterion_entanglement_generation() -> CriterionResult:
     state = scatter(chi, DimensionlessParams(best_u, math.pi))
     res = postselect(state, "down")
     fid = abs(np.vdot(bell_pair(+1), res.impurity_state)) ** 2
+    low, high = _T_DOWN_U
     passed = (
-        best_t > 0.20
-        and 0.5 <= best_u <= 2.0
+        best_t > _T_DOWN_MIN
+        and low <= best_u <= high
         and res.concurrence > 1.0 - 1e-10
         and fid > 1.0 - 1e-10
     )
     return CriterionResult(
         7, "entanglement generation", passed,
-        f"max T_down = {best_t:.4f} at u = {best_u:.3f} (need > 0.20 in "
-        f"[0.5, 2]); conditional state: concurrence = {res.concurrence:.12f}, "
+        f"max T_down = {best_t:.4f} at u = {best_u:.3f} (need > {_T_DOWN_MIN:.2f} in "
+        f"[{low:g}, {high:g}]); conditional state: concurrence = {res.concurrence:.12f}, "
         f"triplet fidelity = {fid:.12f}",
     )
 

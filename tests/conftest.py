@@ -24,3 +24,27 @@ def _rotated(quartet, doublet):
 def rotated():
     """``_rotated``: sector blocks rotated to the product basis, for expected sides."""
     return _rotated
+
+
+def pytest_addoption(parser):
+    parser.addoption("--fail-on-skip", action="store_true",
+                     help="fail the run if any test skips, as where every test extra is installed")
+
+
+def _skipped(config):
+    """The skipped reports, where ``--fail-on-skip`` makes any of them a failure."""
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    if config.getoption("fail_on_skip") and reporter is not None:
+        return reporter.stats.get("skipped")
+    return None
+
+
+def pytest_sessionfinish(session):
+    if _skipped(session.config):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if skipped := _skipped(config):
+        terminalreporter.write_sep(
+            "=", f"--fail-on-skip: {len(skipped)} skipped; install the test extra", red=True)

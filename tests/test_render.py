@@ -3,7 +3,8 @@
 The rows are formatted by numpy (``scenarios._format``); the reference is the
 one-value formatter joined per row.  A column whose bits repeat in every row
 of a chunk is formatted once, so the tables here also mix such constant
-columns with free ones.
+columns with free ones.  The same comparison on drawn floats, bit patterns
+and tables needs hypothesis and lives in ``test_render_properties.py``.
 """
 
 import math
@@ -18,11 +19,6 @@ from spinfp.scenarios import _format, sweeps
 from spinfp.scenarios.config import SCENARIO_PRESETS, build_config
 from spinfp.scenarios._format import format_float
 from spinfp.scenarios.sweeps import SweepResult, run_sweep, write_csv
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-RUNS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def written(result) -> str:
@@ -53,37 +49,6 @@ def assert_renders_exactly(values, width=3):
     result = SweepResult(header=("# scenario = x",), columns=columns, batches=lambda: [rows],
                          row_count=len(rows))
     assert written(result) == reference(result.header, columns, rows)
-
-
-@RUNS
-@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
-def test_any_float(values, width):
-    assert_renders_exactly(values, width)
-
-
-@RUNS
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
-def test_any_bit_pattern(patterns):
-    assert_renders_exactly(np.array(patterns, dtype=np.uint64).view(np.float64))
-
-
-@st.composite
-def tables_with_constant_columns(draw):
-    """A table in which each column is either free or one drawn float repeated."""
-    rows, width = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-    columns = []
-    for _ in range(width):
-        if draw(st.booleans()):
-            columns.append(np.full(rows, draw(st.floats())))
-        else:
-            columns.append(np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows))))
-    return np.column_stack(columns)
-
-
-@RUNS
-@given(tables_with_constant_columns())
-def test_constant_columns(table):
-    assert_renders_exactly(table, table.shape[1])
 
 
 def _powers_of_ten_and_neighbours():
@@ -161,12 +126,29 @@ def test_only_the_fallback_set_is_formatted_one_by_one(monkeypatch):
     assert calls == [1e-300]
 
 
-FIGURES = [name for name in SCENARIO_PRESETS if name.startswith("fig")]
+# sweeps beside the figure presets, each walking the grid builder another way
+CUSTOM_SWEEPS = {
+    # 6,601 family states per u take several blocks per point
+    "fig5-multi-u": {"scenario": "fig5", "u_list": "0.5,1,2,10"},
+    # 6 states at 7 u values: all 7 points in one row-builder call
+    "fig5-small-grid": {"scenario": "fig5", "vartheta_steps": "3", "phi_steps": "2",
+                        "u_list": "0.5,1,2,3,5,8,10"},
+    # 4,508 states per u: 768 does not divide it, so a short block ends the point
+    "fig5-4508-states": {"scenario": "fig5", "phi_steps": "28"},
+    # -0.0 in the theta sweep's state
+    "fig2a-electron-0-1": {"scenario": "fig2a", "electron_spin": "0,-1"},
+    # the family states on four columns
+    "fig5-complex-electron": {"scenario": "fig5", "electron_spin": "0.6+0.1j,0.8"},
+}
+TABLES = {
+    **{name: {"scenario": name} for name in SCENARIO_PRESETS if name.startswith("fig")},
+    **CUSTOM_SWEEPS,
+}
 
 
-@pytest.mark.parametrize("scenario", FIGURES)
-def test_preset_tables(scenario):
-    result = run_sweep(build_config({"scenario": scenario}))
+@pytest.mark.parametrize("settings", TABLES.values(), ids=TABLES.keys())
+def test_preset_tables(settings):
+    result = run_sweep(build_config(settings))
     assert written(result) == reference(result.header, result.columns, result.rows)
 
 

@@ -42,6 +42,8 @@ from spinfp.scenarios.units import (
     spacing_for_phase,
 )
 
+from test_render import CUSTOM_SWEEPS
+
 
 class TestUnits:
     def test_reference_material_point(self):
@@ -553,8 +555,11 @@ class TestSweeps:
         # the config's grid values, bit for bit
         assert rows[:, :expected.shape[1]].tobytes() == expected.tobytes()
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = build_config({"scenario": "fig2a", "theta_steps": "15", "u_list": "2"})
+    RERUNS = {**{name: {"scenario": name} for name in ("fig3b", "fig4", "fig7")}, **CUSTOM_SWEEPS}
+
+    @pytest.mark.parametrize("settings", RERUNS.values(), ids=RERUNS.keys())
+    def test_reruns_are_byte_identical(self, tmp_path, settings):
+        cfg = build_config(settings)
         first = write_csv(run_sweep(cfg), tmp_path / "first.csv").read_bytes()
         assert write_csv(run_sweep(cfg), tmp_path / "second.csv").read_bytes() == first
 
@@ -660,6 +665,38 @@ class TestSweeps:
                 tracemalloc.stop()
         assert max(peaks) < 3e6
         assert abs(peaks[1] - peaks[0]) < 0.25e6
+
+    @pytest.mark.cap
+    def test_cap_size_sweeps_peak_below_150_mb(self, tmp_path):
+        """At the 2e6-row cap a theta and a family sweep, each in a child
+        interpreter, peak below 150 MB RSS: a float table of 2e6 rows alone is
+        350 MB.  A child's ``ru_maxrss`` starts at the peak of the process that
+        spawns it, so a small launcher spawns each sweep and prints the
+        sweep's own peak from ``os.wait4``; spawned from pytest, tens of MB
+        into its run, every child would read at least pytest's peak."""
+        launch = ("import os, sys; argv = sys.argv[1:]; "
+                  "_, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0); "
+                  "print(usage.ru_maxrss); sys.exit(os.waitstatus_to_exitcode(status))")
+        source = str(Path(sweeps.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        cases = {"fig2a": "scenario = fig2a\ntheta_steps = 2000000\nu_list = 2",
+                 "fig4": "scenario = fig4\nvartheta_steps = 2000\nphi_steps = 1000"}
+        peaks = {}
+        for name, settings in cases.items():
+            output, cfg_file = tmp_path / f"{name}.csv", tmp_path / f"{name}.cfg"
+            cfg_file.write_text(f"{settings}\noutput = {output}\n")
+            run = subprocess.run(
+                [sys.executable, "-c", launch, sys.executable, "-W", "error::RuntimeWarning",
+                 "-m", "spinfp.scenarios.cli", "sweep", "--config", str(cfg_file)],
+                env=env, capture_output=True, text=True)
+            assert (run.returncode, run.stderr) == (0, ""), run.stderr
+            wrote, peak_kb = run.stdout.splitlines()
+            assert wrote == f"wrote 2000000 rows to {output}"
+            peaks[name] = int(peak_kb) / 1024  # kB on Linux
+            output.unlink()  # about 0.8 GB of CSV each
+        print(", ".join(f"{name} peaked at {mb:.1f} MB" for name, mb in peaks.items()))
+        assert max(peaks.values()) < 150, peaks
 
     def test_render_matches_format_float(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -912,6 +949,14 @@ class TestOutputTarget:
 
 
 class TestCli:
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        """A sweep fails the test: a config error or a refused output comes first."""
+        def refuse(cfg):
+            raise AssertionError("the sweep ran before the config and output were checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+
     def test_sweep_command(self, tmp_path):
         cfg_file = tmp_path / "sweep.cfg"
         out_file = tmp_path / "rows.csv"
@@ -929,6 +974,15 @@ class TestCli:
 
     def test_sweep_missing_config_exit_code(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "gone.cfg")]) == 1
+
+    def test_zero_steps_exit_code(self, tmp_path, monkeypatch, capsys, no_sweep):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("scenario = fig3b\ntheta_steps = 0\noutput = zero.csv\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: theta_steps ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [cfg_file]
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -976,25 +1030,22 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == sorted([cfg_file, out_file])
 
     @pytest.mark.parametrize("output", ["", ".", "/"])
-    def test_output_naming_no_file_exit_code(self, tmp_path, monkeypatch, capsys, output):
-        def refuse(cfg):
-            raise AssertionError("the sweep ran before the output was checked")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
+    def test_output_naming_no_file_exit_code(
+        self, tmp_path, monkeypatch, capsys, no_sweep, output
+    ):
         monkeypatch.chdir(tmp_path)
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {output}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"output {output!r}" in err
         assert sorted(tmp_path.iterdir()) == [cfg_file]
 
     @pytest.mark.parametrize("output", ["..", "out", "file.txt/x.csv"])
-    def test_output_naming_a_directory_exit_code(self, tmp_path, monkeypatch, capsys, output):
-        def refuse(cfg):
-            raise AssertionError("the sweep ran before the output was checked")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
+    def test_output_naming_a_directory_exit_code(
+        self, tmp_path, monkeypatch, capsys, no_sweep, output
+    ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "out").mkdir()
         (tmp_path / "file.txt").write_text("")
@@ -1002,23 +1053,22 @@ class TestCli:
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {output}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and repr(output) in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"output {output!r}" in err
         assert sorted(tmp_path.rglob("*")) == sorted([*before, cfg_file])
+        assert (tmp_path / "file.txt").read_bytes() == b""
 
-    def test_output_naming_a_fifo_is_left_alone(self, tmp_path, monkeypatch, capsys):
+    def test_output_naming_a_fifo_is_left_alone(self, tmp_path, capsys, no_sweep):
         # the CSV would be renamed over the FIFO, which stops being one
-        def refuse(cfg):
-            raise AssertionError("the sweep ran before the output was checked")
-
-        monkeypatch.setattr(cli, "run_sweep", refuse)
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(f"scenario = fig7\nu_steps = 3\noutput = {pipe}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and repr(str(pipe)) in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f"output {str(pipe)!r}" in err
         assert stat.S_ISFIFO(pipe.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == sorted([cfg_file, pipe])  # no *.tmp left
 
@@ -1211,6 +1261,36 @@ class TestCli:
         assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0))  # T
         np.testing.assert_allclose(rows[:, 2] + rows[:, -1], 1.0, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "settings,n_rows",
+        [("scenario = fig2a\nu_list = 1e76\ntheta_min = 1e299\ntheta_max = 1.7e308", 50),
+         ("scenario = fig7\nu_min = 1e70\nu_max = 1e76\nu_steps = 50", 50),
+         (f"scenario = fig2a\nu_list = 1e-300\ntheta_min = {sys.float_info.min!r}\n"
+          "theta_max = 1e-300", 50),
+         ("scenario = fig3b\nelectron_spin = 1e308j,1e308", 150)],
+        ids=["strong-coupling-largest-phases", "strongest-couplings",
+             "weakest-coupling-smallest-phases", "largest-electron-amplitudes"],
+    )
+    def test_accepted_extremes_run_to_the_end(self, tmp_path, capsys, settings, n_rows):
+        # each corner of the accepted domain writes every row, and each row keeps
+        # T in [0, 1], T_up + T_down = T and T + R = 1
+        out_file = tmp_path / "rows.csv"
+        cfg_file = tmp_path / "extreme.cfg"
+        steps = "" if "u_steps" in settings else "\ntheta_steps = 50"
+        cfg_file.write_text(f"{settings}{steps}\noutput = {out_file}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr() == (f"wrote {n_rows} rows to {out_file}\n", "")
+        columns, *lines = [ln for ln in out_file.read_text().splitlines() if ln[0] != "#"]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        t, t_up, t_down, r = rows.T[[columns.split(",").index(name)
+                                     for name in ("T", "T_up", "T_down", "R")]]
+        assert len(rows) == n_rows
+        assert np.all((t >= -1e-12) & (t <= 1.0 + 1e-12))
+        assert np.all(np.abs(t_up + t_down - t) <= 1e-12)
+        assert np.all(np.abs(t + r - 1.0) <= 1e-10)
+
     @pytest.mark.parametrize("scenario,key", [("fig3b", "u_list"), ("fig7", "u_max")])
     def test_coupling_above_the_bound_rejected_at_parse_time(
         self, tmp_path, capsys, scenario, key
@@ -1330,6 +1410,23 @@ class TestCli:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "criterion,name,limit,printed",
+        [("criterion_triple_agreement", "_AGREEMENT_TOL", 1e-20, "(limit 1e-20)"),
+         ("criterion_flux_conservation", "_FLUX_TOL", 1e-20, "(limit 1e-20)"),
+         ("criterion_singlet_transparency", "_TRANSPARENCY_TOL", 1e-20, "(both > 1 - 1e-20)"),
+         ("criterion_recoupling_values", "_RECOUPLING_TOL", 1e-20, "(limit 1e-20)"),
+         ("criterion_entanglement_generation", "_T_DOWN_MIN", 0.99, "(need > 0.99 in")],
+    )
+    def test_printed_limit_is_the_compared_one(self, monkeypatch, criterion, name, limit,
+                                               printed):
+        # a limit no measurement meets fails the criterion, and the line prints it
+        from spinfp.scenarios import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, name, limit)
+        result = getattr(verify_mod, criterion)()
+        assert not result.passed and printed in result.details
+
     def test_criterion_4_makes_two_kernel_calls(self, monkeypatch):
         from spinfp import observables
         from spinfp.scenarios import verify as verify_mod
