@@ -157,27 +157,15 @@ _SPIN_FLIP = np.array(
 
 
 def concurrence(state: np.ndarray) -> float:
-    """Two-qubit concurrence of a pure 4-vector or a 4x4 density matrix.
-
-    Uses the standard spin-flip construction, which covers mixed states;
-    for a pure state b|ud> + c|du> it reduces to 2|b||c| / (|b|^2 + |c|^2).
-    """
+    """Two-qubit concurrence |<psi| sigma_y x sigma_y |psi*>| / <psi|psi> of a pure
+    4-vector; for b|ud> + c|du> it is 2|b||c| / (|b|^2 + |c|^2)."""
     arr = np.asarray(state, dtype=complex)
-    if arr.shape == (4,):
-        nrm2 = float(np.real(np.vdot(arr, arr)))
-        if nrm2 <= 0:
-            raise DomainError("zero state has no concurrence")
-        flipped = _SPIN_FLIP @ arr.conj()
-        return abs(complex(np.vdot(arr, flipped))) / nrm2
-    if arr.shape == (4, 4):
-        # singular values of sqrt(rho) Y conj(sqrt(rho)) equal the usual
-        # square-rooted eigenvalues of rho rho~ but stay accurate for
-        # near-pure states (no non-normal eigenproblem involved)
-        w, v = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        lams = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-        return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
-    raise DomainError(f"expected a 4-vector or 4x4 matrix, got shape {arr.shape}")
+    if arr.shape != (4,):
+        raise DomainError(f"expected a 4-vector, got shape {arr.shape}")
+    nrm2 = float(np.real(np.vdot(arr, arr)))
+    if nrm2 <= 0:
+        raise DomainError("zero state has no concurrence")
+    return abs(complex(np.vdot(arr, _SPIN_FLIP @ arr.conj()))) / nrm2
 
 
 def fixed_point_subspace(

@@ -1,18 +1,1 @@
-"""Sweep engine, unit conversion, verification harness and CLI."""
-
-from .config import ConfigError, SweepConfig, load_config
-from .sweeps import run_sweep, write_csv
-from .units import PhysicalParams, convert_units, spacing_for_phase
-from .verify import verify_figures
-
-__all__ = [
-    "ConfigError",
-    "SweepConfig",
-    "load_config",
-    "run_sweep",
-    "write_csv",
-    "PhysicalParams",
-    "convert_units",
-    "spacing_for_phase",
-    "verify_figures",
-]
+"""Sweep engine, unit conversion, verification harness and CLI, one submodule each."""

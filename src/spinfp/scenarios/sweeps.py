@@ -1,42 +1,30 @@
 """Grid evaluation of the scattering pipeline and CSV emission.
 
-Output layout is deterministic: rows are emitted row-major over the grid
-with the coupling u as the outermost axis, so identical configs give
-byte-identical files.  The data section carries no timestamps; the ``#``
+Every sweep kind is one grid of points (u, theta), u the outer axis and
+``SweepConfig.theta_values`` the inner one (a single phase for family and
+coupling sweeps), times incident product-basis states: one state for theta
+and coupling sweeps, the (vartheta, phi) grid of states for a family sweep.
+Row ``point * n_states + state`` depends on its own point and state only, so
+the output does not depend on ``CHUNK``, and identical configs give
+byte-identical files: the data section carries no timestamps, and the ``#``
 header block echoes the resolved configuration.
 
-Every sweep kind is one grid of points (u, theta), the outer axis, times
-incident product-basis states, the inner one: theta and coupling sweeps have
-one state, a family sweep its grid of states at the fixed phase.  One grid
-builder walks the rows, row ``point * n_states + state``, in blocks of at
-most ``3 * CHUNK``, the rows ``write_csv`` renders in one call: it calls
-``observables.observable_table`` once per block, and the production kernel
-``closed_form.amplitudes`` on up to ``3 * CHUNK`` points from a block's
-first point, again only when a block runs past them.  States and matrices
-alike are in the product basis, cut to the columns where some incident state
-of the sweep is nonzero, which the config tells: one to four of the eight,
-so the kernel builds no dense 8x8 matrix.  A dropped column's state entries
-are all +-0, so its terms would add exact zeros to sums that start at +0.0,
-and the rows keep their bits.  The sweep is computed as it is written: a
-generator puts those rows beside the lead columns (the config's grids at
-each row's point and state index) and yields the table as the grid builder's
-blocks, building a block's family states from their (vartheta, phi) indices,
-so no array as long as the sweep exists but the config's grids.
-``SweepResult.rows`` fills the whole table from those blocks.  This module
-names only the lead columns; the rest are
-``observables.OBSERVABLE_COLUMNS``.  Every value of a row is computed from
-its own point and state only, so the output does not depend on the chunk
-size.  Every sweep kind reads its phases from ``SweepConfig.theta_values``,
-which holds one phase for family and coupling sweeps.
+The grid is walked by point group: the kernel ``closed_form.amplitudes`` runs
+once per group of ``3 * CHUNK`` points, and ``observables.observable_table``
+once per block of ``3 * CHUNK`` of the group's rows, the rows one render call
+formats.  Both see only the product-basis columns where some incident state
+of the sweep is nonzero (one to four of the eight), so no dense 8x8 matrix is
+built; a dropped column's terms are exact zeros added to sums that start at
++0.0, so the rows keep their bits.  ``SweepResult.batches()`` yields each
+block, beside its lead columns, as it is computed: no array as long as the
+sweep exists but the config's grids.
 
-``write_csv`` lays out the CSV and streams it to disk batch by batch, as
-bytes, so a sweep and its write hold O(CHUNK) rows and bytes of text, never
-the table or the file: the header block in UTF-8 (the echo may hold any
-path), then ``_format.format_rows`` of each batch in ASCII, every value
-exactly as ``%.17g`` prints it; ``_format`` says how numpy computes the
-digits.  A render call makes about 150 numpy calls at any size: 768 rows
-render a fifth faster than 256, and, unlike 1,024, leave the peak RSS of a
-process that runs one theta sweep and writes it where 256 left it.
+``write_csv`` streams the CSV batch by batch, as bytes: the header block in
+UTF-8 (the echo may hold any path), then ``_format.format_rows`` of each
+batch in ASCII, every value exactly as ``%.17g`` prints it.  A render call
+makes about 150 numpy calls at any size: 768 rows render a fifth faster than
+256, and, unlike 1,024, leave the peak RSS of a process that runs one theta
+sweep and writes it where 256 left it.
 """
 
 from __future__ import annotations
@@ -98,34 +86,31 @@ def _blocks(u_values, theta_values, n_states: int, states, used: np.ndarray):
     nonzero; only those columns of t and r reach the kernel and the row
     builder.  Yields (u, theta, state, table) for each block of at most
     3 * CHUNK consecutive rows: each row's u, theta and state index, and its
-    ``observable_table`` row.  The kernel runs on a group of up to 3 * CHUNK
-    points from a block's first point, and again only when a block runs past
-    them.
+    ``observable_table`` row.  The kernel runs once per group of 3 * CHUNK
+    points, whose rows are a whole number of blocks.
     """
     size = 3 * CHUNK  # read here, so that a patched CHUNK applies
     n_points = len(u_values) * len(theta_values)
-    n_rows = n_points * n_states
 
     def at(points):  # u and theta at points of the grid
         return u_values[points // len(theta_values)], theta_values[points % len(theta_values)]
 
-    first = stop = 0  # the kernel's group: points first to stop - 1
-    for start in range(0, n_rows, size):
-        end = min(start + size, n_rows)
-        point, state = np.divmod(np.arange(start, end), n_states)
-        if point[-1] >= stop:
-            first, stop = point[0], min(point[0] + size, n_points)
-            t, r = amplitudes(*at(np.arange(first, stop)), used)
-        if n_states == 1 or point[0] == point[-1]:
-            # a view: consecutive points of one state, or one point for every state
-            k = slice(point[0] - first, point[-1] + 1 - first)
-        else:
-            k = point - first
-        u, theta = at(point)
-        table = observable_table(t[k], r[k], states(state), u, theta)
-        if end == n_rows or min(end + size, n_rows) > stop * n_states:
-            t = r = None  # the group's last block: not held while it is written
-        yield u, theta, state, table
+    for first in range(0, n_points, size):
+        stop = min(first + size, n_points)
+        t, r = amplitudes(*at(np.arange(first, stop)), used)
+        for start in range(first * n_states, stop * n_states, size):
+            end = min(start + size, stop * n_states)
+            point, state = np.divmod(np.arange(start, end), n_states)
+            if n_states == 1 or point[0] == point[-1]:
+                # a view: consecutive points of one state, or one point for every state
+                k = slice(point[0] - first, point[-1] + 1 - first)
+            else:
+                k = point - first
+            u, theta = at(point)
+            table = observable_table(t[k], r[k], states(state), u, theta)
+            if end == stop * n_states:
+                t = r = None  # the group's last block: not held while it is written
+            yield u, theta, state, table
 
 
 def _batches(cfg: SweepConfig):

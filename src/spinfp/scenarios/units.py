@@ -89,7 +89,7 @@ def convert_units(phys: PhysicalParams) -> DimensionlessParams:
     """Map physical parameters to the dimensionless coupling and phase."""
     u = density_of_states(phys.effective_mass, phys.energy_mev) * (
         phys.coupling_ev_angstrom * _EV_ANGSTROM
-    )
+    ) + 0.0  # a coupling of -0.0 is written as 0, as in a config
     theta = wave_number(phys.effective_mass, phys.energy_mev) * phys.spacing_nm * _NM
     return DimensionlessParams(u=u, theta=theta)
 

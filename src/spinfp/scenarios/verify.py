@@ -56,6 +56,19 @@ _FLUX_TOL = 1e-10  # criterion 2: |T + R - 1|
 _TRANSPARENCY_TOL = 1e-10  # criterion 3: 1 - T and 1 - fidelity on the singlet at n pi
 _RECOUPLING_TOL = 1e-12  # criterion 6: the 6j route against each reference
 _T_DOWN_MIN, _T_DOWN_U = 0.20, (0.5, 2.0)  # criterion 7: the peak of T_down, and its u
+# criterion 9, at 0.067 m0 and 2 meV: u at 1 eV*Angstrom, and the spacing of theta = pi in nm
+_U_RANGE, _X0_RANGE_NM = (0.8, 1.2), (40.0, 70.0)
+# the limits no report line prints
+_ANGLE_TOL = 1e-6  # criterion 4: the principal angles to the singlet span, in rad
+_DET_FORMULA_TOL = 1e-10  # criterion 4: det(t - I) against its factorized form
+_DET_AT_PI_TOL = 1e-12  # criterion 4: |det(t - I)| at n pi
+_DET_OFF_MIN = 1e-8  # criterion 4: the least |det(t - I)| off resonance
+_COMMUTATOR_TOL = 1e-10  # criterion 5: the conserved commutators, and the pair spin's at n pi
+_PAIR_COMMUTATOR_MIN = 1e-3  # criterion 5: the pair spin's commutator at theta = 2
+_CONCURRENCE_TOL = 1e-10  # criterion 7: 1 - the conditional state's concurrence
+_FIDELITY_TOL = 1e-10  # criterion 7: 1 - its fidelity to the triplet
+_UNIT_T_TOL = 1e-10  # criterion 8: 1 - T, and T - T_up, on the singlet at n pi
+_FIGURE_TOL = 1e-12  # criterion 8: fig4's extrema, fig5's T_up <= T and fig6c's identities
 
 
 @dataclass(frozen=True)
@@ -193,11 +206,11 @@ def criterion_transparency_uniqueness() -> CriterionResult:
     max_det_err = float(np.max(np.abs(det - _independent_determinant(p))))
     det_at_pi = float(np.max(np.abs(det_t_minus_identity(_resonances(5.0)))))
     passed = (
-        max_angle < 1e-6
+        max_angle < _ANGLE_TOL
         and off_count == 100
-        and max_det_err < 1e-10
-        and det_at_pi < 1e-12
-        and min_det > 1e-8
+        and max_det_err < _DET_FORMULA_TOL
+        and det_at_pi < _DET_AT_PI_TOL
+        and min_det > _DET_OFF_MIN
     )
     return CriterionResult(
         4, "transparent-subspace uniqueness", passed,
@@ -213,7 +226,8 @@ def criterion_conservation_laws() -> CriterionResult:
     worst_total = float(max(np.max(drawn.total_spin_sq), np.max(drawn.total_sz)))
     pair_resonant = float(np.max(symmetry_report(_resonances(10.0)).pair_spin_sq))
     pair_generic = symmetry_report(DimensionlessParams(10.0, 2.0)).pair_spin_sq
-    passed = worst_total < 1e-10 and pair_resonant < 1e-10 and pair_generic > 1e-3
+    passed = (worst_total < _COMMUTATOR_TOL and pair_resonant < _COMMUTATOR_TOL
+              and pair_generic > _PAIR_COMMUTATOR_MIN)
     return CriterionResult(
         5, "conservation laws", passed,
         f"[S_total^2, S] and [S_z, S] <= {worst_total:.3e}; pair-spin "
@@ -257,8 +271,8 @@ def criterion_entanglement_generation() -> CriterionResult:
     passed = (
         best_t > _T_DOWN_MIN
         and low <= best_u <= high
-        and res.concurrence > 1.0 - 1e-10
-        and fid > 1.0 - 1e-10
+        and res.concurrence > 1.0 - _CONCURRENCE_TOL
+        and fid > 1.0 - _FIDELITY_TOL
     )
     return CriterionResult(
         7, "entanglement generation", passed,
@@ -339,7 +353,7 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     us, resonances = (1.0, 2.0, 10.0), (math.pi, 2 * math.pi)
     probes = [(u, theta) for u in us for theta in resonances]
     for (u, theta), t_res in zip(probes, _curve(["psi-"], us, resonances)[0].tolist()):
-        if t_res < 1.0 - 1e-10:
+        if t_res < 1.0 - _UNIT_T_TOL:
             problems.append(f"fig3b T({theta}) = {t_res!r} < 1 for u = {u}")
     if not widths[0] > widths[1] > widths[2]:
         problems.append(f"fig3b widths not decreasing: {widths}")
@@ -354,22 +368,22 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
 
     t_singlet = at_point(math.pi / 4, math.pi)
     t_triplet = at_point(math.pi / 4, 0.0)
-    if abs(t_singlet - 1.0) > 1e-10:
+    if abs(t_singlet - 1.0) > _UNIT_T_TOL:
         problems.append(f"fig4 singlet point T = {t_singlet!r} != 1")
-    if t_singlet < np.max(t_tot) - 1e-12:
+    if t_singlet < np.max(t_tot) - _FIGURE_TOL:
         problems.append("fig4 singlet point is not a global maximum")
-    if t_triplet > np.min(t_tot) + 1e-12:
+    if t_triplet > np.min(t_tot) + _FIGURE_TOL:
         problems.append("fig4 triplet point is not a global minimum")
     notes.append(f"fig4 T(singlet) = {t_singlet:.12f}, T(triplet) = {t_triplet:.6f}")
 
     # spin-filtered map: T_up <= T with equality on the singlet
     vt, ph, t_tot, t_up = _preset("fig5", "vartheta", "phi", "T", "T_up")
     gap = float(np.max(t_up - t_tot))
-    if gap > 1e-12:
+    if gap > _FIGURE_TOL:
         problems.append(f"fig5 T_up exceeds T by {gap:.3e}")
     singlet_row = (np.abs(vt - math.pi / 4) < 1e-12) & (np.abs(ph - math.pi) < 1e-12)
     eq_gap = float(abs(t_tot[singlet_row][0] - t_up[singlet_row][0]))
-    if eq_gap > 1e-10:
+    if eq_gap > _UNIT_T_TOL:
         problems.append(f"fig5 singlet point: T - T_up = {eq_gap:.3e}")
     notes.append(f"fig5 max(T_up - T) = {gap:.2e}, singlet gap = {eq_gap:.2e}")
 
@@ -383,9 +397,9 @@ def criterion_figure_claims() -> CriterionResult:  # noqa: C901
     worst_phase = float(np.max(np.abs(curves - reference[:, None])))
     expected = np.array([math.cos(mix) ** 2 * uu + math.sin(mix) ** 2 * dd for mix in mixes])
     worst_mix = float(np.max(np.abs(reference - expected)))
-    if worst_phase > 1e-12:
+    if worst_phase > _FIGURE_TOL:
         problems.append(f"fig6c phase dependence {worst_phase:.3e}")
-    if worst_mix > 1e-12:
+    if worst_mix > _FIGURE_TOL:
         problems.append(f"fig6c mixture identity off by {worst_mix:.3e}")
     notes.append(f"fig6c phase dep = {worst_phase:.2e}, mixture err = {worst_mix:.2e}")
 
@@ -402,11 +416,13 @@ def criterion_units() -> CriterionResult:
     )
     params = convert_units(phys)
     x0 = spacing_for_phase(0.067, 2.0, math.pi)
-    passed = 0.8 <= params.u <= 1.2 and 40.0 <= x0 <= 70.0
+    (u_low, u_high), (x0_low, x0_high) = _U_RANGE, _X0_RANGE_NM
+    passed = u_low <= params.u <= u_high and x0_low <= x0 <= x0_high
     return CriterionResult(
         9, "units sanity", passed,
         f"u = {params.u:.4f} for (0.067 m0, 2 meV, 1 eV*Angstrom) "
-        f"(need [0.8, 1.2]); x0(theta = pi) = {x0:.2f} nm (need [40, 70])",
+        f"(need [{u_low:g}, {u_high:g}]); x0(theta = pi) = {x0:.2f} nm "
+        f"(need [{x0_low:g}, {x0_high:g}])",
     )
 
 

@@ -1,7 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinfp
 from spinfp.spin_algebra import coupled_basis
+
+
+def child_env(**setting: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports this source tree.
+
+    ``setting`` over this process's environment, the source directory first on
+    ``PYTHONPATH``, and RuntimeWarnings as errors, as the ``filterwarnings`` of
+    pyproject.toml makes them in the test process.
+    """
+    source = str(Path(spinfp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **setting}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
 
 
 def _rotated(quartet, doublet):

@@ -4,13 +4,12 @@ Each test prints the measured one-line report, so ``pytest -s`` (or the
 ``spinfp verify`` command, which runs the same checks) shows the numbers.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from spinfp.scenarios import verify
 from spinfp.scenarios.verify import verify_figures
 
@@ -70,11 +69,8 @@ def test_verify_twice_in_child_processes_prints_the_same_bytes(tmp_path):
     """Two ``spinfp verify`` processes, with numpy's RuntimeWarnings as errors,
     each exit 0 and print the same report byte for byte: seeded draws and
     fixed sweeps give the same numbers in every process."""
-    source = str(Path(verify.__file__).resolve().parents[2])
-    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
-           "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
     children = [subprocess.Popen(
-        [sys.executable, "-m", "spinfp.scenarios.cli", "verify"], cwd=tmp_path, env=env,
+        [sys.executable, "-m", "spinfp.scenarios.cli", "verify"], cwd=tmp_path, env=child_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
     runs = [(*child.communicate(), child.returncode) for child in children]
     for out, err, code in runs:

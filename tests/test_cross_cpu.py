@@ -30,12 +30,11 @@ that electron's family sweeps.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import spinfp
+from conftest import child_env
 
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -132,7 +131,6 @@ def test_kernel_and_every_sweep_are_the_same_bytes_on_every_core_type():
     print(f"OPENBLAS_CORETYPE run: {run}; not supported by this CPU: {left_out}")
     print(f"NPY_DISABLE_CPU_FEATURES: {targets}; not supported by this CPU: {skipped}; "
           f"baseline, which cannot be disabled: {_umath.__cpu_baseline__}")
-    source = str(Path(spinfp.__file__).resolve().parents[1])
     variants = {core: ({"OPENBLAS_CORETYPE": core} if core else {}, CHILD, SWEEPS)
                 for core in run or [None]}
     dispatch = f"NPY_DISABLE_CPU_FEATURES={' '.join(targets)}"
@@ -141,10 +139,9 @@ def test_kernel_and_every_sweep_are_the_same_bytes_on_every_core_type():
                           {name: SWEEPS[name] for name in DISPATCH_INVARIANT})
     children = {}
     for name, (setting, script, sweeps) in variants.items():
-        env = dict(os.environ, **setting)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
         children[name] = subprocess.Popen(
-            [sys.executable, "-c", script, ELECTRON, json.dumps(sweeps)], env=env, text=True,
+            [sys.executable, "-c", script, ELECTRON, json.dumps(sweeps)], env=child_env(**setting),
+            text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     hashes: dict[str, dict[str, str]] = {}
     for name, child in children.items():

@@ -16,17 +16,16 @@ from pathlib import Path
 import pytest
 
 import spinfp
+from conftest import child_env
 
 HEAVY = ("sympy", "scipy", "mpmath")
 
 
 def _run(script: str) -> str:
     """stdout of ``script`` in a fresh interpreter that imports this source tree."""
-    env = dict(os.environ)
-    source = str(Path(spinfp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True,
+        check=True,
     )
     return proc.stdout.strip()
 

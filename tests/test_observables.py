@@ -245,22 +245,10 @@ class TestConcurrence:
         expected = 2 * abs(b) * abs(c) / (abs(b) ** 2 + abs(c) ** 2)
         assert concurrence(state) == pytest.approx(expected, abs=1e-12)
 
-    def test_density_matrix_matches_pure(self):
-        rng = np.random.default_rng(45)
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        rho = np.outer(psi, psi.conj())
-        assert concurrence(rho) == pytest.approx(concurrence(psi), abs=1e-10)
-
-    def test_mixed_state(self):
-        # singlet fraction p mixed with white noise: C = max(0, (3p - 1)/2)
-        for p in (0.2, 0.5, 0.9):
-            rho = p * np.outer(SINGLET, SINGLET) + (1 - p) / 4 * np.eye(4)
-            assert concurrence(rho) == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=1e-10)
-
     def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            concurrence(np.ones(3))
+        for shape in ((3,), (4, 4)):  # a pure 4-vector only: a density matrix is refused
+            with pytest.raises(DomainError):
+                concurrence(np.ones(shape))
 
 
 class TestFixedPointSubspace:

@@ -5,10 +5,8 @@ Random token strings may be rejected, but only with ``ConfigError`` or
 to a ``SweepConfig`` with the same echo and the same grids.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-import spinfp  # noqa: E402
+from conftest import child_env  # noqa: E402
 from spinfp.errors import DomainError  # noqa: E402
 from spinfp.scenarios.config import (  # noqa: E402
     ConfigError,
@@ -111,9 +109,8 @@ def test_non_finite_family_parameter_on_the_cli(tmp_path):
     out_file = tmp_path / "rows.csv"
     cfg_file = tmp_path / "inf.cfg"
     cfg_file.write_text(f"impurity_state = family2 theta=inf phi=0\noutput = {out_file}\n")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    source = str(Path(spinfp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    env = child_env()
+    del env["PYTHONWARNINGS"]
     proc = subprocess.run(
         [sys.executable, "-m", "spinfp.scenarios.cli", "sweep", "--config", str(cfg_file)],
         env=env, capture_output=True, text=True,

@@ -42,6 +42,7 @@ from spinfp.scenarios.units import (
     spacing_for_phase,
 )
 
+from conftest import child_env
 from test_render import CUSTOM_SWEEPS
 
 
@@ -677,9 +678,6 @@ class TestSweeps:
         launch = ("import os, sys; argv = sys.argv[1:]; "
                   "_, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0); "
                   "print(usage.ru_maxrss); sys.exit(os.waitstatus_to_exitcode(status))")
-        source = str(Path(sweeps.__file__).resolve().parents[2])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [source, os.environ.get("PYTHONPATH")]))}
         cases = {"fig2a": "scenario = fig2a\ntheta_steps = 2000000\nu_list = 2",
                  "fig4": "scenario = fig4\nvartheta_steps = 2000\nphi_steps = 1000"}
         peaks = {}
@@ -689,7 +687,7 @@ class TestSweeps:
             run = subprocess.run(
                 [sys.executable, "-c", launch, sys.executable, "-W", "error::RuntimeWarning",
                  "-m", "spinfp.scenarios.cli", "sweep", "--config", str(cfg_file)],
-                env=env, capture_output=True, text=True)
+                env=child_env(), capture_output=True, text=True)
             assert (run.returncode, run.stderr) == (0, ""), run.stderr
             wrote, peak_kb = run.stdout.splitlines()
             assert wrote == f"wrote 2000000 rows to {output}"
@@ -992,11 +990,8 @@ class TestCli:
         # convert, then the sweep again: the argparse error and the help read as
         # a fresh interpreter's, and the repeated sweep writes the same bytes
         monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the children
-        source = str(Path(cli.__file__).resolve().parents[2])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [source, os.environ.get("PYTHONPATH")]))}
         children = {argv: subprocess.Popen(
-            [sys.executable, "-m", "spinfp.scenarios.cli", argv], env=env, text=True,
+            [sys.executable, "-m", "spinfp.scenarios.cli", argv], env=child_env(), text=True,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in ("sweep", "--help")}
         fresh = {}  # per argv, as call() below reports it
         for argv, child in children.items():
@@ -1370,6 +1365,13 @@ class TestCli:
         assert float(values["theta"]) == pytest.approx(math.pi, rel=1e-12)
         assert 40 <= float(values["x0_nm_for_theta_pi"]) <= 70
 
+    def test_convert_negative_zero_coupling_prints_0(self, capsys):
+        # as a config's u_list = -0.0 is written as 0
+        code = cli.main(["convert", "--mstar", "0.067", "--energy-mev", "2",
+                         "--coupling-evA", "-0.0"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "u = 0"
+
     def test_convert_rejects_bad_input(self):
         code = cli.main(
             ["convert", "--mstar", "-1", "--energy-mev", "2", "--coupling-evA", "1"]
@@ -1416,7 +1418,9 @@ class TestVerify:
          ("criterion_flux_conservation", "_FLUX_TOL", 1e-20, "(limit 1e-20)"),
          ("criterion_singlet_transparency", "_TRANSPARENCY_TOL", 1e-20, "(both > 1 - 1e-20)"),
          ("criterion_recoupling_values", "_RECOUPLING_TOL", 1e-20, "(limit 1e-20)"),
-         ("criterion_entanglement_generation", "_T_DOWN_MIN", 0.99, "(need > 0.99 in")],
+         ("criterion_entanglement_generation", "_T_DOWN_MIN", 0.99, "(need > 0.99 in"),
+         ("criterion_units", "_U_RANGE", (2.0, 3.0), "(need [2, 3])"),
+         ("criterion_units", "_X0_RANGE_NM", (100.0, 200.0), "(need [100, 200])")],
     )
     def test_printed_limit_is_the_compared_one(self, monkeypatch, criterion, name, limit,
                                                printed):
@@ -1426,6 +1430,26 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, name, limit)
         result = getattr(verify_mod, criterion)()
         assert not result.passed and printed in result.details
+
+    @pytest.mark.parametrize(
+        "criterion,name,limit",
+        [("criterion_transparency_uniqueness", "_ANGLE_TOL", 0.0),
+         ("criterion_transparency_uniqueness", "_DET_FORMULA_TOL", 0.0),
+         ("criterion_transparency_uniqueness", "_DET_AT_PI_TOL", 0.0),
+         ("criterion_transparency_uniqueness", "_DET_OFF_MIN", math.inf),
+         ("criterion_conservation_laws", "_COMMUTATOR_TOL", 0.0),
+         ("criterion_conservation_laws", "_PAIR_COMMUTATOR_MIN", math.inf),
+         ("criterion_entanglement_generation", "_CONCURRENCE_TOL", -1.0),
+         ("criterion_entanglement_generation", "_FIDELITY_TOL", -1.0),
+         ("criterion_figure_claims", "_UNIT_T_TOL", -1.0),
+         ("criterion_figure_claims", "_FIGURE_TOL", -1.0)],
+    )
+    def test_unprinted_limit_is_the_compared_one(self, monkeypatch, criterion, name, limit):
+        # the report prints the measurement only: a limit it cannot meet fails the criterion
+        from spinfp.scenarios import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, name, limit)
+        assert not getattr(verify_mod, criterion)().passed
 
     def test_criterion_4_makes_two_kernel_calls(self, monkeypatch):
         from spinfp import observables

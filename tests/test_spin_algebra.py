@@ -55,6 +55,18 @@ class TestSpinVector:
         v = compose_state([0, 1], [0, 0, 1, 0])  # down, down, up
         assert v.amplitudes[0b110] == 1.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_compose_state_takes_any_finite_magnitude(self, scale):
+        # no overflow, underflow or warning: each factor is rescaled exactly first
+        unit = compose_state([1, 0], [0, 1, 0, 0]).amplitudes
+        for electron, impurities in (([scale, 0], [0, 1, 0, 0]), ([1, 0], [0, scale, 0, 0])):
+            assert compose_state(electron, impurities).amplitudes.tobytes() == unit.tobytes()
+
+    def test_compose_state_refuses_a_zero_factor(self):
+        for electron, impurities in (([0, 0], [0, 1, 0, 0]), ([1, 0], [0, 0, 0, 0])):
+            with pytest.raises(DomainError, match="zero state"):
+                compose_state(electron, impurities)
+
 
 class TestOperators:
     def test_hermitian(self):
@@ -122,7 +134,7 @@ class TestWigner6j:
 class TestCoupledBasis:
     def test_orthonormal(self):
         m = coupled_basis().matrix
-        np.testing.assert_allclose(m.conj().T @ m, np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(8), rtol=0, atol=1e-12)
 
     def test_simultaneous_eigenvectors(self):
         basis = coupled_basis()
@@ -139,7 +151,7 @@ class TestCoupledBasis:
     def test_stretched_state(self):
         basis = coupled_basis()
         v = basis.matrix[:, basis.index(1, 1.5, 1.5)]
-        np.testing.assert_allclose(v, np.eye(8)[0], atol=1e-12)  # |up, up, up>
+        np.testing.assert_allclose(v, np.eye(8)[0], rtol=0, atol=1e-12)  # |up, up, up>
 
     def test_singlet_combination_positive_coefficients(self):
         # 1/2 |0;1/2,1/2> + sqrt(3)/2 |1;1/2,1/2>  =  |up> (|ud> - |du>)/sqrt(2)
@@ -149,7 +161,7 @@ class TestCoupledBasis:
             combo = 0.5 * basis.matrix[:, basis.index(0, 0.5, m)] + (
                 SQ3 / 2
             ) * basis.matrix[:, basis.index(1, 0.5, m)]
-            np.testing.assert_allclose(combo, target.amplitudes, atol=1e-12)
+            assert np.linalg.norm(combo - target.amplitudes) < 1e-12
 
     def test_pair_spin_expectation_in_quartet(self):
         # the impurity pair carries spin 1 throughout the quartet
