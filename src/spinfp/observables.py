@@ -215,4 +215,4 @@ def symmetry_report(p: DimensionlessParams) -> SymmetryReport:
         np.array([ops.total_spin_sq, ops.total_sz, ops.pair_spin_sq, ops.electron_imp2_sq]),
     )  # one 16x16 operator per field
     norms = np.moveaxis(np.linalg.norm(s @ o16 - o16 @ s, axis=(-2, -1)), -1, 0)
-    return SymmetryReport(*(norms.tolist() if norms.ndim == 1 else norms))
+    return SymmetryReport(*norms)

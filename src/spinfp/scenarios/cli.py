@@ -6,9 +6,9 @@ keeps it: building one took 0.4 to 0.6 ms on a 2-vCPU x86-64 host, a fifth of
 a 3-row sweep, against 0.03 ms for ``parse_args``.  Parsing leaves the parser
 as it was, so each call behaves as in a fresh process.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 verification failure (``verify.EXIT_VERIFY``, which ``run_verification``
-returns).
+Exit codes: 0 success (``--help`` included), 1 configuration or usage error
+(argparse's error lines stay as they are), 2 numeric failure, 3 verification
+failure (``verify.EXIT_VERIFY``, which ``run_verification`` returns).
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def _cmd_convert(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)

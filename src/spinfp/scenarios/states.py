@@ -1,7 +1,8 @@
 """Mini-language for spin-state specifications used in sweep configs.
 
 Impurity pair states:
-  * product kets: ``uu``, ``ud``, ``du``, ``dd`` (``u,d`` also accepted)
+  * product kets: ``uu``, ``ud``, ``du``, ``dd``, each also written with one
+    comma, as ``u,d``
   * named Bell states: ``psi+``, ``psi-``
   * one-excitation family:  ``family2 theta=<rad> phi=<rad>``
         cos(theta)|ud> + e^{i phi} sin(theta)|du>
@@ -22,7 +23,7 @@ import numpy as np
 from ..errors import DomainError
 from ..spin_algebra import SpinVector, compose_state
 
-_KET_INDEX = {"uu": 0, "ud": 1, "du": 2, "dd": 3}
+_KET_INDEX = {"uu": 0, "ud": 1, "du": 2, "dd": 3, "u,u": 0, "u,d": 1, "d,u": 2, "d,d": 3}
 
 
 def _family(mix, phase, first: int, second: int) -> np.ndarray:
@@ -104,12 +105,11 @@ def impurity_state(spec: str) -> np.ndarray:
     head, *rest = tokens
     if head in _FAMILIES:
         return _FAMILIES[head](*_parse_family_args(rest, spec))
-    ket = head.replace(",", "")
     if head in ("psi+", "psi-"):
         out = bell_pair(+1 if head == "psi+" else -1)
-    elif ket in _KET_INDEX:
+    elif head in _KET_INDEX:
         out = np.zeros(4, dtype=complex)
-        out[_KET_INDEX[ket]] = 1.0
+        out[_KET_INDEX[head]] = 1.0
     else:
         raise DomainError(f"unrecognized impurity state spec {spec!r}")
     if rest:

@@ -16,7 +16,13 @@ from spinfp.closed_form import (
     t_quartet,
 )
 from spinfp.errors import DomainError, NumericError
-from spinfp.spin_algebra import coupled_basis, sector_operators, spin_operators
+from spinfp.observables import scatter
+from spinfp.spin_algebra import (
+    compose_state,
+    coupled_basis,
+    sector_operators,
+    spin_operators,
+)
 from spinfp.transfer_oracle import oracle_scattering, two_impurity_chain
 from spinfp.waveguide_solver import (
     _system,
@@ -278,6 +284,54 @@ class TestDerivation:
                             - mp.fsum(c * coupled[key] for c, key in terms[row, col]))
                         for row in range(8) for col in range(8))
                     assert worst <= 1e-15, (u_value, theta[k], worst)
+
+
+def t_down_up_dd(g):
+    """T_down for an up electron on |dd> at theta = n pi, the theorem below."""
+    return 8 * g**2 / ((g**2 + 4) * (g**2 + 16))
+
+
+class TestEntanglementGeneration:
+    def test_spin_flip_transmission_peaks_at_two_ninths(self):
+        # at ring = 0 the exact blocks, carried into the product basis by the
+        # coupled basis with its entries recovered exactly, give T_down in
+        # closed form; its one stationary point for g > 0 is the maximum 2/9,
+        # at g = 2 sqrt 2, since it vanishes at g -> 0 and g -> oo
+        sp = pytest.importorskip("sympy")
+        g = sp.symbols("g", positive=True)
+        roots = (sp.sqrt(2), sp.sqrt(3), sp.sqrt(6))
+
+        def exact(value):
+            entry = sp.nsimplify(value, roots)
+            assert float(entry) == pytest.approx(value, abs=1e-14)
+            return entry
+
+        basis = coupled_basis().matrix
+        assert not np.any(basis.imag)
+        b = sp.Matrix(8, 8, [exact(v) for v in basis.real.ravel()])
+        assert sp.simplify(b * b.T) == sp.eye(8)
+        quartet, (t, _) = exact_blocks(g, 0, roots[1], sp.I)
+        coupled = sp.diag(*[quartet[0]] * 4, sp.zeros(4, 4))
+        for labels in ((4, 6), (5, 7)):
+            for x in (0, 1):
+                for y in (0, 1):
+                    coupled[labels[x], labels[y]] = t[x][y]
+        column = (b * coupled * b.T)[:, 3]  # incident up electron on |dd>
+        t_down = sum(column[row] * sp.conjugate(column[row]) for row in range(4, 8))
+        formula = t_down_up_dd(g)
+        assert sp.simplify(t_down - formula) == 0
+        assert sp.solve(sp.diff(formula, g), g) == [2 * roots[0]]
+        assert sp.simplify(formula.subs(g, 2 * roots[0])) == sp.Rational(2, 9)
+        assert sp.limit(formula, g, 0) == 0 and sp.limit(formula, g, sp.oo) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_production_spin_flip_transmission_is_the_formula(self, n):
+        chi = compose_state([1, 0], [0, 0, 0, 1])
+        for g in np.logspace(-2, 2, 41):
+            p = DimensionlessParams(g / math.pi, n * math.pi)
+            expected = t_down_up_dd(p.g)
+            got = scatter(chi, p).transmitted_down
+            assert abs(got - expected) <= 1e-13 * expected, (p.u, n, got, expected)
 
 
 def exact_rotation(mp):

@@ -39,6 +39,17 @@ def test_import_loads_no_heavy_dependency(module):
     assert _run(script) == "[]"
 
 
+def test_import_spinfp_loads_no_submodule():
+    # the package re-exports nothing: each name is imported from the module
+    # that defines it, so the package alone loads neither numpy nor a submodule
+    script = (
+        "import sys, spinfp\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+        " or m.startswith('spinfp.')))"
+    )
+    assert _run(script) == "[]"
+
+
 def test_verify_and_figure_sweeps_load_no_heavy_dependency():
     # a heavy module imported inside a criterion or a sweep would pass the
     # import-time check above
@@ -118,7 +129,7 @@ def test_production_binds_the_closed_form_kernel():
     from spinfp.scenarios import sweeps, verify
 
     kernel = closed_form.amplitudes
-    assert sweeps.amplitudes is observables.amplitudes is spinfp.amplitudes is kernel
+    assert sweeps.amplitudes is observables.amplitudes is kernel
     assert verify.amplitudes is kernel and not hasattr(spinfp, "solver_amplitudes")
 
 

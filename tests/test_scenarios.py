@@ -89,6 +89,11 @@ class TestStates:
         np.testing.assert_allclose(impurity_state("du"), [0, 0, 1, 0])
         np.testing.assert_allclose(impurity_state("u,d"), [0, 1, 0, 0])
 
+    def test_comma_kets_are_the_product_kets(self):
+        for ket in ("uu", "ud", "du", "dd"):
+            for spec in (f"{ket[0]},{ket[1]}", f" {ket[0].upper()},{ket[1].upper()} "):
+                assert np.array_equal(impurity_state(spec), impurity_state(ket))
+
     def test_bell_states(self):
         np.testing.assert_allclose(
             impurity_state("psi-"), np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -115,6 +120,9 @@ class TestStates:
     def test_unknown_spec(self):
         with pytest.raises(DomainError):
             impurity_state("bell")
+        for spec in ("u,,d", ",ud,", "ud,", "u,d,"):  # one comma, between the arrows
+            with pytest.raises(DomainError, match="unrecognized impurity state spec"):
+                impurity_state(spec)
 
     @pytest.mark.parametrize("spec", ["psi+ foo", "psi- theta=1", "uu foo"])
     def test_rejects_tokens_after_a_named_state(self, spec):
@@ -996,14 +1004,10 @@ class TestCli:
         fresh = {}  # per argv, as call() below reports it
         for argv, child in children.items():
             out, err = child.communicate()
-            fresh[argv] = (("SystemExit", child.returncode), out, err)
+            fresh[argv] = (child.returncode, out, err)
 
         def call(*argv):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:
-                code = ("SystemExit", exc.code)
-            return code, *capsys.readouterr()
+            return cli.main(list(argv)), *capsys.readouterr()
 
         out_file = tmp_path / "rows.csv"
         cfg_file = tmp_path / "sweep.cfg"
@@ -1013,9 +1017,9 @@ class TestCli:
         first = out_file.read_bytes()
         code, out, err = call("sweep", "--config", str(tmp_path / "gone.cfg"))
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
-        assert fresh["sweep"][0] == ("SystemExit", 2) and "--config" in fresh["sweep"][2]
+        assert fresh["sweep"][0] == 1 and "--config" in fresh["sweep"][2]
         assert call("sweep") == fresh["sweep"]
-        assert fresh["--help"][0] == ("SystemExit", 0) and "usage: spinfp" in fresh["--help"][1]
+        assert fresh["--help"][0] == 0 and "usage: spinfp" in fresh["--help"][1]
         assert call("--help") == fresh["--help"]
         code, out, err = call("convert", "--mstar", "0.067", "--energy-mev", "2",
                               "--coupling-evA", "1")
@@ -1137,6 +1141,15 @@ class TestCli:
         cfg_file.write_text(f"impurity_state = {impurity}\noutput = {out_file}\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
         assert not out_file.exists()
+
+    def test_ket_with_stray_comma_exit_code(self, tmp_path, capsys, no_sweep):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"impurity_state = u,,d\noutput = {tmp_path / 'rows.csv'}\n")
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "'u,,d'" in err
+        assert sorted(tmp_path.iterdir()) == [cfg_file]
 
     def test_overflowing_theta_grid_rejected_at_parse_time(self, tmp_path, capsys):
         out_file = tmp_path / "rows.csv"
