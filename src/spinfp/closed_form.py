@@ -199,7 +199,7 @@ def _check_flux(sectors: np.ndarray, u, theta) -> None:
     quartet sector is checked first, then the doublet; a failure, nan
     included, names the first offending point and channel.
     """
-    squares = np.abs(sectors) ** 2
+    squares = sectors.real ** 2 + sectors.imag ** 2  # |.|^2 without the square root
     weights = squares[:, 0] + squares[:, 1]  # |t|^2 + |r|^2, (5, N)
     # operator 1 + 2 out + in: incident channel c sums outgoing 0 (1 + c) and 1 (3 + c)
     for sector, flux in (("quartet", weights[0]), ("doublet", (weights[1:3] + weights[3:]).T)):

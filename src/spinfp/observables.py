@@ -206,13 +206,13 @@ def symmetry_report(p: DimensionlessParams) -> SymmetryReport:
     Total spin squared and its z component commute for every parameter
     choice; the squared impurity pair spin commutes exactly when theta is a
     multiple of pi; the electron+impurity-2 pair spin generically does not.
-    ``p`` may hold a stack of points.
+    ``p`` may hold a stack of points; the 16x16 operators are formed one at a
+    time, so the stack's temporaries are (N, 16, 16), not (N, 4, 16, 16).
     """
-    s = oracle_scattering(two_impurity_chain(p)).s_matrix()[..., None, :, :]
+    s = oracle_scattering(two_impurity_chain(p)).s_matrix()
     ops = spin_operators()
-    o16 = np.kron(
-        np.eye(2),
-        np.array([ops.total_spin_sq, ops.total_sz, ops.pair_spin_sq, ops.electron_imp2_sq]),
-    )  # one 16x16 operator per field
-    norms = np.moveaxis(np.linalg.norm(s @ o16 - o16 @ s, axis=(-2, -1)), -1, 0)
+    norms = []
+    for op in (ops.total_spin_sq, ops.total_sz, ops.pair_spin_sq, ops.electron_imp2_sq):
+        o16 = np.kron(np.eye(2), op)  # the field's 16x16 operator
+        norms.append(np.linalg.norm(s @ o16 - o16 @ s, axis=(-2, -1)))
     return SymmetryReport(*norms)

@@ -6,6 +6,9 @@ keeps it: building one took 0.4 to 0.6 ms on a 2-vCPU x86-64 host, a fifth of
 a 3-row sweep, against 0.03 ms for ``parse_args``.  Parsing leaves the parser
 as it was, so each call behaves as in a fresh process.
 
+Each command imports the modules only it uses: ``verify`` (with the solver)
+and ``units`` are loaded by the commands that run them, not by a sweep.
+
 Exit codes: 0 success (``--help`` included), 1 configuration or usage error
 (argparse's error lines stay as they are), 2 numeric failure, 3 verification
 failure (``verify.EXIT_VERIFY``, which ``run_verification`` returns).
@@ -22,8 +25,6 @@ from ..errors import DomainError, NumericError
 from ._format import format_float
 from .config import ConfigError, load_config
 from .sweeps import output_target, run_sweep, write_csv
-from .units import PhysicalParams, convert_units, spacing_for_phase
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,6 +71,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .units import PhysicalParams, convert_units, spacing_for_phase
+
     spacing = args.x0_nm
     if spacing is None:
         # default to the spacing that puts the first transparency resonance
@@ -98,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "verify":
+            from .verify import run_verification
+
             return run_verification()
         if args.command == "convert":
             return _cmd_convert(args)

@@ -45,8 +45,7 @@ from .config import SweepConfig
 from .states import electron_state, family_builder, incident_state
 
 # a sweep's rows per row-builder and render call, and points per kernel call,
-# are 3 * CHUNK (temporaries near 1 MB); verify's criterion 1 takes CHUNK points
-# per call, as its peak RSS rose with larger ones
+# are 3 * CHUNK (temporaries near 1 MB)
 CHUNK = 256
 
 

@@ -6,15 +6,19 @@ actionable.  Everything is deterministic: seeded draws, taken as arrays in
 a fixed order, with every random state normalised at once.
 
 Every check runs on stacks of points: the production kernel (the closed
-forms), the solver, the oracle and ``fixed_point_subspace`` take all of a
-criterion's points in one call (criterion 1 in chunks of ``sweeps.CHUNK``);
-the solver serves criterion 1 alone, as evidence.  Criterion 1 drops a
-chunk's closed forms before the oracle runs, and the whole chunk before the
-next; its oracle call, the star product of 256 points, sets verify's peak
-memory.  Criteria 7 and 8 read only the columns they use of the fig4, fig5
-and fig7 presets, by name, from the sweeps' blocks; fig2a, fig2b and fig3b
-share one grid, so criterion 8 reads their T from one grid-builder call over
-their three states, keeping T alone of each block: no whole table is built.
+forms), the solver, the oracle and ``fixed_point_subspace`` take a
+criterion's points in one call, and criteria 1 and 2, which draw 1000
+points, in stacks of ``_STACK``; the solver serves criterion 1 alone, as
+evidence.  Criterion 1 drops a stack's closed forms before the oracle runs,
+and the whole stack before the next.  Every point's bits are its own, so
+no result depends on ``_STACK``.  At 64 points the sweeps' blocks in
+criterion 8, not criterion 1, set verify's tracemalloc peak (1.6 MB; 4.0 MB
+at 256, whose star products also raised the RSS of a second pass), and
+below 64 each call's fixed cost dominates.  Criteria 7 and 8 read only the
+columns they use of the fig4, fig5 and fig7 presets, by name, from the
+sweeps' blocks; fig2a, fig2b and fig3b share one grid, so criterion 8 reads
+their T from one grid-builder call over their three states, keeping T alone
+of each block: no whole table is built.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ from ..transfer_oracle import oracle_scattering, two_impurity_chain
 from ..waveguide_solver import solver_amplitudes
 from .config import build_config
 from .states import bell_pair, incident_state
-from .sweeps import CHUNK, _blocks, run_sweep
+from .sweeps import _blocks, run_sweep
 from .units import PhysicalParams, convert_units, spacing_for_phase
 
 EXIT_VERIFY = 3  # run_verification's status, and the CLI's, when a criterion fails
 _SEED = 20240817
+_STACK = 64  # points per stacked call in criteria 1 and 2
 _LOW, _HIGH = np.array([1e-6, 1e-6]), np.array([20.0, 2 * math.pi])  # of (u, theta) draws
 # the limits a report line prints, each formatted from the name its comparison reads
 _AGREEMENT_TOL = 1e-10  # criterion 1: max |t| and |r| gap between two derivations
@@ -99,8 +104,8 @@ def _unit_rows(normals: np.ndarray) -> np.ndarray:
 
 def _chunk_gaps(p: DimensionlessParams) -> tuple[float, float]:
     """max |closed - solver| and max |solver - oracle| over one stack of points.
-    The closed forms are dropped before the oracle runs, and every stack of
-    the chunk when it returns."""
+    The closed forms are dropped before the oracle runs, and every array of
+    the stack when it returns."""
     t, r = amplitudes(p.u, p.theta)  # production: the closed forms
     t_solver, r_solver = solver_amplitudes(p.u, p.theta)
     closed = max(float(np.max(np.abs(t - t_solver))), float(np.max(np.abs(r - r_solver))))
@@ -112,9 +117,9 @@ def _chunk_gaps(p: DimensionlessParams) -> tuple[float, float]:
 
 def criterion_triple_agreement() -> CriterionResult:
     u, theta = _random_points(np.random.default_rng(_SEED), 1000).T
-    gaps = [  # one stack per derivation and chunk
-        _chunk_gaps(DimensionlessParams(u[start:start + CHUNK], theta[start:start + CHUNK]))
-        for start in range(0, len(u), CHUNK)
+    gaps = [  # one call per derivation and stack
+        _chunk_gaps(DimensionlessParams(u[start:start + _STACK], theta[start:start + _STACK]))
+        for start in range(0, len(u), _STACK)
     ]
     worst_closed, worst_oracle = np.max(gaps, axis=0).tolist()  # nan propagates
     passed = worst_closed < _AGREEMENT_TOL and worst_oracle < _AGREEMENT_TOL
@@ -130,10 +135,14 @@ def criterion_flux_conservation() -> CriterionResult:
     # draw order: a point, then its state's 8 real and 8 imaginary parts
     draws = [(rng.random(2), rng.standard_normal(16)) for _ in range(1000)]
     unit, normals = map(np.array, zip(*draws))
-    points = _LOW + (_HIGH - _LOW) * unit  # _random_points' map, once for all 1000
-    t, r = amplitudes(*points.T)
+    u, theta = (_LOW + (_HIGH - _LOW) * unit).T  # _random_points' map, once for all 1000
     chi = _unit_rows(normals)[..., None]
-    flux = np.sum(np.abs(t @ chi) ** 2 + np.abs(r @ chi) ** 2, axis=(1, 2))
+    flux = np.empty(len(u))
+    for start in range(0, len(u), _STACK):
+        stack = slice(start, start + _STACK)
+        t, r = amplitudes(u[stack], theta[stack])
+        flux[stack] = np.sum(np.abs(t @ chi[stack]) ** 2 + np.abs(r @ chi[stack]) ** 2,
+                             axis=(1, 2))
     worst = float(np.max(np.abs(flux - 1.0)))
     return CriterionResult(
         2, "unitarity / flux conservation", worst < _FLUX_TOL,

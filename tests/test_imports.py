@@ -50,6 +50,21 @@ def test_import_spinfp_loads_no_submodule():
     assert _run(script) == "[]"
 
 
+def test_cli_loads_only_what_a_sweep_runs():
+    # verify, the solver only it calls, and units load with the command that
+    # runs them; the oracle stays, as symmetry_report's source
+    script = (
+        "import sys, spinfp.scenarios.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'spinfp')))"
+    )
+    assert _run(script).split() == [
+        "spinfp", "spinfp.closed_form", "spinfp.errors", "spinfp.observables",
+        "spinfp.scenarios", "spinfp.scenarios._format", "spinfp.scenarios.cli",
+        "spinfp.scenarios.config", "spinfp.scenarios.states", "spinfp.scenarios.sweeps",
+        "spinfp.spin_algebra", "spinfp.transfer_oracle",
+    ]
+
+
 def test_verify_and_figure_sweeps_load_no_heavy_dependency():
     # a heavy module imported inside a criterion or a sweep would pass the
     # import-time check above

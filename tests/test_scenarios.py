@@ -1464,6 +1464,46 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, name, limit)
         assert not getattr(verify_mod, criterion)().passed
 
+    def test_stack_size_leaves_every_result_alone(self, monkeypatch):
+        # criteria 1 and 2 take their 1000 points _STACK at a time, and criterion
+        # 5's report forms its operators one at a time: every result, printed
+        # digits included, is the one the default stacks give
+        from spinfp.scenarios import verify as verify_mod
+
+        checks = (verify_mod.criterion_triple_agreement,
+                  verify_mod.criterion_flux_conservation,
+                  verify_mod.criterion_conservation_laws)
+        expected = [check() for check in checks]
+        assert all(result.passed for result in expected)
+        kernel, calls = verify_mod.amplitudes, []
+
+        def counting(u, theta):
+            calls.append(len(u))
+            return kernel(u, theta)
+
+        monkeypatch.setattr(verify_mod, "amplitudes", counting)
+        for stack in (7, 64, 1000):
+            monkeypatch.setattr(verify_mod, "_STACK", stack)
+            calls.clear()
+            assert [check() for check in checks] == expected
+            assert len(calls) == 2 * math.ceil(1000 / stack) and max(calls) == stack
+
+    def test_verification_peak_below_2_mb(self):
+        """``run_verification``'s tracemalloc peak, after a warm-up call, stays below
+        2.0e6 B.  Criterion 1's stacks of 256 points held 3.96e6 B; in stacks of
+        64 the sweeps' 768-row blocks in criterion 8 set the peak, 1.61e6 B with
+        numpy 2.4 on x86-64."""
+        from spinfp.scenarios import verify as verify_mod
+
+        assert verify_mod.run_verification(io.StringIO()) == 0  # warm caches
+        tracemalloc.start()
+        try:
+            assert verify_mod.run_verification(io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
+
     def test_criterion_4_makes_two_kernel_calls(self, monkeypatch):
         from spinfp import observables
         from spinfp.scenarios import verify as verify_mod
@@ -1627,7 +1667,10 @@ class TestVerify:
             result = check()
             assert result.passed, result.details
 
-        ((u, theta), _), ((u3, theta3), _) = handed["amplitudes"]
+        # criterion 2 calls the kernel once per stack of _STACK points, then criterion 3 once
+        *flux_calls, ((u3, theta3), _) = handed["amplitudes"]
+        assert [len(args[0]) for args, _ in flux_calls] == [64] * 15 + [40]
+        u, theta = (np.concatenate(axis) for axis in zip(*(args for args, _ in flux_calls)))
         (_, _, chi3, u3_table, theta3_table), _ = handed["observable_table"][0]
         (p,), _ = handed["det_t_minus_identity"][0]
         for got, want in [(u, flux_u), (theta, flux_theta), (u3, singlet_u),
